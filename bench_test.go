@@ -26,6 +26,7 @@ import (
 	"fgbs/internal/ga"
 	"fgbs/internal/pipeline"
 	"fgbs/internal/report"
+	"fgbs/internal/stage"
 )
 
 // logOnce prints an artifact a single time per benchmark name even
@@ -266,16 +267,17 @@ func BenchmarkFigure7RandomClusteringBaselineParallel(b *testing.B) {
 		}
 	}
 	workers := runtime.GOMAXPROCS(0)
+	st := pipeline.NewEngine(stage.NewStore(64, "")).Adopt(NASSuite(), pipeline.StageOptions{Options: pipeline.Options{Seed: 1}}, prof)
 	var rows []pipeline.RandomClusteringStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rows = rows[:0]
 		for _, k := range ks {
-			st, err := prof.RandomClusteringsParallel(context.Background(), DefaultFeatures(), k, 100, ti, 99, workers, nil)
+			row, err := st.RandomClusterings(context.Background(), DefaultFeatures(), k, 100, ti, 99, workers, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
-			rows = append(rows, st)
+			rows = append(rows, row)
 		}
 	}
 	b.StopTimer()

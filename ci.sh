@@ -75,6 +75,15 @@ go test -race -timeout 10m -run '^TestCorpusSmokeSubsetEvaluate$' ./internal/cor
 echo "== go test -race =="
 go test -race -timeout 25m ./...
 
+# cmd/fgbsbench is a nested module (the end-to-end benchmark harness),
+# so ./... above never reaches it. Its tests pin what the harness
+# consumes of this module: server.Config.ProfileDir, the pipeline's
+# NewProfileContext/Subset/Evaluate/SweepKContext, and the /metricz
+# keys (registry.*, resultCache.*, stages.*). Run without -race: its
+# warm-scan smoke window is too short for the detector's slowdown.
+echo "== benchmark harness =="
+(cd cmd/fgbsbench && go vet . && go test .)
+
 # The performance trajectory gate (see README "Performance
 # trajectory"): every internal/bench spec runs in quick mode and is
 # diffed against the committed BENCH_10.json baseline; a median or

@@ -77,9 +77,8 @@
 //	-stagedir path  also persist stage artifacts (the profile) under
 //	                this directory and load them back on later runs —
 //	                the directory-shaped analogue of -cache, sharing
-//	                its <suite>-<key>.json layout with fgbsd's
-//	                -profiledir (and reading the bare <suite>.json
-//	                files earlier releases wrote)
+//	                its framed <suite>-<key>.json layout with fgbsd's
+//	                -profiledir
 //	-peers list     comma-separated base URLs of fgbsd daemons; adds a
 //	                peer tier to the stage store that fetches artifacts
 //	                from their /v1/artifacts/{key} endpoints before
@@ -317,7 +316,7 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		prof := st.Profile()
-		pts, err := st.SweepKParallel(ctx, mask, 2, 24, cfg.workers(), nil)
+		pts, err := st.SweepK(ctx, mask, 2, 24, cfg.workers(), nil)
 		if err != nil {
 			return err
 		}
@@ -378,7 +377,7 @@ func run(ctx context.Context, args []string) error {
 		}
 		var rows []pipeline.RandomClusteringStats
 		for _, k := range []int{4, 8, 12, 16, 20, 24} {
-			rcs, err := st.RandomClusteringsParallel(ctx, mask, k, cfg.trials, ti, cfg.seed, cfg.workers(), nil)
+			rcs, err := st.RandomClusterings(ctx, mask, k, cfg.trials, ti, cfg.seed, cfg.workers(), nil)
 			if err != nil {
 				return err
 			}
@@ -470,7 +469,7 @@ func run(ctx context.Context, args []string) error {
 			sj.Suite = cfg.suite
 			return report.WriteJSON(os.Stdout, sj)
 		case "sweep":
-			pts, err := st.SweepKParallel(ctx, mask, 2, 24, cfg.workers(), nil)
+			pts, err := st.SweepK(ctx, mask, 2, 24, cfg.workers(), nil)
 			if err != nil {
 				return err
 			}

@@ -16,16 +16,14 @@
 //	                 suites internal/corpus registers)
 //	-preload list    comma-separated suites to profile at startup
 //	                 instead of on first request
-//	-profiledir dir  persist built profiles as <dir>/<suite>-<key>.json
-//	                 and reload them on restart (bare <suite>.json files
-//	                 from earlier releases are still read)
+//	-profiledir dir  the stage store's disk tier: persist built profiles
+//	                 as framed <dir>/<suite>-<key>.json artifacts and
+//	                 reload them on restart
 //	-cachesize N     LRU result-cache capacity in entries (default 256)
 //	-stagecache N    in-memory stage artifact store capacity in entries
 //	                 (default 512); every pipeline stage — profiles,
 //	                 per-K subsets, per-target evaluations — resolves
 //	                 through it, so queries and jobs share work
-//	-stagedir dir    where the stage store persists disk artifacts
-//	                 (default: the -profiledir value)
 //	-peers list      comma-separated base URLs of peer fgbsd daemons;
 //	                 adds a peer tier to the stage store that fetches
 //	                 artifacts from their /v1/artifacts/{key} endpoints
@@ -98,7 +96,6 @@ type daemonConfig struct {
 	dir          string
 	cacheN       int
 	stageCacheN  int
-	stageDir     string
 	peers        []string
 	stageTiers   []string
 	seed         uint64
@@ -124,7 +121,6 @@ func parseFlags(args []string) (daemonConfig, error) {
 	fs.StringVar(&cfg.dir, "profiledir", "", "directory for persisted profiles")
 	fs.IntVar(&cfg.cacheN, "cachesize", 256, "LRU result-cache capacity")
 	fs.IntVar(&cfg.stageCacheN, "stagecache", 512, "in-memory stage artifact store capacity")
-	fs.StringVar(&cfg.stageDir, "stagedir", "", "directory for persisted stage artifacts (default: -profiledir)")
 	var peerList, tierList string
 	fs.StringVar(&peerList, "peers", "", "comma-separated base URLs of peer fgbsd daemons")
 	fs.StringVar(&tierList, "stagetiers", "", "comma-separated stage tier order (memory, disk, peer)")
@@ -178,15 +174,11 @@ func parseFlags(args []string) (daemonConfig, error) {
 	// Dry-run the tier chain the server will build so a typo in
 	// -stagetiers (or a peer tier without -peers) refuses to start here
 	// instead of panicking inside server.New.
-	stageDir := cfg.stageDir
-	if stageDir == "" {
-		stageDir = cfg.dir
-	}
 	names := cfg.stageTiers
 	if len(names) == 0 {
-		names = stage.DefaultTierNames(stageDir, cfg.peers)
+		names = stage.DefaultTierNames(cfg.dir, cfg.peers)
 	}
-	if _, err := stage.NewTierChain(names, stage.TierConfig{Dir: stageDir, Peers: cfg.peers}); err != nil {
+	if _, err := stage.NewTierChain(names, stage.TierConfig{Dir: cfg.dir, Peers: cfg.peers}); err != nil {
 		return cfg, fmt.Errorf("-stagetiers: %w", err)
 	}
 	return cfg, nil
@@ -242,7 +234,6 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		ProfileDir:      cfg.dir,
 		ResultCacheSize: cfg.cacheN,
 		StageCacheSize:  cfg.stageCacheN,
-		StageDir:        cfg.stageDir,
 		Peers:           cfg.peers,
 		StageTiers:      cfg.stageTiers,
 		SuiteNames:      cfg.serve,

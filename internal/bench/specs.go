@@ -250,7 +250,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				if !out.Disk {
+				if out.Tier != stage.TierDisk {
 					return fmt.Errorf("second resolve not served from disk")
 				}
 				sink.Add(uint64(v.(*pipeline.Profile).N()))
@@ -402,7 +402,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				pts, err := st.SweepK(ctx, benchMask, 2, 6)
+				pts, err := st.SweepK(ctx, benchMask, 2, 6, 1, nil)
 				if err != nil {
 					return err
 				}
@@ -428,7 +428,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := st.SweepK(ctx, benchMask, 2, 6); err != nil {
+			if _, err := st.SweepK(ctx, benchMask, 2, 6, 1, nil); err != nil {
 				return nil, err
 			}
 			coldInv := meas.n.Load()
@@ -438,7 +438,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				pts, err := st.SweepK(ctx, benchMask, 2, 6)
+				pts, err := st.SweepK(ctx, benchMask, 2, 6, 1, nil)
 				if err != nil {
 					return err
 				}

@@ -100,8 +100,8 @@ func TestPeerTierBreaker(t *testing.T) {
 		}
 	}
 	st := s.Stats().Tiers[stage.TierPeer]
-	if st.State != stage.DiskDegraded {
-		t.Fatalf("peer tier state = %q after 3 transient 5xx, want %q", st.State, stage.DiskDegraded)
+	if st.State != stage.TierDegraded {
+		t.Fatalf("peer tier state = %q after 3 transient 5xx, want %q", st.State, stage.TierDegraded)
 	}
 	if st.Errors < 3 {
 		t.Errorf("peer tier errors = %d, want >= 3", st.Errors)
@@ -154,7 +154,7 @@ func TestPeerTierBreaker(t *testing.T) {
 	if !recovered {
 		t.Fatal("half-open probe never recovered the healed peer")
 	}
-	if st := s.Stats().Tiers[stage.TierPeer]; st.State != stage.DiskOK {
-		t.Errorf("peer tier state = %q after successful probe, want %q", st.State, stage.DiskOK)
+	if st := s.Stats().Tiers[stage.TierPeer]; st.State != stage.TierOK {
+		t.Errorf("peer tier state = %q after successful probe, want %q", st.State, stage.TierOK)
 	}
 }

@@ -44,7 +44,7 @@ func (p *Profile) SweepKContext(ctx context.Context, mask features.Mask, kMin, k
 }
 
 // sweepPoint computes one K of the sweep. It is pure in (mask, k), the
-// property that lets SweepKParallel fan K values out and merge the
+// property that lets Staged.SweepK fan K values out and merge the
 // points back in order with results identical to the serial loop.
 //
 //fgbs:hot
@@ -85,7 +85,7 @@ func (p *Profile) RandomClusterings(mask features.Mask, k, trials int, t int, se
 // RandomClusteringsContext is RandomClusterings with cancellation,
 // checked between trials. Every trial draws from its own generator
 // seeded by trialSeeds, so trial i's partition depends only on (seed,
-// i) — the property that makes RandomClusteringsParallel's per-chunk
+// i) — the property that makes Staged.RandomClusterings' per-chunk
 // fan-out byte-identical to this serial loop.
 func (p *Profile) RandomClusteringsContext(ctx context.Context, mask features.Mask, k, trials int, t int, seed uint64) (RandomClusteringStats, error) {
 	res, err := p.guidedStats(mask, k, t)

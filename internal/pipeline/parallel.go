@@ -4,77 +4,22 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-
-	"fgbs/internal/features"
 )
 
-// Parallel experiment runners. The expensive experiments are
-// embarrassingly parallel once their unit of work is pure: SweepK's
-// unit is one K (sweepPoint), RandomClusterings' unit is one trial
-// (randomTrial, seeded per trial index). Each runner fans units out
-// over a bounded worker set and merges results back by index, so the
-// output is identical — byte for byte — to the serial loop, whatever
-// the worker count or scheduling order. Profile is immutable and
-// shared read-only by every worker.
+// Parallel fan-out for the staged experiments. The expensive
+// experiments are embarrassingly parallel once their unit of work is
+// pure: Staged.SweepK's unit is one K (sweepPoint), Staged.
+// RandomClusterings' unit is one trial (randomTrial, seeded per trial
+// index). Each fans units out over a bounded worker set and merges
+// results back by index, so the output is identical — byte for byte —
+// to the serial Profile loop, whatever the worker count or scheduling
+// order. Profile is immutable and shared read-only by every worker.
 
 // ProgressFunc observes fan-out progress: done units completed out of
 // total. It may be called concurrently from worker goroutines and the
 // done values may arrive slightly out of order; treat it as a gauge,
 // not a strictly monotonic counter. A nil ProgressFunc is ignored.
 type ProgressFunc func(done, total int)
-
-// SweepKParallel is SweepKContext with the K values fanned out over
-// `workers` goroutines (<=1 means serial). Results are merged in K
-// order and are identical to the serial sweep.
-func (p *Profile) SweepKParallel(ctx context.Context, mask features.Mask, kMin, kMax, workers int, progress ProgressFunc) ([]SweepPoint, error) {
-	var ks []int
-	for k := kMin; k <= kMax && k <= p.N(); k++ {
-		ks = append(ks, k)
-	}
-	out := make([]SweepPoint, len(ks))
-	err := runIndexed(ctx, len(ks), workers, progress, func(i int) error {
-		pt, err := p.sweepPoint(mask, ks[i])
-		if err != nil {
-			return err
-		}
-		out[i] = pt
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RandomClusteringsParallel is RandomClusteringsContext with the
-// trials fanned out in chunks over `workers` goroutines (<=1 means
-// serial). Trial i always runs with the same derived seed, so the
-// envelope is identical to the serial run.
-func (p *Profile) RandomClusteringsParallel(ctx context.Context, mask features.Mask, k, trials int, t int, seed uint64, workers int, progress ProgressFunc) (RandomClusteringStats, error) {
-	res, err := p.guidedStats(mask, k, t)
-	if err != nil {
-		return RandomClusteringStats{}, err
-	}
-	seeds := trialSeeds(seed, trials)
-	errs := make([]float64, trials)
-	runErr := runChunked(ctx, trials, workers, progress, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			e, err := p.randomTrial(mask, seeds[i], k, t)
-			if err != nil {
-				return err
-			}
-			errs[i] = e
-		}
-		return nil
-	})
-	if runErr != nil {
-		return RandomClusteringStats{}, runErr
-	}
-	return finishRandomStats(res, errs), nil
-}
 
 // runIndexed executes n independent units on up to `workers`
 // goroutines, reporting progress per unit. The error from the

@@ -7,17 +7,20 @@ import (
 	"testing"
 )
 
-// TestSweepKParallelMatchesSerial is the determinism gate for the
-// parallel sweep: at every worker count the fanned-out result must be
-// identical — field for field — to the serial loop. Runs under -race.
-func TestSweepKParallelMatchesSerial(t *testing.T) {
+// TestSweepKWorkersMatchSerial is the determinism gate for the
+// parallel sweep: at every worker count the staged, fanned-out result
+// must be identical — field for field — to the serial monolith loop.
+// Each worker count gets a fresh stage store, so its stages compute
+// under the fan-out instead of replaying the previous run. Runs under
+// -race.
+func TestSweepKWorkersMatchSerial(t *testing.T) {
 	prof := tinyProfile(t)
 	want, err := prof.SweepK(tinyMask, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 4, 16} {
-		got, err := prof.SweepKParallel(context.Background(), tinyMask, 2, 7, workers, nil)
+	for _, workers := range []int{1, 2, 4, 8, 16} {
+		got, err := stagedFixture(t).SweepK(context.Background(), tinyMask, 2, 7, workers, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -27,10 +30,11 @@ func TestSweepKParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRandomClusteringsParallelMatchesSerial: the random baseline's
-// envelope must be independent of the worker count, because every
-// trial's partition is a pure function of (seed, trial index).
-func TestRandomClusteringsParallelMatchesSerial(t *testing.T) {
+// TestRandomClusteringsWorkersMatchSerial: the staged random
+// baseline's envelope must equal the serial monolith's at every worker
+// count, because every trial's partition is a pure function of (seed,
+// trial index).
+func TestRandomClusteringsWorkersMatchSerial(t *testing.T) {
 	prof := tinyProfile(t)
 	cases := []struct {
 		k, trials int
@@ -45,8 +49,8 @@ func TestRandomClusteringsParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			got, err := prof.RandomClusteringsParallel(context.Background(), tinyMask, c.k, c.trials, 0, c.seed, workers, nil)
+		for _, workers := range []int{1, 2, 4, 8} {
+			got, err := stagedFixture(t).RandomClusterings(context.Background(), tinyMask, c.k, c.trials, 0, c.seed, workers, nil)
 			if err != nil {
 				t.Fatalf("k=%d workers=%d: %v", c.k, workers, err)
 			}
@@ -84,7 +88,7 @@ func TestTrialSeedsStable(t *testing.T) {
 // TestParallelProgressReachesTotal: the progress callback must end at
 // done == total on success, whatever the interleaving.
 func TestParallelProgressReachesTotal(t *testing.T) {
-	prof := tinyProfile(t)
+	st := stagedFixture(t)
 	var mu sync.Mutex
 	var lastDone, lastTotal, calls int
 	progress := func(done, total int) {
@@ -96,7 +100,7 @@ func TestParallelProgressReachesTotal(t *testing.T) {
 		}
 		lastTotal = total
 	}
-	if _, err := prof.RandomClusteringsParallel(context.Background(), tinyMask, 3, 30, 0, 7, 4, progress); err != nil {
+	if _, err := st.RandomClusterings(context.Background(), tinyMask, 3, 30, 0, 7, 4, progress); err != nil {
 		t.Fatal(err)
 	}
 	if lastDone != 30 || lastTotal != 30 {
@@ -113,10 +117,11 @@ func TestParallelCancellation(t *testing.T) {
 	prof := tinyProfile(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := prof.SweepKParallel(ctx, tinyMask, 2, 7, 4, nil); err != context.Canceled {
+	st := stagedFixture(t)
+	if _, err := st.SweepK(ctx, tinyMask, 2, 7, 4, nil); err != context.Canceled {
 		t.Errorf("sweep err = %v, want context.Canceled", err)
 	}
-	if _, err := prof.RandomClusteringsParallel(ctx, tinyMask, 3, 50, 0, 7, 4, nil); err != context.Canceled {
+	if _, err := st.RandomClusterings(ctx, tinyMask, 3, 50, 0, 7, 4, nil); err != context.Canceled {
 		t.Errorf("randbaseline err = %v, want context.Canceled", err)
 	}
 	if _, err := prof.SweepKContext(ctx, tinyMask, 2, 7); err != context.Canceled {

@@ -129,17 +129,12 @@ type StageOptions struct {
 	// engine restarts.
 	MeasurerKey string
 
-	// DiskName, when non-empty and the engine's store has a disk
-	// directory, persists the profile stage on disk. The file is
-	// key-qualified — "nr.json" is written as "nr-<key prefix>.json" —
-	// so resolves under different profile keys (another seed, an
-	// injected fault profile) never share a disk artifact. For
-	// measurer-free resolves the engine additionally probes the bare
-	// name as a read-only fallback, adopting profiles a pre-stage
-	// registry persisted; that legacy file carries no provenance, so
-	// it is trusted across seeds exactly as the old registry trusted
-	// it. Fault-keyed resolves never touch the bare name in either
-	// direction.
+	// DiskName, when non-empty and the engine's store has byte tiers,
+	// persists the profile stage through them. The file is
+	// key-qualified — "nr.json" is written and read only as
+	// "nr-<key prefix>.json" — so resolves under different profile
+	// keys (another seed, an injected fault profile) never share an
+	// artifact. The bare name is never touched.
 	DiskName string
 }
 
@@ -193,17 +188,14 @@ type detected struct {
 }
 
 // profileCodec persists the profile stage as the raw SaveJSON layout
-// under a key-qualified filename, with the bare pre-stage registry
-// name as an optional read-only fallback, so old cache directories
-// keep being adopted while differently-keyed runs stay separate.
+// under a key-qualified filename, so differently-keyed runs stay
+// separate.
 type profileCodec struct {
-	name   string // key-qualified filename (diskFilename)
-	legacy string // bare pre-stage name probed read-only; "" when none applies
-	progs  []*ir.Program
+	name  string // key-qualified filename (diskFilename)
+	progs []*ir.Program
 }
 
-func (c profileCodec) Filename() string       { return c.name }
-func (c profileCodec) LegacyFilename() string { return c.legacy }
+func (c profileCodec) Filename() string { return c.name }
 
 func (c profileCodec) Encode(w io.Writer, v any) error {
 	return v.(*Profile).SaveJSON(w)
@@ -232,18 +224,6 @@ func diskFilename(name string, k stage.Key) string {
 	return base + "-" + h + ext
 }
 
-// legacyDiskName returns the bare pre-stage filename to probe when the
-// keyed artifact is missing — only for measurer-free resolves, so an
-// injected run can never adopt a clean legacy profile (and, because
-// writes always use the keyed name, a clean run can never adopt an
-// injected one).
-func legacyDiskName(opts StageOptions) string {
-	if opts.Measurer != nil || opts.MeasurerKey != "" {
-		return ""
-	}
-	return opts.DiskName
-}
-
 // Profile resolves the Detect and Profile stages for progs, computing
 // them only when no stored artifact matches. The Outcome reports how
 // the profile stage was satisfied (memory/coalesced/disk vs computed).
@@ -264,7 +244,7 @@ func (e *Engine) Profile(ctx context.Context, progs []*ir.Program, opts StageOpt
 	pk := profileKey(dk, opts.Options, e.measurerKey(opts))
 	var codec stage.Codec
 	if opts.DiskName != "" {
-		codec = profileCodec{name: diskFilename(opts.DiskName, pk), legacy: legacyDiskName(opts), progs: progs}
+		codec = profileCodec{name: diskFilename(opts.DiskName, pk), progs: progs}
 	}
 	// The profile compute consumes the detect artifact instead of
 	// calling NewProfileContext, which would re-run Detect: Detect runs
@@ -304,7 +284,7 @@ func (e *Engine) stagedKey(pk stage.Key, prof *Profile) stage.Key {
 	return stage.NewKey("profile-degraded", profileStageVersion).Upstream(pk).Int(n).Key()
 }
 
-// Adopt inserts an externally built profile (e.g. loaded from a legacy
+// Adopt inserts an externally built profile (e.g. loaded from a CLI
 // -cache file) into the stage graph under the key Engine.Profile would
 // derive for the same inputs, replacing any stored artifact. The
 // adopted profile is trusted as-is, matching the CLI's historical
@@ -405,25 +385,6 @@ func (s *Staged) evaluateWith(ctx context.Context, mask features.Mask, k int, cf
 	return sub, evV.(*Eval), nil
 }
 
-// SweepK is Profile.SweepKContext through the stage graph: the
-// normalize and cluster stages resolve once, each K re-runs only the
-// cut, selection and prediction. Output is identical to the serial
-// monolithic sweep.
-func (s *Staged) SweepK(ctx context.Context, mask features.Mask, kMin, kMax int) ([]SweepPoint, error) {
-	var out []SweepPoint
-	for k := kMin; k <= kMax && k <= s.prof.N(); k++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		pt, err := s.sweepPoint(ctx, mask, k)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
 // sweepPoint mirrors Profile.sweepPoint, staged.
 func (s *Staged) sweepPoint(ctx context.Context, mask features.Mask, k int) (SweepPoint, error) {
 	sub, rk, err := s.subsetWithKey(ctx, mask, k, SubsetConfig{})
@@ -445,10 +406,13 @@ func (s *Staged) sweepPoint(ctx context.Context, mask features.Mask, k int) (Swe
 	return pt, nil
 }
 
-// SweepKParallel is Profile.SweepKParallel through the stage graph:
-// same fan-out, same in-order merge, but shared stages resolve once
-// across workers (coalesced by the store).
-func (s *Staged) SweepKParallel(ctx context.Context, mask features.Mask, kMin, kMax, workers int, progress ProgressFunc) ([]SweepPoint, error) {
+// SweepK is Profile.SweepKContext through the stage graph, with the K
+// values fanned out over `workers` goroutines (<=1 means serial): the
+// normalize and cluster stages resolve once (coalesced by the store
+// across workers), each K re-runs only the cut, selection and
+// prediction, and points merge back in K order. Output is identical to
+// the serial monolithic sweep at any worker count.
+func (s *Staged) SweepK(ctx context.Context, mask features.Mask, kMin, kMax, workers int, progress ProgressFunc) ([]SweepPoint, error) {
 	var ks []int
 	for k := kMin; k <= kMax && k <= s.prof.N(); k++ {
 		ks = append(ks, k)
@@ -468,11 +432,14 @@ func (s *Staged) SweepKParallel(ctx context.Context, mask features.Mask, kMin, k
 	return out, nil
 }
 
-// RandomClusteringsParallel is Profile.RandomClusteringsParallel with
-// the guided side staged. The random trials stay unstaged: each
-// partition is drawn from a per-trial seed and essentially never
-// recurs, so caching them would only churn the LRU.
-func (s *Staged) RandomClusteringsParallel(ctx context.Context, mask features.Mask, k, trials int, t int, seed uint64, workers int, progress ProgressFunc) (RandomClusteringStats, error) {
+// RandomClusterings is Profile.RandomClusteringsContext with the
+// guided side staged and the trials fanned out in chunks over
+// `workers` goroutines (<=1 means serial). Trial i always runs with
+// the same derived seed, so the envelope is identical to the serial
+// run. The random trials stay unstaged: each partition is drawn from a
+// per-trial seed and essentially never recurs, so caching them would
+// only churn the LRU.
+func (s *Staged) RandomClusterings(ctx context.Context, mask features.Mask, k, trials int, t int, seed uint64, workers int, progress ProgressFunc) (RandomClusteringStats, error) {
 	_, ev, err := s.Evaluate(ctx, mask, k, t)
 	if err != nil {
 		return RandomClusteringStats{}, err

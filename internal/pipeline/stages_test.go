@@ -202,26 +202,26 @@ func TestStagedMatchesMonolith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged, err := st.SweepK(ctx, tinyMask, 2, prof.N())
+	staged, err := st.SweepK(ctx, tinyMask, 2, prof.N(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m, s := asJSON(t, mono), asJSON(t, staged); !bytes.Equal(m, s) {
 		t.Errorf("staged SweepK diverges\nmonolith: %s\nstaged:   %s", m, s)
 	}
-	par, err := st.SweepKParallel(ctx, tinyMask, 2, prof.N(), 4, nil)
+	par, err := st.SweepK(ctx, tinyMask, 2, prof.N(), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m, s := asJSON(t, mono), asJSON(t, par); !bytes.Equal(m, s) {
-		t.Errorf("staged SweepKParallel diverges from serial monolith")
+		t.Errorf("staged SweepK with 4 workers diverges from serial monolith")
 	}
 
 	monoRand, err := prof.RandomClusterings(tinyMask, 3, 20, 0, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stagedRand, err := st.RandomClusteringsParallel(ctx, tinyMask, 3, 20, 0, 42, 4, nil)
+	stagedRand, err := st.RandomClusterings(ctx, tinyMask, 3, 20, 0, 42, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestSweepKProfilesExactlyOnce(t *testing.T) {
 		t.Fatal("profiling ran no measurements")
 	}
 
-	pts, err := st.SweepK(ctx, tinyMask, 1, 8)
+	pts, err := st.SweepK(ctx, tinyMask, 1, 8, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,8 +402,8 @@ func TestDegradedProfileDoesNotPoisonRebuild(t *testing.T) {
 // TestDiskArtifactsKeyedByOptions pins the disk-layer isolation
 // contract: profiles persist under key-qualified filenames, so
 // fault-injected and clean runs (or runs with different seeds) sharing
-// one directory never adopt each other's artifacts, while a bare
-// legacy <suite>.json is still adopted by measurer-free resolves only.
+// one directory never adopt each other's artifacts, and fresh artifacts
+// are written only under the keyed name, never the bare <suite>.json.
 func TestDiskArtifactsKeyedByOptions(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -417,12 +417,12 @@ func TestDiskArtifactsKeyedByOptions(t *testing.T) {
 		t.Fatalf("keyed files = %v (err %v), want exactly one", keyed, err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "tiny.json")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("bare legacy name was written (stat err %v)", err)
+		t.Fatalf("bare name was written (stat err %v)", err)
 	}
 
 	// Same options, fresh process: the keyed artifact satisfies the
 	// miss from disk.
-	if _, out, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), cleanOpts); err != nil || !out.Disk {
+	if _, out, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), cleanOpts); err != nil || out.Tier != stage.TierDisk {
 		t.Fatalf("warm clean resolve: out=%+v err=%v, want disk hit", out, err)
 	}
 
@@ -432,7 +432,7 @@ func TestDiskArtifactsKeyedByOptions(t *testing.T) {
 	faultOpts := StageOptions{Options: Options{Seed: 1, Measurer: cm}, MeasurerKey: "fault:deadbeef", DiskName: "tiny.json"}
 	if _, out, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), faultOpts); err != nil {
 		t.Fatal(err)
-	} else if out.Disk {
+	} else if out.Tier != "" {
 		t.Error("fault-keyed resolve adopted a clean disk artifact")
 	}
 	if cm.n.Load() == 0 {
@@ -442,41 +442,8 @@ func TestDiskArtifactsKeyedByOptions(t *testing.T) {
 	// A different seed must re-measure too.
 	if _, out, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), StageOptions{Options: Options{Seed: 2}, DiskName: "tiny.json"}); err != nil {
 		t.Fatal(err)
-	} else if out.Disk {
+	} else if out.Tier != "" {
 		t.Error("different-seed resolve adopted another seed's artifact")
-	}
-}
-
-// TestLegacyBareProfileAdoptedOnlyWhenMeasurerFree pins the read-only
-// legacy fallback: a pre-stage <suite>.json is adopted by a clean
-// resolve but never by a fault-keyed one.
-func TestLegacyBareProfileAdoptedOnlyWhenMeasurerFree(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	f, err := os.Create(filepath.Join(dir, "tiny.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tinyProfile(t).SaveJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	st, out, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), StageOptions{Options: Options{Seed: 1}, DiskName: "tiny.json"})
-	if err != nil || !out.Disk {
-		t.Fatalf("clean resolve over legacy file: out=%+v err=%v, want adoption", out, err)
-	}
-	if st.Profile().N() != tinyProfile(t).N() {
-		t.Errorf("adopted profile has %d codelets, want %d", st.Profile().N(), tinyProfile(t).N())
-	}
-
-	cm := &countingMeasurer{}
-	if _, out, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), StageOptions{Options: Options{Seed: 1, Measurer: cm}, MeasurerKey: "fault:deadbeef", DiskName: "tiny.json"}); err != nil {
-		t.Fatal(err)
-	} else if out.Disk || cm.n.Load() == 0 {
-		t.Errorf("fault-keyed resolve adopted the legacy clean profile (out=%+v, measured=%d)", out, cm.n.Load())
 	}
 }
 
@@ -500,7 +467,7 @@ func TestStagedConcurrentResolve(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := st.SweepK(ctx, tinyMask, 2, 6)
+			got, err := st.SweepK(ctx, tinyMask, 2, 6, 1, nil)
 			if err != nil {
 				errs <- err
 				return
@@ -538,7 +505,7 @@ func BenchmarkSweepKWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := coldSt.SweepK(ctx, tinyMask, 1, 8); err != nil {
+	if _, err := coldSt.SweepK(ctx, tinyMask, 1, 8, 1, nil); err != nil {
 		b.Fatal(err)
 	}
 	coldInv := cold.n.Load()
@@ -558,7 +525,7 @@ func BenchmarkSweepKWarm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := st.SweepK(ctx, tinyMask, 1, 8); err != nil {
+		if _, err := st.SweepK(ctx, tinyMask, 1, 8, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -51,8 +51,8 @@ func TestArtifactEndpoint(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 			t.Errorf("artifact %s content type = %q", key, ct)
 		}
-		if framed, err := stage.VerifyFrame(data); !framed || err != nil {
-			t.Errorf("artifact %s: framed=%v err=%v, want verified frame", key, framed, err)
+		if err := stage.VerifyFrame(data); err != nil {
+			t.Errorf("artifact %s fails verification: %v", key, err)
 		}
 	}
 
@@ -128,8 +128,7 @@ func TestServerPeerFetchServesColdNode(t *testing.T) {
 	}
 }
 
-// TestHealthzTiers pins the satellite contract: per-tier states under
-// "tiers", with the pre-tier "disk" key kept as an alias.
+// TestHealthzTiers pins the per-tier states under "tiers".
 func TestHealthzTiers(t *testing.T) {
 	s := New(Config{
 		Seed:       1,
@@ -143,14 +142,10 @@ func TestHealthzTiers(t *testing.T) {
 	defer ts.Close()
 
 	var body struct {
-		Disk  string            `json:"disk"`
 		Tiers map[string]string `json:"tiers"`
 	}
 	get(t, ts, "/healthz", &body)
-	if body.Tiers[stage.TierDisk] != stage.DiskOK || body.Tiers[stage.TierPeer] != stage.DiskOK {
+	if body.Tiers[stage.TierDisk] != stage.TierOK || body.Tiers[stage.TierPeer] != stage.TierOK {
 		t.Errorf("healthz tiers = %v, want disk and peer ok", body.Tiers)
-	}
-	if body.Disk != body.Tiers[stage.TierDisk] {
-		t.Errorf("disk alias = %q, tiers.disk = %q; alias must track the tier", body.Disk, body.Tiers[stage.TierDisk])
 	}
 }

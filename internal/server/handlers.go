@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -28,6 +29,26 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorJSON{Error: fmt.Sprintf(format, args...)})
+}
+
+// maxRequestBody bounds a /v1/* query or /v1/jobs submission body.
+// Both are a few hundred bytes of JSON; a body this size is a client
+// bug, not a bigger request.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes the request body into v as exactly one JSON
+// value: unknown fields, anything but whitespace after the value, and
+// bodies over maxRequestBody are all errors.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("unexpected data after the JSON value")
+	}
+	return nil
 }
 
 // writeRaw replays pre-encoded JSON, tagging whether it came from the
@@ -103,9 +124,7 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (queryReque
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return req, features.Mask{}, false
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return req, features.Mask{}, false
 	}
@@ -323,8 +342,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	// A degraded tier does NOT turn the status code: the stage store
 	// keeps serving around it (memory-only in the worst case), so the
 	// node stays in rotation — the fields are for operators and
-	// dashboards. "tiers" names every byte tier's state; "disk" is the
-	// pre-tier alias of tiers.disk, kept for one release.
+	// dashboards. "tiers" names every configured byte tier's state.
 	tiers := make(map[string]string)
 	for name, row := range s.registry.store.Stats().Tiers {
 		tiers[name] = row.State
@@ -340,7 +358,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"ok":            status == "ok",
 		"uptimeSeconds": time.Since(s.started).Seconds(),
 		"breakers":      infos,
-		"disk":          s.registry.store.DiskHealth(),
 		"tiers":         tiers,
 		"jobQueue": map[string]any{
 			"queued":    queued,

@@ -132,9 +132,7 @@ func (req *jobRequest) validate(s *Server) error {
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
@@ -217,7 +215,7 @@ func (s *Server) sweepJob(req jobRequest, mask features.Mask) jobs.Fn {
 		}
 		prof := st.Profile()
 		pr.SetTotal(int64(req.KMax - req.KMin + 1))
-		pts, err := st.SweepKParallel(ctx, mask, req.KMin, req.KMax, req.Parallelism, func(done, total int) {
+		pts, err := st.SweepK(ctx, mask, req.KMin, req.KMax, req.Parallelism, func(done, total int) {
 			pr.Set(int64(done))
 		})
 		if err != nil {
@@ -250,7 +248,7 @@ func (s *Server) randBaselineJob(req jobRequest, mask features.Mask) jobs.Fn {
 		var all []pipeline.RandomClusteringStats
 		for i, k := range req.Ks {
 			base := int64(i * req.Trials)
-			rcs, err := st.RandomClusteringsParallel(ctx, mask, k, req.Trials, t, *req.Seed, req.Parallelism, func(done, total int) {
+			rcs, err := st.RandomClusterings(ctx, mask, k, req.Trials, t, *req.Seed, req.Parallelism, func(done, total int) {
 				pr.Set(base + int64(done))
 			})
 			if err != nil {

@@ -270,6 +270,9 @@ func TestJobsBadRequests(t *testing.T) {
 		{"bad mutation prob", `{"kind":"ga","suite":"tiny","mutationProb":1.5}`},
 		{"negative parallelism", `{"kind":"sweep","suite":"tiny","parallelism":-2}`},
 		{"bad features", `{"kind":"sweep","suite":"tiny","features":"nope"}`},
+		{"trailing garbage", `{"kind":"sweep","suite":"tiny"} not json at all`},
+		{"second object", `{"kind":"sweep","suite":"tiny"}{"kind":"ga","bogus":1}`},
+		{"over limit", oversizedBody(`{"kind":"sweep","suite":"tiny"}`)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -91,19 +91,15 @@ func newRegistry(cfg Config, breakers *breakerSet) *registry {
 	if programs == nil {
 		programs = suites.Programs
 	}
-	stageDir := cfg.StageDir
-	if stageDir == "" {
-		stageDir = cfg.ProfileDir
-	}
 	size := cfg.StageCacheSize
 	if size <= 0 {
 		size = 512
 	}
 	names := cfg.StageTiers
 	if len(names) == 0 {
-		names = stage.DefaultTierNames(stageDir, cfg.Peers)
+		names = stage.DefaultTierNames(cfg.ProfileDir, cfg.Peers)
 	}
-	tiers, err := stage.NewTierChain(names, stage.TierConfig{Dir: stageDir, Peers: cfg.Peers})
+	tiers, err := stage.NewTierChain(names, stage.TierConfig{Dir: cfg.ProfileDir, Peers: cfg.Peers})
 	if err != nil {
 		// Config.StageTiers documents the contract: tier lists are
 		// validated before the server is constructed (cmd/fgbsd does it
@@ -329,10 +325,10 @@ func (r *registry) buildStaged(suite string) (*pipeline.Staged, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: profiling %s: %w", suite, err)
 	}
-	if out.Disk {
+	switch out.Tier {
+	case stage.TierDisk:
 		r.diskLoads.Add(1)
-	}
-	if out.Tier == stage.TierPeer {
+	case stage.TierPeer:
 		r.peerLoads.Add(1)
 	}
 	return st, nil

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"fgbs/internal/ir"
-	"fgbs/internal/pipeline"
 )
 
 func newTestRegistry(dir string) *registry {
@@ -23,14 +22,14 @@ func TestRegistryPersistsProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Profiles persist under the key-qualified name; the bare legacy
-	// name is read-only and never written.
+	// Profiles persist only under the key-qualified name, never the
+	// bare <suite>.json.
 	keyed, err := filepath.Glob(filepath.Join(dir, "tiny-*.json"))
 	if err != nil || len(keyed) != 1 {
 		t.Fatalf("keyed profile files = %v (err %v), want exactly one", keyed, err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "tiny.json")); !os.IsNotExist(err) {
-		t.Fatalf("bare legacy filename was written (stat err %v)", err)
+		t.Fatalf("bare filename was written (stat err %v)", err)
 	}
 
 	// A second registry over the same directory loads instead of
@@ -54,57 +53,32 @@ func TestRegistryPersistsProfiles(t *testing.T) {
 	}
 }
 
-// TestRegistryAdoptsLegacyBareProfile pins backward compatibility: a
-// bare <suite>.json written by a pre-stage registry is still loaded
-// (read-only) by a measurer-free build.
-func TestRegistryAdoptsLegacyBareProfile(t *testing.T) {
-	dir := t.TempDir()
-	progs, err := testPrograms("tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := pipeline.NewProfile(progs, pipeline.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(filepath.Join(dir, "tiny.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prof.SaveJSON(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r := newTestRegistry(dir)
-	defer r.Close()
-	loaded, _, err := r.Profile(context.Background(), "tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.diskLoads.Load() != 1 {
-		t.Errorf("diskLoads = %d, want the legacy file adopted", r.diskLoads.Load())
-	}
-	if loaded.N() != prof.N() {
-		t.Errorf("adopted profile has %d codelets, want %d", loaded.N(), prof.N())
-	}
-}
-
 func TestRegistryRebuildsOnCorruptCache(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "tiny.json"), []byte("junk"), 0o644); err != nil {
+	r := newTestRegistry(dir)
+	if _, _, err := r.Profile(context.Background(), "tiny"); err != nil {
 		t.Fatal(err)
 	}
-	r := newTestRegistry(dir)
-	defer r.Close()
-	prof, _, err := r.Profile(context.Background(), "tiny")
+	r.Close()
+	keyed, err := filepath.Glob(filepath.Join(dir, "tiny-*.json"))
+	if err != nil || len(keyed) != 1 {
+		t.Fatalf("keyed profile files = %v (err %v), want exactly one", keyed, err)
+	}
+	// Unframed junk under the keyed name: quarantined, never decoded.
+	if err := os.WriteFile(keyed[0], []byte("junk"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r2 := newTestRegistry(dir)
+	defer r2.Close()
+	prof, _, err := r2.Profile(context.Background(), "tiny")
 	if err != nil {
 		t.Fatalf("corrupt cache should trigger a rebuild, got %v", err)
 	}
-	if prof.N() == 0 || r.diskLoads.Load() != 0 {
-		t.Errorf("N = %d, diskLoads = %d", prof.N(), r.diskLoads.Load())
+	if prof.N() == 0 || r2.diskLoads.Load() != 0 {
+		t.Errorf("N = %d, diskLoads = %d", prof.N(), r2.diskLoads.Load())
+	}
+	if _, err := os.Stat(keyed[0] + ".corrupt"); err != nil {
+		t.Errorf("corrupt profile not quarantined: %v", err)
 	}
 }
 

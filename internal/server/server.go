@@ -49,10 +49,10 @@ type Config struct {
 	// Workers bounds concurrent measurements per profiling run
 	// (0 = GOMAXPROCS).
 	Workers int
-	// ProfileDir, when set, persists built profiles as
-	// <dir>/<suite>-<key>.json and loads them back on restart (via the
-	// stage store's disk layer); bare <suite>.json files from earlier
-	// releases are still adopted for measurer-free builds.
+	// ProfileDir, when set, is the stage store's disk tier: built
+	// profiles persist as framed <dir>/<suite>-<key>.json artifacts and
+	// load back on restart, and completed job results persist under
+	// <dir>/jobs.
 	ProfileDir string
 	// StageCacheSize caps the in-memory stage artifact store shared by
 	// all suites (entries; default 512). Every pipeline stage — from
@@ -60,9 +60,6 @@ type Config struct {
 	// resolves through it, so repeated and overlapping queries reuse
 	// upstream work instead of recomputing it.
 	StageCacheSize int
-	// StageDir overrides where the stage store persists disk-layer
-	// artifacts; defaults to ProfileDir.
-	StageDir string
 	// Peers lists base URLs of peer fgbsd daemons. When set, the stage
 	// store gains a peer tier that fetches artifacts from their
 	// /v1/artifacts/{key} endpoints before recomputing (fgbsd's -peers

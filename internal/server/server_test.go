@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -309,6 +310,9 @@ func TestBadRequests(t *testing.T) {
 		{"negative k", http.MethodPost, "/v1/subset", `{"suite":"tiny","k":-1}`, http.StatusBadRequest},
 		{"bad features", http.MethodPost, "/v1/subset", `{"suite":"tiny","features":"nope"}`, http.StatusBadRequest},
 		{"bad target", http.MethodPost, "/v1/evaluate", `{"suite":"tiny","target":"PDP-11"}`, http.StatusBadRequest},
+		{"trailing garbage", http.MethodPost, "/v1/subset", `{"suite":"tiny","k":2} not json at all`, http.StatusBadRequest},
+		{"second object", http.MethodPost, "/v1/subset", `{"suite":"tiny","k":2}{"k":99,"bogus":1}`, http.StatusBadRequest},
+		{"over limit", http.MethodPost, "/v1/subset", oversizedBody(`{"suite":"tiny","k":2}`), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -330,6 +334,16 @@ func TestBadRequests(t *testing.T) {
 			}
 		})
 	}
+	// Trailing whitespace is not data: a newline-terminated body is fine.
+	if resp := post(t, ts, "/v1/subset", "{\"suite\":\"tiny\",\"k\":2}\n", nil); resp.StatusCode != http.StatusOK {
+		t.Errorf("newline-terminated body: status = %d, want 200", resp.StatusCode)
+	}
+}
+
+// oversizedBody pads a valid JSON object with whitespace until it
+// exceeds maxRequestBody.
+func oversizedBody(obj string) string {
+	return obj + strings.Repeat(" ", maxRequestBody)
 }
 
 // TestCoalescing is the acceptance scenario: concurrent identical

@@ -20,8 +20,8 @@ import (
 // remote tier gets exactly the same integrity and breaker behavior as
 // the local disk.
 
-// Canonical tier names. NewTierChain resolves these; the Store uses
-// TierDisk to keep the legacy Disk counters and Outcome.Disk exact.
+// Canonical tier names. NewTierChain resolves these; Outcome.Tier and
+// the Stats.Tiers rows report them.
 const (
 	TierMemory = "memory"
 	TierDisk   = "disk"
@@ -53,14 +53,10 @@ func (e *CorruptError) Error() string {
 func (e *CorruptError) Unwrap() error { return e.Err }
 
 // Ref names one artifact for the byte tiers. Key is the content
-// address; Name is the codec-chosen filename local tiers store under;
-// Legacy, when non-empty, is a read-only fallback name probed after
-// Name (artifacts persisted before filenames were key-qualified).
-// Fresh writes always land under Name.
+// address; Name is the codec-chosen filename local tiers store under.
 type Ref struct {
-	Key    Key
-	Name   string
-	Legacy string
+	Key  Key
+	Name string
 }
 
 // TierStats is one tier's health and traffic row, surfaced under
@@ -68,7 +64,7 @@ type Ref struct {
 // decorators contribute the counters (Framed: hits/misses/writes/
 // quarantined, Breakered: errors and the degraded state).
 type TierStats struct {
-	// State is DiskOK or DiskDegraded (the breaker decorator's view).
+	// State is TierOK or TierDegraded (the breaker decorator's view).
 	State string `json:"state"`
 	// Entries is the tier's current artifact count, where knowable.
 	Entries int `json:"entries"`
@@ -124,9 +120,8 @@ func quarantineTier(ctx context.Context, tier Backend, ref Ref) {
 }
 
 // framedGetter is implemented by the Framed decorator: GetFramed
-// returns the verified artifact with its frame still attached (legacy
-// unframed bytes gain one), which is the wire format the peer-fetch
-// endpoint serves.
+// returns the verified artifact with its frame still attached, which
+// is the wire format the peer-fetch endpoint serves.
 type framedGetter interface {
 	GetFramed(ctx context.Context, ref Ref) ([]byte, error)
 }

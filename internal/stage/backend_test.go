@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -82,7 +80,7 @@ func TestTierPromotion(t *testing.T) {
 	v, out, err := s.Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
 		return nil, errors.New("tiers must serve this resolve")
 	})
-	if err != nil || v != "artifact" || !out.Disk || out.Tier != TierDisk {
+	if err != nil || v != "artifact" || out.Tier != TierDisk {
 		t.Fatalf("disk-tier resolve: v=%v out=%+v err=%v", v, out, err)
 	}
 	if mem.Len() != 1 {
@@ -94,7 +92,7 @@ func TestTierPromotion(t *testing.T) {
 	v, out, err = s.Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
 		return nil, errors.New("tiers must serve this resolve")
 	})
-	if err != nil || v != "artifact" || out.Tier != TierMemory || out.Disk {
+	if err != nil || v != "artifact" || out.Tier != TierMemory {
 		t.Fatalf("memory-tier resolve: v=%v out=%+v err=%v", v, out, err)
 	}
 	st := s.Stats()
@@ -169,14 +167,14 @@ func TestHTTPBackendCorruptResponseQuarantined(t *testing.T) {
 	}
 	// Corruption is a data problem, not an I/O failure: the breaker
 	// must not have counted it.
-	if st := tier.Stats(); st.Errors != 0 || st.State != DiskOK {
+	if st := tier.Stats(); st.Errors != 0 || st.State != TierOK {
 		t.Errorf("breaker saw corruption as I/O failure: %+v", st)
 	}
 }
 
 // TestFetchFramed pins the peer-serving read path: resolved artifacts
-// are servable as verified framed bytes, legacy unframed files gain a
-// frame on the wire, and unresolved keys are clean misses.
+// are servable as verified framed bytes and unresolved keys are clean
+// misses.
 func TestFetchFramed(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -191,10 +189,10 @@ func TestFetchFramed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if framed, err := VerifyFrame(data); !framed || err != nil {
-		t.Fatalf("fetched artifact framed=%v err=%v, want verified frame", framed, err)
+	if err := VerifyFrame(data); err != nil {
+		t.Fatalf("fetched artifact fails verification: %v", err)
 	}
-	payload, _, _ := unframe(data)
+	payload, _ := unframe(data)
 	if v, err := codec.Decode(bytes.NewReader(payload)); err != nil || v != "served" {
 		t.Errorf("fetched payload decodes to %v, %v", v, err)
 	}
@@ -204,27 +202,45 @@ func TestFetchFramed(t *testing.T) {
 	if keys := s.Keys(); len(keys) != 1 || keys[0] != testKey(1) {
 		t.Errorf("Keys() = %v, want exactly the resolved key", keys)
 	}
+}
 
-	// A legacy unframed artifact is framed on the way out, so the wire
-	// always carries an integrity claim.
-	legacy := legacyCodec{testCodec: testCodec{name: "art-keyed.txt", persist: true}, legacy: "legacy.txt"}
-	if err := os.WriteFile(filepath.Join(dir, "legacy.txt"), []byte("old-bytes"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Resolve(ctx, "test", testKey(2), legacy, func(context.Context) (any, error) {
-		return nil, errors.New("legacy artifact must be adopted")
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data, err = s.FetchFramed(ctx, testKey(2))
+// TestPeerUnframedBodyQuarantined pins that frames are mandatory on
+// the wire: a peer answering 200 with a body the codec could decode but
+// that carries no frame is corrupt. The tier quarantines it, compute
+// runs, and FetchFramed re-serves the computed artifact, never the
+// peer's bytes.
+func TestPeerUnframedBodyQuarantined(t *testing.T) {
+	ctx := context.Background()
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("peer-unframed"))
+	}))
+	defer peer.Close()
+	tiers, err := NewTierChain([]string{TierMemory, TierPeer}, TierConfig{Peers: []string{peer.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if framed, err := VerifyFrame(data); !framed || err != nil {
-		t.Fatalf("legacy fetch framed=%v err=%v, want re-framed bytes", framed, err)
+	s := NewTieredStore(4, tiers)
+	codec := testCodec{name: "art.txt", persist: true}
+
+	v, out, err := s.Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
+		return "computed", nil
+	})
+	if err != nil || out.Cached || v != "computed" {
+		t.Fatalf("resolve over unframed peer body: v=%v out=%+v err=%v, want compute", v, out, err)
 	}
-	if payload, _, _ := unframe(data); string(payload) != "old-bytes" {
-		t.Errorf("legacy payload = %q", payload)
+	if q := s.Stats().Tiers[TierPeer].Quarantined; q != 1 {
+		t.Errorf("peer tier quarantined = %d, want 1", q)
+	}
+	var ce *CorruptError
+	if _, err := tiers[1].Get(ctx, Ref{Key: testKey(2), Name: "other.txt"}); !errors.As(err, &ce) || ce.Tier != TierPeer {
+		t.Errorf("unframed peer body err = %v, want CorruptError from the peer tier", err)
+	}
+	data, err := s.FetchFramed(ctx, testKey(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payload, err := unframe(data); err != nil || string(payload) != "computed" {
+		t.Errorf("FetchFramed payload = %q, %v; want the computed artifact", payload, err)
 	}
 }
 

@@ -15,11 +15,9 @@ import (
 
 // Framed wraps a tier with artifact integrity framing: Put prefixes
 // the payload with its sha256 frame header, Get verifies and strips
-// it. Bytes that claim a frame but fail verification are quarantined
-// in the underlying tier and reported as a CorruptError — never
-// decoded, never counted as an I/O failure. Legacy unframed bytes pass
-// through unverified (no integrity claim to check) and gain a frame on
-// their next write.
+// it. Bytes that fail verification — unframed bytes included — are
+// quarantined in the underlying tier and reported as a CorruptError:
+// never decoded, never counted as an I/O failure.
 func Framed(b Backend) *FramedBackend { return &FramedBackend{inner: b} }
 
 // FramedBackend is the integrity decorator; see Framed.
@@ -47,7 +45,7 @@ func (f *FramedBackend) Get(ctx context.Context, ref Ref) ([]byte, error) {
 		}
 		return nil, err
 	}
-	payload, _, err := unframe(data)
+	payload, err := unframe(data)
 	if err != nil {
 		return nil, f.quarantineCorrupt(ctx, ref, err)
 	}
@@ -56,9 +54,7 @@ func (f *FramedBackend) Get(ctx context.Context, ref Ref) ([]byte, error) {
 }
 
 // GetFramed returns ref's verified bytes with the frame attached — the
-// wire form the peer-fetch endpoint serves. Legacy unframed bytes are
-// framed on the way out, so the wire always carries an integrity claim
-// the fetching node can verify.
+// wire form the peer-fetch endpoint serves.
 func (f *FramedBackend) GetFramed(ctx context.Context, ref Ref) ([]byte, error) {
 	data, err := f.inner.Get(ctx, ref)
 	if err != nil {
@@ -67,12 +63,8 @@ func (f *FramedBackend) GetFramed(ctx context.Context, ref Ref) ([]byte, error) 
 		}
 		return nil, err
 	}
-	payload, framed, err := unframe(data)
-	if err != nil {
+	if _, err := unframe(data); err != nil {
 		return nil, f.quarantineCorrupt(ctx, ref, err)
-	}
-	if !framed {
-		data = Frame(payload)
 	}
 	f.hits.Add(1)
 	return data, nil
@@ -269,9 +261,9 @@ func (b *BreakeredBackend) Stats() TierStats {
 	defer b.mu.Unlock()
 	st.Errors += b.errors
 	if b.degraded {
-		st.State = DiskDegraded
+		st.State = TierDegraded
 	} else if st.State == "" {
-		st.State = DiskOK
+		st.State = TierOK
 	}
 	return st
 }

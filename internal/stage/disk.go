@@ -31,30 +31,18 @@ func (d *DiskBackend) Name() string { return TierDisk }
 // Dir returns the tier's directory.
 func (d *DiskBackend) Dir() string { return d.dir }
 
-// candidates lists the filenames probed for ref, keyed name first,
-// then the read-only legacy name when one applies.
-func candidates(ref Ref) []string {
-	names := []string{ref.Name}
-	if ref.Legacy != "" && ref.Legacy != ref.Name {
-		names = append(names, ref.Legacy)
-	}
-	return names
-}
-
-// Get reads the first candidate file that exists. A missing file is a
-// clean miss (ErrNotFound); any other failure is an I/O error for the
-// breaker.
+// Get reads ref's file. A missing file is a clean miss (ErrNotFound);
+// any other failure is an I/O error for the breaker.
 func (d *DiskBackend) Get(ctx context.Context, ref Ref) ([]byte, error) {
-	for _, name := range candidates(ref) {
-		data, err := os.ReadFile(filepath.Join(d.dir, name))
-		if err == nil {
-			return data, nil
-		}
-		if !errors.Is(err, fs.ErrNotExist) {
-			return nil, err
-		}
+	data, err := os.ReadFile(filepath.Join(d.dir, ref.Name))
+	switch {
+	case err == nil:
+		return data, nil
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, ErrNotFound
+	default:
+		return nil, err
 	}
-	return nil, ErrNotFound
 }
 
 // Put writes data under ref.Name durably: encode-before-open already
@@ -113,28 +101,20 @@ func (d *DiskBackend) Put(ctx context.Context, ref Ref, data []byte) (bool, erro
 	return true, nil
 }
 
-// Delete removes ref's files. A missing file is not an error.
+// Delete removes ref's file. A missing file is not an error.
 func (d *DiskBackend) Delete(ctx context.Context, ref Ref) error {
-	for _, name := range candidates(ref) {
-		if err := os.Remove(filepath.Join(d.dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return err
-		}
+	if err := os.Remove(filepath.Join(d.dir, ref.Name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
 	}
 	return nil
 }
 
 // Quarantine moves the corrupt artifact aside as <path>.corrupt — kept
 // for forensics, never silently deleted, and out of the load path so
-// the next resolve recomputes. The file renamed is the first candidate
-// that exists: the same one Get would have served.
+// the next resolve recomputes.
 func (d *DiskBackend) Quarantine(ctx context.Context, ref Ref) {
-	for _, name := range candidates(ref) {
-		path := filepath.Join(d.dir, name)
-		if _, err := os.Stat(path); err == nil {
-			os.Rename(path, path+".corrupt")
-			return
-		}
-	}
+	path := filepath.Join(d.dir, ref.Name)
+	os.Rename(path, path+".corrupt") // a missing file has nothing to move aside
 }
 
 // Len counts the published artifacts in the directory (tmp and
@@ -162,5 +142,5 @@ func (d *DiskBackend) Len() int {
 // Stats reports the tier's base row; traffic counters come from the
 // decorators.
 func (d *DiskBackend) Stats() TierStats {
-	return TierStats{State: DiskOK, Entries: d.Len()}
+	return TierStats{State: TierOK, Entries: d.Len()}
 }

@@ -19,12 +19,11 @@ import (
 // On load the header is verified before the codec ever sees the
 // payload, so a torn write, a flipped bit, or a frame from a future
 // layout is detected as corruption — quarantined, recomputed — instead
-// of being decoded into a half-plausible artifact. Files without the
-// magic prefix are pre-framing artifacts and decode as before; they
-// gain a frame the next time they are written.
+// of being decoded into a half-plausible artifact. Frames are
+// mandatory: bytes without the magic prefix make no integrity claim,
+// so they are corrupt like any other failed check.
 
-// frameMagic opens every framed artifact. No JSON document can start
-// with it, so framed and legacy files are unambiguous.
+// frameMagic opens every framed artifact.
 const frameMagic = "fgbs-artifact"
 
 // frameVersion is the current frame layout. Frames from any other
@@ -33,13 +32,12 @@ const frameMagic = "fgbs-artifact"
 const frameVersion = 1
 
 // VerifyFrame checks one artifact's bytes against their integrity
-// frame. framed is false for legacy files without a frame (no
-// integrity claim to check); err is non-nil when the frame fails
+// frame; a non-nil error means the bytes are missing the frame or fail
 // verification. Harnesses (the crash-recovery e2e) use it to assert
 // every surviving artifact verifies after a kill.
-func VerifyFrame(data []byte) (framed bool, err error) {
-	_, framed, err = unframe(data)
-	return framed, err
+func VerifyFrame(data []byte) error {
+	_, err := unframe(data)
+	return err
 }
 
 // Frame returns payload prefixed with its integrity frame — the at-
@@ -59,45 +57,43 @@ func frameHeader(payload []byte) string {
 	return fmt.Sprintf("%s v%d sha256:%s len:%d\n", frameMagic, frameVersion, hex.EncodeToString(sum[:]), len(payload))
 }
 
-// unframe validates data's frame and returns the payload. framed is
-// false for legacy files without the magic prefix — the payload is the
-// file verbatim and no integrity claim is made. A non-nil error means
-// the file claims to be framed but fails verification: truncated
+// unframe validates data's frame and returns the payload. A non-nil
+// error means the bytes fail verification: no frame at all, truncated
 // header, unsupported version, length or checksum mismatch.
-func unframe(data []byte) (payload []byte, framed bool, err error) {
+func unframe(data []byte) (payload []byte, err error) {
 	if !bytes.HasPrefix(data, []byte(frameMagic+" ")) {
-		return data, false, nil
+		return nil, fmt.Errorf("stage: artifact has no integrity frame")
 	}
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return nil, true, fmt.Errorf("stage: truncated frame header")
+		return nil, fmt.Errorf("stage: truncated frame header")
 	}
 	fields := strings.Fields(string(data[:nl]))
 	if len(fields) != 4 {
-		return nil, true, fmt.Errorf("stage: malformed frame header %q", data[:nl])
+		return nil, fmt.Errorf("stage: malformed frame header %q", data[:nl])
 	}
 	ver, err := strconv.Atoi(strings.TrimPrefix(fields[1], "v"))
 	if err != nil || !strings.HasPrefix(fields[1], "v") {
-		return nil, true, fmt.Errorf("stage: malformed frame version %q", fields[1])
+		return nil, fmt.Errorf("stage: malformed frame version %q", fields[1])
 	}
 	if ver != frameVersion {
-		return nil, true, fmt.Errorf("stage: artifact has frame version %d, this build reads version %d", ver, frameVersion)
+		return nil, fmt.Errorf("stage: artifact has frame version %d, this build reads version %d", ver, frameVersion)
 	}
 	wantSum, ok := strings.CutPrefix(fields[2], "sha256:")
 	if !ok {
-		return nil, true, fmt.Errorf("stage: malformed frame digest %q", fields[2])
+		return nil, fmt.Errorf("stage: malformed frame digest %q", fields[2])
 	}
 	wantLen, err := strconv.Atoi(strings.TrimPrefix(fields[3], "len:"))
 	if err != nil || !strings.HasPrefix(fields[3], "len:") {
-		return nil, true, fmt.Errorf("stage: malformed frame length %q", fields[3])
+		return nil, fmt.Errorf("stage: malformed frame length %q", fields[3])
 	}
 	payload = data[nl+1:]
 	if len(payload) != wantLen {
-		return nil, true, fmt.Errorf("stage: artifact payload is %d bytes, frame says %d (truncated write?)", len(payload), wantLen)
+		return nil, fmt.Errorf("stage: artifact payload is %d bytes, frame says %d (truncated write?)", len(payload), wantLen)
 	}
 	sum := sha256.Sum256(payload)
 	if hex.EncodeToString(sum[:]) != wantSum {
-		return nil, true, fmt.Errorf("stage: artifact checksum mismatch")
+		return nil, fmt.Errorf("stage: artifact checksum mismatch")
 	}
-	return payload, true, nil
+	return payload, nil
 }

@@ -1,7 +1,6 @@
 package stage
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -13,24 +12,13 @@ import (
 func TestFrameRoundtrip(t *testing.T) {
 	for _, payload := range []string{"", "x", strings.Repeat("artifact|", 1000)} {
 		data := []byte(frameHeader([]byte(payload)) + payload)
-		got, framed, err := unframe(data)
-		if err != nil || !framed {
-			t.Fatalf("unframe(%d bytes): framed=%v err=%v", len(payload), framed, err)
+		got, err := unframe(data)
+		if err != nil {
+			t.Fatalf("unframe(%d bytes): %v", len(payload), err)
 		}
 		if string(got) != payload {
 			t.Errorf("payload of %d bytes did not round-trip", len(payload))
 		}
-	}
-}
-
-func TestUnframeLegacy(t *testing.T) {
-	raw := []byte(`{"plain":"json artifact from before framing"}`)
-	got, framed, err := unframe(raw)
-	if err != nil || framed {
-		t.Fatalf("legacy bytes: framed=%v err=%v", framed, err)
-	}
-	if !bytes.Equal(got, raw) {
-		t.Errorf("legacy payload altered: %q", got)
 	}
 }
 
@@ -45,9 +33,10 @@ func TestUnframeRejectsCorruption(t *testing.T) {
 		"malformed header":  frameMagic + " v1 bogus\n" + string(payload),
 		"malformed length":  strings.Replace(good, "len:", "len:x", 1),
 		"garbage after sum": good + "trailing",
+		"unframed":          string(payload),
 	}
 	for name, data := range cases {
-		if _, _, err := unframe([]byte(data)); err == nil {
+		if _, err := unframe([]byte(data)); err == nil {
 			t.Errorf("%s: unframe accepted corrupt data", name)
 		}
 	}
@@ -88,14 +77,14 @@ func TestQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Disk || calls != 1 || v.(string) != "recomputed" {
+	if out.Tier != "" || calls != 1 || v.(string) != "recomputed" {
 		t.Errorf("corrupt artifact served: out=%+v calls=%d v=%v", out, calls, v)
 	}
 	if _, err := os.Stat(path + ".corrupt"); err != nil {
 		t.Errorf("corrupt artifact not quarantined: %v", err)
 	}
-	if st := s2.Stats(); st.Disk.Quarantined != 1 {
-		t.Errorf("Stats().Disk.Quarantined = %d, want 1", st.Disk.Quarantined)
+	if q := s2.Stats().Tiers[TierDisk].Quarantined; q != 1 {
+		t.Errorf("disk tier quarantined = %d, want 1", q)
 	}
 	// The recompute republished a good artifact over the corrupt name.
 	s3 := NewStore(4, dir)
@@ -103,27 +92,37 @@ func TestQuarantine(t *testing.T) {
 		t.Error("recompute ran against the republished artifact")
 		return nil, nil
 	})
-	if err != nil || !out.Disk || v.(string) != "recomputed" {
+	if err != nil || out.Tier != TierDisk || v.(string) != "recomputed" {
 		t.Errorf("republished artifact not served: out=%+v v=%v err=%v", out, v, err)
 	}
 }
 
-// TestLegacyUnframedArtifactAdopted pins that pre-framing artifacts —
-// plain codec bytes with no header — still decode, so an upgrade does
-// not orphan existing caches.
-func TestLegacyUnframedArtifactAdopted(t *testing.T) {
+// TestUnframedDiskArtifactQuarantined pins that frames are mandatory:
+// plain codec bytes with no header are never decoded, even though the
+// codec would accept them. The file is renamed *.corrupt and the
+// resolve recomputes and republishes a framed artifact.
+func TestUnframedDiskArtifactQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	codec := testCodec{name: "art.txt", persist: true}
-	if err := os.WriteFile(filepath.Join(dir, "art.txt"), []byte("legacy-artifact"), 0o644); err != nil {
+	path := filepath.Join(dir, "art.txt")
+	if err := os.WriteFile(path, []byte("unframed-artifact"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := NewStore(4, dir)
 	v, out, err := s.Resolve(context.Background(), "test", testKey(1), codec, func(context.Context) (any, error) {
-		t.Error("compute ran despite a decodable legacy artifact")
-		return nil, nil
+		return "recomputed", nil
 	})
-	if err != nil || !out.Disk || v.(string) != "legacy-artifact" {
-		t.Errorf("legacy artifact not adopted: out=%+v v=%v err=%v", out, v, err)
+	if err != nil || out.Cached || v.(string) != "recomputed" {
+		t.Fatalf("unframed artifact served: out=%+v v=%v err=%v", out, v, err)
+	}
+	if data, err := os.ReadFile(path + ".corrupt"); err != nil || string(data) != "unframed-artifact" {
+		t.Errorf("unframed artifact not quarantined: %q, %v", data, err)
+	}
+	if q := s.Stats().Tiers[TierDisk].Quarantined; q != 1 {
+		t.Errorf("disk tier quarantined = %d, want 1", q)
+	}
+	if data, err := os.ReadFile(path); err != nil || VerifyFrame(data) != nil {
+		t.Errorf("recompute did not republish a framed artifact: %v", err)
 	}
 }
 
@@ -149,25 +148,26 @@ func TestDiskBreaker(t *testing.T) {
 	for i := 0; i < diskBreakerThreshold; i++ {
 		tier.Put(ctx, ref, []byte("v"))
 	}
-	if got := s.DiskHealth(); got != DiskDegraded {
-		t.Fatalf("DiskHealth after %d failures = %q, want %q", diskBreakerThreshold, got, DiskDegraded)
+	disk := func() TierStats { return s.Stats().Tiers[TierDisk] }
+	if got := disk().State; got != TierDegraded {
+		t.Fatalf("disk state after %d failures = %q, want %q", diskBreakerThreshold, got, TierDegraded)
 	}
-	errsAtTrip := s.Stats().Disk.Errors
+	errsAtTrip := disk().Errors
 
 	// While open, ops are skipped between probes: the next
 	// diskProbeInterval-1 puts must not touch the device at all.
 	for i := 0; i < diskProbeInterval-1; i++ {
 		tier.Put(ctx, ref, []byte(fmt.Sprintf("v%d", i)))
 	}
-	if got := s.Stats().Disk.Errors; got != errsAtTrip {
+	if got := disk().Errors; got != errsAtTrip {
 		t.Errorf("skipped ops still hit the disk: errors %d → %d", errsAtTrip, got)
 	}
 	// The next op is the probe; the disk is still broken, so it fails.
 	tier.Put(ctx, ref, []byte("probe"))
-	if got := s.Stats().Disk.Errors; got != errsAtTrip+1 {
+	if got := disk().Errors; got != errsAtTrip+1 {
 		t.Errorf("probe did not hit the disk: errors %d → %d", errsAtTrip, got)
 	}
-	if got := s.DiskHealth(); got != DiskDegraded {
+	if got := disk().State; got != TierDegraded {
 		t.Errorf("failed probe closed the breaker: %q", got)
 	}
 
@@ -180,7 +180,7 @@ func TestDiskBreaker(t *testing.T) {
 	if err != nil || v.(string) != "served" {
 		t.Fatalf("resolve failed under disk degradation: v=%v err=%v", v, err)
 	}
-	if got := s.Stats().Disk.Errors; got != errsAtTrip+1 {
+	if got := disk().Errors; got != errsAtTrip+1 {
 		t.Errorf("degraded resolve hit the disk: errors %d → %d", errsAtTrip+1, got)
 	}
 
@@ -195,8 +195,8 @@ func TestDiskBreaker(t *testing.T) {
 	for i := 0; i < diskProbeInterval; i++ {
 		tier.Put(ctx, ref, []byte("recovered"))
 	}
-	if got := s.DiskHealth(); got != DiskOK {
-		t.Errorf("DiskHealth after repair = %q, want %q", got, DiskOK)
+	if got := disk().State; got != TierOK {
+		t.Errorf("disk state after repair = %q, want %q", got, TierOK)
 	}
 	// Closed again: writes flow to disk normally.
 	tier.Put(ctx, ref, []byte("recovered"))

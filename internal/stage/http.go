@@ -133,5 +133,5 @@ func (b *HTTPBackend) Len() int { return 0 }
 // Stats reports the tier's base row; traffic counters come from the
 // decorators.
 func (b *HTTPBackend) Stats() TierStats {
-	return TierStats{State: DiskOK}
+	return TierStats{State: TierOK}
 }

@@ -101,5 +101,5 @@ func (m *MemoryBackend) Len() int {
 // Stats reports the tier's base row; traffic counters come from the
 // decorators.
 func (m *MemoryBackend) Stats() TierStats {
-	return TierStats{State: DiskOK, Entries: m.Len()}
+	return TierStats{State: TierOK, Entries: m.Len()}
 }

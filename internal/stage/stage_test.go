@@ -102,7 +102,7 @@ func TestStoreResolveMemoizes(t *testing.T) {
 	if err != nil || v != "artifact" {
 		t.Fatalf("second resolve: v=%v err=%v", v, err)
 	}
-	if !out.Cached || out.Disk {
+	if !out.Cached || out.Tier != "" {
 		t.Errorf("second resolve outcome = %+v, want memory hit", out)
 	}
 	if calls != 1 {
@@ -395,8 +395,8 @@ func TestStoreDiskRoundtrip(t *testing.T) {
 	if _, out, err := cold.Resolve(ctx, "test", testKey(1), codec, compute); err != nil || out.Cached {
 		t.Fatalf("cold resolve: out=%+v err=%v", out, err)
 	}
-	if st := cold.Stats(); st.Total.DiskWrites != 1 {
-		t.Errorf("cold stats = %+v, want 1 disk write", st.Total)
+	if st := cold.Stats(); st.Tiers[TierDisk].Writes != 1 {
+		t.Errorf("cold disk tier = %+v, want 1 write", st.Tiers[TierDisk])
 	}
 
 	// A fresh store over the same directory — a process restart — must
@@ -406,14 +406,14 @@ func TestStoreDiskRoundtrip(t *testing.T) {
 	if err != nil || v != "persisted" {
 		t.Fatalf("warm resolve: v=%v err=%v", v, err)
 	}
-	if !out.Cached || !out.Disk {
+	if !out.Cached || out.Tier != TierDisk {
 		t.Errorf("warm outcome = %+v, want disk hit", out)
 	}
 	if calls != 1 {
 		t.Errorf("compute ran %d times across restart, want 1", calls)
 	}
-	if st := warm.Stats(); st.Total.DiskHits != 1 {
-		t.Errorf("warm stats = %+v, want 1 disk hit", st.Total)
+	if st := warm.Stats(); st.Tiers[TierDisk].Hits != 1 {
+		t.Errorf("warm disk tier = %+v, want 1 hit", st.Tiers[TierDisk])
 	}
 }
 
@@ -430,7 +430,7 @@ func TestStoreCorruptDiskArtifactRebuilds(t *testing.T) {
 	if err != nil || v != "rebuilt" {
 		t.Fatalf("resolve over corrupt artifact: v=%v err=%v", v, err)
 	}
-	if out.Cached || out.Disk {
+	if out.Cached || out.Tier != "" {
 		t.Errorf("outcome = %+v, want fresh compute", out)
 	}
 	// The rebuild republished a good artifact, so a fresh store serves
@@ -438,63 +438,8 @@ func TestStoreCorruptDiskArtifactRebuilds(t *testing.T) {
 	v, out, err = NewStore(4, dir).Resolve(context.Background(), "test", testKey(1), codec, func(context.Context) (any, error) {
 		return nil, errors.New("disk tier must serve the rebuilt artifact")
 	})
-	if err != nil || !out.Disk || v != "rebuilt" {
+	if err != nil || out.Tier != TierDisk || v != "rebuilt" {
 		t.Errorf("disk after rebuild: v=%v out=%+v err=%v; want rebuilt artifact", v, out, err)
-	}
-}
-
-// legacyCodec is testCodec plus a legacy fallback name.
-type legacyCodec struct {
-	testCodec
-	legacy string
-}
-
-func (c legacyCodec) LegacyFilename() string { return c.legacy }
-
-// TestStoreLegacyFilenameFallback pins the compatibility contract: the
-// keyed name is probed first, a declared legacy name is read as a
-// fallback, and fresh artifacts are only ever written under the keyed
-// name.
-func TestStoreLegacyFilenameFallback(t *testing.T) {
-	dir := t.TempDir()
-	codec := legacyCodec{testCodec: testCodec{name: "art-keyed.txt", persist: true}, legacy: "art.txt"}
-	ctx := context.Background()
-
-	if err := os.WriteFile(filepath.Join(dir, "art.txt"), []byte("legacy"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s := NewStore(4, dir)
-	v, out, err := s.Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
-		t.Error("compute ran despite a readable legacy artifact")
-		return nil, nil
-	})
-	if err != nil || v != "legacy" || !out.Disk {
-		t.Fatalf("legacy fallback: v=%v out=%+v err=%v, want disk hit", v, out, err)
-	}
-
-	// With a keyed artifact present, it wins over the legacy file.
-	if err := os.WriteFile(filepath.Join(dir, "art-keyed.txt"), []byte("keyed"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	v, out, err = NewStore(4, dir).Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
-		return nil, errors.New("unreachable")
-	})
-	if err != nil || v != "keyed" || !out.Disk {
-		t.Fatalf("keyed probe: v=%v out=%+v err=%v, want keyed disk hit", v, out, err)
-	}
-
-	// A fresh compute writes only the keyed name, never the legacy one.
-	dir2 := t.TempDir()
-	if _, _, err := NewStore(4, dir2).Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
-		return "fresh", nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir2, "art-keyed.txt")); err != nil {
-		t.Errorf("keyed artifact not written: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir2, "art.txt")); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("fresh artifact written under the legacy name (stat err %v)", err)
 	}
 }
 
@@ -535,9 +480,9 @@ func TestSaveDiskBytesIdentical(t *testing.T) {
 	if err := codec.Encode(&direct, payload); err != nil {
 		t.Fatal(err)
 	}
-	got, framed, err := unframe(onDisk)
-	if err != nil || !framed {
-		t.Fatalf("persisted artifact not framed (framed=%v, err=%v)", framed, err)
+	got, err := unframe(onDisk)
+	if err != nil {
+		t.Fatalf("persisted artifact not framed: %v", err)
 	}
 	if !bytes.Equal(got, direct.Bytes()) {
 		t.Errorf("framed payload %q != direct encode %q", got, direct.Bytes())
@@ -575,7 +520,7 @@ func TestPooledBuffersDoNotLeakAcrossArtifacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !out.Disk {
+		if out.Tier != TierDisk {
 			t.Fatalf("artifact %d not served from disk: %+v", i, out)
 		}
 		if v.(string) != payload {

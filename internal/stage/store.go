@@ -26,8 +26,7 @@ type Codec interface {
 	// Filename is the artifact's name inside a local tier's directory.
 	// Names should be qualified by the artifact's key (the profile
 	// stage embeds a key prefix) so differently-keyed resolves never
-	// share a file; a Codec may additionally implement LegacyNamer to
-	// keep reading files written under an older, unqualified layout.
+	// share a file.
 	Filename() string
 	// Encode writes the artifact.
 	Encode(w io.Writer, v any) error
@@ -37,17 +36,6 @@ type Codec interface {
 	// that keeps degraded profiles off disk (a restart should retry the
 	// measurements, not resurrect the outage).
 	Persist(v any) bool
-}
-
-// LegacyNamer is an optional Codec extension: a second, read-only
-// filename probed when Filename misses. It exists for artifacts
-// persisted before filenames were key-qualified (the registry's bare
-// <suite>.json profiles); fresh artifacts are always written under
-// Filename, never the legacy name.
-type LegacyNamer interface {
-	// LegacyFilename returns the fallback name, or "" when no legacy
-	// layout applies to this resolve.
-	LegacyFilename() string
 }
 
 // Counters is one hit/miss row, either a per-stage breakdown entry or
@@ -62,13 +50,8 @@ type Counters struct {
 	Misses int64 `json:"misses"`
 	// Computes are misses no tier could satisfy: the stage's compute
 	// function actually ran. Misses - Computes = misses served from a
-	// byte tier.
+	// byte tier (each tier's hits are under Stats.Tiers).
 	Computes int64 `json:"computes"`
-	// DiskHits are misses satisfied by decoding the disk tier's
-	// artifact (other tiers' hits are under Stats.Tiers).
-	DiskHits int64 `json:"diskHits"`
-	// DiskWrites are computed artifacts persisted to the disk tier.
-	DiskWrites int64 `json:"diskWrites"`
 }
 
 func (c *Counters) add(d Counters) {
@@ -76,8 +59,6 @@ func (c *Counters) add(d Counters) {
 	c.Joined += d.Joined
 	c.Misses += d.Misses
 	c.Computes += d.Computes
-	c.DiskHits += d.DiskHits
-	c.DiskWrites += d.DiskWrites
 }
 
 // Stats is a Store snapshot for /metricz.
@@ -86,45 +67,25 @@ type Stats struct {
 	Capacity int                  `json:"capacity"`
 	Total    Counters             `json:"total"`
 	Stages   map[string]Counters  `json:"stages"`
-	Disk     DiskStats            `json:"disk"`
 	Tiers    map[string]TierStats `json:"tiers"`
 }
 
-// Tier health states reported by DiskHealth, Stats.Disk.State, and
-// each tier's Stats row. (The Disk* names predate the tier plane; they
-// apply to every tier.)
+// Tier health states reported in each tier's Stats row. A tier the
+// store was not built with has no row at all.
 const (
-	// DiskDisabled: the store has no such tier.
-	DiskDisabled = "disabled"
-	// DiskOK: the tier is serving normally.
-	DiskOK = "ok"
-	// DiskDegraded: the tier's breaker has tripped; the store serves
+	// TierOK: the tier is serving normally.
+	TierOK = "ok"
+	// TierDegraded: the tier's breaker has tripped; the store serves
 	// around it, probing the tier every diskProbeInterval-th
 	// operation.
-	DiskDegraded = "degraded"
+	TierDegraded = "degraded"
 )
-
-// DiskStats is the disk tier's legacy health row — an alias view of
-// Stats.Tiers["disk"] kept for one release so /metricz and /healthz
-// consumers keep working.
-type DiskStats struct {
-	// State is DiskDisabled, DiskOK, or DiskDegraded.
-	State string `json:"state"`
-	// Errors counts I/O failures against the disk tier (cumulative).
-	Errors int64 `json:"errors"`
-	// Quarantined counts artifacts renamed to *.corrupt after failing
-	// integrity or decode checks (cumulative).
-	Quarantined int64 `json:"quarantined"`
-}
 
 // Outcome reports how one Resolve was satisfied.
 type Outcome struct {
 	// Cached means compute did not run: the value came from the LRU,
 	// from a coalesced in-flight computation, or from a byte tier.
 	Cached bool
-	// Disk means the value was decoded from the disk tier's artifact
-	// (alias of Tier == TierDisk).
-	Disk bool
 	// Tier names the byte tier that served the artifact ("" when it
 	// came from the value LRU, a coalesced flight, or compute).
 	Tier string
@@ -214,27 +175,6 @@ func (s *Store) Tiers() []Backend {
 	return out
 }
 
-// tier returns the chain member with the given name, or nil.
-func (s *Store) tier(name string) Backend {
-	for _, t := range s.tiers {
-		if t.Name() == name {
-			return t
-		}
-	}
-	return nil
-}
-
-// DiskHealth reports the disk tier's state: DiskDisabled, DiskOK, or
-// DiskDegraded. The serving layer surfaces it on /healthz (alongside
-// the full per-tier map).
-func (s *Store) DiskHealth() string {
-	t := s.tier(TierDisk)
-	if t == nil {
-		return DiskDisabled
-	}
-	return t.Stats().State
-}
-
 // counterLocked returns stage's counter row, creating it on first use.
 func (s *Store) counterLocked(stage string) *Counters {
 	//fgbs:allow guardedby the *Locked naming contract: every caller holds s.mu
@@ -277,7 +217,7 @@ func (s *Store) Resolve(ctx context.Context, stage string, key Key, codec Codec,
 		if f.err != nil {
 			return nil, Outcome{}, f.err
 		}
-		return f.val, Outcome{Cached: true, Disk: f.out.Disk, Tier: f.out.Tier}, nil
+		return f.val, Outcome{Cached: true, Tier: f.out.Tier}, nil
 	}
 	f := &flight{done: make(chan struct{})}
 	s.inflight[key] = f
@@ -329,11 +269,6 @@ func (s *Store) Resolve(ctx context.Context, stage string, key Key, codec Codec,
 // records it so FetchFramed can serve the artifact later.
 func (s *Store) refFor(key Key, codec Codec) Ref {
 	ref := Ref{Key: key, Name: codec.Filename()}
-	if ln, ok := codec.(LegacyNamer); ok {
-		if n := ln.LegacyFilename(); n != "" && n != ref.Name {
-			ref.Legacy = n
-		}
-	}
 	s.mu.Lock()
 	s.refs[key] = ref
 	s.mu.Unlock()
@@ -359,19 +294,13 @@ func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, co
 			v, err := codec.Decode(bytes.NewReader(payload))
 			if err != nil {
 				// The frame verified but the codec rejects the payload
-				// (stale schema, truncated legacy file): quarantine in
-				// the serving tier and keep falling through.
+				// (a stale schema): quarantine in the serving tier and
+				// keep falling through.
 				quarantineTier(ctx, tier, ref)
 				continue
 			}
 			s.promote(ctx, ref, payload, i)
-			name := tier.Name()
-			s.mu.Lock()
-			if name == TierDisk {
-				s.counterLocked(stage).DiskHits++
-			}
-			s.mu.Unlock()
-			return v, Outcome{Cached: true, Disk: name == TierDisk, Tier: name}, nil
+			return v, Outcome{Cached: true, Tier: tier.Name()}, nil
 		}
 	}
 	v, err := compute(ctx)
@@ -382,7 +311,7 @@ func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, co
 	s.counterLocked(stage).Computes++
 	s.mu.Unlock()
 	if tiered && codec.Persist(v) {
-		s.writeThrough(ctx, stage, ref, codec, v)
+		s.writeThrough(ctx, ref, codec, v)
 	}
 	return v, Outcome{}, nil
 }
@@ -402,7 +331,7 @@ func (s *Store) promote(ctx context.Context, ref Ref, payload []byte, hit int) {
 // (the artifact is already in memory; tier copies are an
 // optimization). A failed encode writes nowhere — an unencodable
 // artifact is not a tier failure.
-func (s *Store) writeThrough(ctx context.Context, stage string, ref Ref, codec Codec, v any) {
+func (s *Store) writeThrough(ctx context.Context, ref Ref, codec Codec, v any) {
 	// Encode into a pooled buffer, then hand the bytes to the tiers:
 	// the encoder's many small writes land in memory, a failed encode
 	// never reaches a device, and the frame header needs the payload's
@@ -415,12 +344,7 @@ func (s *Store) writeThrough(ctx context.Context, stage string, ref Ref, codec C
 	}
 	payload := buf.Bytes()
 	for _, tier := range s.tiers {
-		written, err := tier.Put(ctx, ref, payload)
-		if written && err == nil && tier.Name() == TierDisk {
-			s.mu.Lock()
-			s.counterLocked(stage).DiskWrites++
-			s.mu.Unlock()
-		}
+		tier.Put(ctx, ref, payload)
 	}
 }
 
@@ -470,8 +394,8 @@ func (s *Store) Keys() []Key {
 }
 
 // Put stores an externally produced artifact under key, replacing any
-// existing value — the adoption path for artifacts loaded from legacy
-// cache files, which must win over whatever a rebuild would produce.
+// existing value — the adoption path for profiles loaded from a CLI
+// -cache file, which must win over whatever a rebuild would produce.
 func (s *Store) Put(key Key, v any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -521,8 +445,7 @@ func (s *Store) Len() int {
 }
 
 // Stats snapshots the counters: the value plane's per-stage rows plus
-// one row per byte tier. Stats.Disk mirrors the disk tier's row for
-// consumers of the pre-tier layout.
+// one row per byte tier.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	st := Stats{
@@ -538,10 +461,6 @@ func (s *Store) Stats() Stats {
 	st.Tiers = make(map[string]TierStats, len(s.tiers))
 	for _, t := range s.tiers {
 		st.Tiers[t.Name()] = t.Stats()
-	}
-	st.Disk = DiskStats{State: DiskDisabled}
-	if row, ok := st.Tiers[TierDisk]; ok {
-		st.Disk = DiskStats{State: row.State, Errors: row.Errors, Quarantined: row.Quarantined}
 	}
 	return st
 }
