@@ -99,6 +99,8 @@ type innerNode struct {
 	perIterInstr  float64
 	perIterOps    ir.OpCount
 	perIterVecFP  float64
+	perIterLoads  float64 // memory references read per iteration
+	perIterStores float64 // memory references written per iteration
 	lat           []float64
 }
 
@@ -113,8 +115,8 @@ func (n *innerNode) run(e *execState) {
 	e.instr += ft * n.perIterInstr
 	e.ops = e.ops.Plus(scaleOps(n.perIterOps, trips))
 	e.vecFPOps += ft * n.perIterVecFP
-	e.memLoads += ft * float64(countRefs(n.refs, false))
-	e.memStores += ft * float64(countRefs(n.refs, true))
+	e.memLoads += ft * n.perIterLoads
+	e.memStores += ft * n.perIterStores
 
 	*n.cell = lo
 	for k := range n.refs {
@@ -139,16 +141,6 @@ func (n *innerNode) run(e *execState) {
 			}
 		}
 	}
-}
-
-func countRefs(refs []refPlan, write bool) int {
-	c := 0
-	for _, r := range refs {
-		if r.write == write {
-			c++
-		}
-	}
-	return c
 }
 
 func scaleOps(o ir.OpCount, k int64) ir.OpCount {
@@ -262,6 +254,11 @@ func (pr *prepared) buildLoop(l *ir.Loop, lowered map[*ir.Loop]*compile.Loop) (n
 					return nil, err
 				}
 				in.refs = append(in.refs, rp)
+				if rp.write {
+					in.perIterStores++
+				} else {
+					in.perIterLoads++
+				}
 			}
 		}
 		in.addrBuf = make([]int64, len(in.refs))
