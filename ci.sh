@@ -86,6 +86,17 @@ go test -race -timeout 25m ./...
 echo "== cache fuzz =="
 go test -run '^$' -fuzz '^FuzzLevelMatchesReference$' -fuzztime 10s ./internal/cache
 
+# The simulator's differential fuzz: sim.Measure, which replays an
+# invocation whose start state (cache words with dirty bits, parameter
+# values) repeats the last walked one, against the walk-every-invocation
+# loop kept in the test code, on every machine, both modes and fuzzed
+# invocation counts and seeds over every corpus family, a composed app,
+# a NAS codelet with dataset variation and an in-place sweep; any
+# difference in a returned Measurement is a red build. The seed corpus
+# runs in the plain go test above; this step searches past it.
+echo "== sim fuzz =="
+go test -run '^$' -fuzz '^FuzzMeasureMatchesWalk$' -fuzztime 10s ./internal/sim
+
 # cmd/fgbsbench is a nested module (the end-to-end benchmark harness),
 # so ./... above never reaches it. Its tests pin what the harness
 # consumes of this module: server.Config.ProfileDir, the pipeline's
@@ -97,7 +108,7 @@ echo "== benchmark harness =="
 
 # The performance trajectory gate (see README "Performance
 # trajectory"): every internal/bench spec runs in quick mode and is
-# diffed against the committed BENCH_10.json baseline; a median or
+# diffed against the committed BENCH_14.json baseline; a median or
 # allocation regression beyond the tolerance is a red build. The
 # tolerance is deliberately wide — CI boxes jitter badly — so only
 # order-of-magnitude mistakes (an accidental O(n²) in a hot path, a
@@ -108,7 +119,7 @@ echo "== benchmark harness =="
 # sweep is served by the stage store without extra simulator
 # invocations.
 echo "== bench trajectory =="
-go run ./cmd/fgbs bench -quick -compare BENCH_10.json -tolerance 200
+go run ./cmd/fgbs bench -quick -compare BENCH_14.json -tolerance 200
 # The go-test benchmarks still rot silently if nothing executes them:
 # the Figure 7 parallel baseline carries its byte-identical-to-serial
 # assertion in the bench body, so it must actually run.

@@ -19,6 +19,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"fgbs/internal/arch"
 )
@@ -185,6 +186,34 @@ func (h *Hierarchy) Access(addr int64, write bool) int {
 	}
 	h.MemAccesses++
 	return len(h.Levels)
+}
+
+// AppendState appends every level's packed set words, dirty bits
+// included, to dst and returns the extended slice. Two hierarchies of
+// one geometry with equal states answer every access sequence with
+// equal counters; counters themselves are not part of the state.
+func (h *Hierarchy) AppendState(dst []int64) []int64 {
+	n := 0
+	for _, l := range h.Levels {
+		n += len(l.words)
+	}
+	dst = slices.Grow(dst, n)
+	for _, l := range h.Levels {
+		dst = append(dst, l.words...)
+	}
+	return dst
+}
+
+// HasState reports whether state is exactly what AppendState(nil)
+// would return now.
+func (h *Hierarchy) HasState(state []int64) bool {
+	for _, l := range h.Levels {
+		if len(state) < len(l.words) || !slices.Equal(l.words, state[:len(l.words)]) {
+			return false
+		}
+		state = state[len(l.words):]
+	}
+	return len(state) == 0
 }
 
 // Flush empties every level (used between in-application invocations,

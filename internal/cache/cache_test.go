@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"fgbs/internal/arch"
@@ -206,6 +207,36 @@ func TestResetCountersKeepsContents(t *testing.T) {
 	}
 	if lvl := h.Access(0, false); lvl != 0 {
 		t.Error("contents lost on counter reset")
+	}
+}
+
+func TestAppendAndHasState(t *testing.T) {
+	h := newHier(t, arch.Atom())
+	lines := 0
+	for _, cl := range arch.Atom().Caches {
+		lines += int(cl.SizeBytes / cl.LineBytes)
+	}
+	empty := h.AppendState([]int64{7})
+	if len(empty) != 1+lines || empty[0] != 7 {
+		t.Fatalf("AppendState kept dst[0] = %d and returned %d words, want 7 and %d", empty[0], len(empty), 1+lines)
+	}
+	read, dirty := newHier(t, arch.Atom()), newHier(t, arch.Atom())
+	read.Access(128, false)
+	dirty.Access(128, true)
+	rs, ds := read.AppendState(nil), dirty.AppendState(nil)
+	if reflect.DeepEqual(rs, empty[1:]) || reflect.DeepEqual(rs, ds) {
+		t.Fatal("state ignores a resident line or its dirty bit")
+	}
+	read.ResetCounters()
+	if !reflect.DeepEqual(read.AppendState(nil), rs) || !read.HasState(rs) {
+		t.Fatal("state includes counters")
+	}
+	if read.HasState(ds) || dirty.HasState(rs) || read.HasState(rs[1:]) || read.HasState(append(rs, -1)) {
+		t.Fatal("HasState accepts a different state")
+	}
+	read.Flush()
+	if !reflect.DeepEqual(read.AppendState(nil), empty[1:]) || !read.HasState(empty[1:]) {
+		t.Fatal("flushed state differs from a new hierarchy's")
 	}
 }
 

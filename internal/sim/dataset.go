@@ -27,15 +27,31 @@
 // Two measurement modes mirror the paper's setup:
 //
 //   - ModeInApp: the codelet as profiled inside its application (Step
-//     B). Each invocation starts from a cold cache — between two
-//     invocations, the rest of the application has trashed it — and
-//     dataset-varying codelets see their per-invocation trip counts
-//     change.
+//     B). Between two invocations the rest of the application trashes
+//     the cache, so each starts cold, unless the codelet is WarmInApp
+//     (its arrays are shared, and its neighbors keep them warm).
+//     Dataset-varying codelets see their per-invocation trip counts
+//     change. An invocation that repeats an earlier one is not walked
+//     again (see below).
 //   - ModeStandalone: the extracted microbenchmark (Step D). The
 //     wrapper loads the memory dump (warming the cache), invocations
 //     run back to back, and the dataset is the one captured at the
 //     application's first invocation. Context-sensitive codelets are
 //     recompiled without the application context.
+//
+// An invocation is not always walked. Its start state is every cache
+// line with its dirty bit and LRU position, plus every parameter value
+// (the varying one included); nothing else a walk reads changes within
+// a Measure call. When an invocation's start state equals that of the
+// last walked invocation, it takes that walk's tallies and skips the
+// walk: the same state and the same access sequence give the same
+// tallies. The cache is left as it was, and that is exact too. Without
+// a flush, an equal start state means the last walk ended where it
+// began, a fixed point. With a flush, the next invocation empties the
+// cache anyway. So a flushed in-app invocation repeats the first one
+// unless its trip counts vary, and a standalone or warm in-app
+// invocation repeats once the cache settles. Only per-invocation
+// noise and the cost model run again.
 package sim
 
 import (

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	"fgbs/internal/arch"
 	"fgbs/internal/cache"
@@ -127,8 +128,87 @@ type Measurement struct {
 
 // Measure simulates codelet c of program p under opts.
 func Measure(p *ir.Program, c *ir.Codelet, opts Options) (*Measurement, error) {
+	pr, h, meas, err := setup(p, c, &opts)
+	if err != nil {
+		return nil, err
+	}
+
+	varyCell := pr.cells[c.VaryParam]
+	baseVary := int64(0)
+	if varyCell != nil {
+		baseVary = *varyCell
+	}
+
+	// Each walk's tallies stay in e and in h's counters until the next
+	// walk. An invocation whose start state equals the last walked
+	// one's is not walked again: it gets that walk's tallies (see the
+	// package comment for why this is exact).
+	var e *execState
+	var walked []int64 // the last walk's start state
+	for k := 0; k < opts.Invocations; k++ {
+		if opts.Mode == ModeInApp {
+			// Between two in-app invocations the rest of the
+			// application has trashed the cache — unless the codelet
+			// works on the application's shared arrays, which the
+			// neighboring codelets keep warm.
+			if !c.WarmInApp {
+				h.Flush()
+			}
+			if varyCell != nil && c.DatasetVariation > 0 {
+				scale := 1 - c.DatasetVariation*float64(k%3)
+				if scale < 0.05 {
+					scale = 0.05
+				}
+				*varyCell = int64(float64(baseVary) * scale)
+			}
+		}
+		if e == nil || !pr.startsAt(walked, h) {
+			walked = pr.appendStart(walked[:0], h)
+			h.ResetCounters()
+			e = &execState{h: h}
+			for _, n := range pr.root {
+				n.run(e)
+			}
+		}
+
+		ctr := assemble(e, pr, opts, k)
+		meas.Invocations = append(meas.Invocations, Invocation{
+			Index: k, Seconds: ctr.Seconds, Counters: ctr,
+		})
+	}
+	meas.pickMedian()
+	return meas, nil
+}
+
+// appendStart appends the start state of an invocation about to run
+// on h: every parameter value, then h's cache state.
+func (pr *prepared) appendStart(dst []int64, h *cache.Hierarchy) []int64 {
+	for _, cell := range pr.params {
+		dst = append(dst, *cell)
+	}
+	return h.AppendState(dst)
+}
+
+// startsAt reports whether state, as appendStart built it, is the
+// start state of an invocation about to run on h.
+func (pr *prepared) startsAt(state []int64, h *cache.Hierarchy) bool {
+	if len(state) < len(pr.params) {
+		return false
+	}
+	for i, cell := range pr.params {
+		if state[i] != *cell {
+			return false
+		}
+	}
+	return h.HasState(state[len(pr.params):])
+}
+
+// setup fills opts' defaults and readies one measurement: c compiled
+// for the machine, the machine's hierarchy (holding the memory dump in
+// standalone mode) and a Measurement with no invocations yet.
+func setup(p *ir.Program, c *ir.Codelet, opts *Options) (*prepared, *cache.Hierarchy, *Measurement, error) {
 	if opts.Machine == nil {
-		return nil, fmt.Errorf("sim: no machine given")
+		return nil, nil, nil, fmt.Errorf("sim: no machine given")
 	}
 	opts.fill()
 
@@ -137,26 +217,18 @@ func Measure(p *ir.Program, c *ir.Codelet, opts Options) (*Measurement, error) {
 		var err error
 		ds, err = BuildDataset(p, opts.Seed)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, err
 		}
 	}
 
-	inApp := opts.Mode == ModeInApp
-	pr, err := prepare(p, c, opts.Machine, ds, inApp)
+	pr, err := prepare(p, c, opts.Machine, ds, opts.Mode == ModeInApp)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 
 	h, err := cache.NewHierarchy(opts.Machine)
 	if err != nil {
-		return nil, err
-	}
-
-	meas := &Measurement{
-		Codelet:         c,
-		Machine:         opts.Machine,
-		Mode:            opts.Mode,
-		WorkingSetBytes: ds.WorkingSetBytes(c),
+		return nil, nil, nil, err
 	}
 
 	if opts.Mode == ModeStandalone {
@@ -173,51 +245,23 @@ func Measure(p *ir.Program, c *ir.Codelet, opts Options) (*Measurement, error) {
 		}
 	}
 
-	varyCell := pr.cells[c.VaryParam]
-	baseVary := int64(0)
-	if varyCell != nil {
-		baseVary = *varyCell
+	meas := &Measurement{
+		Codelet:         c,
+		Machine:         opts.Machine,
+		Mode:            opts.Mode,
+		WorkingSetBytes: ds.WorkingSetBytes(c),
 	}
+	return pr, h, meas, nil
+}
 
-	for k := 0; k < opts.Invocations; k++ {
-		if inApp {
-			// Between two in-app invocations the rest of the
-			// application has trashed the cache — unless the codelet
-			// works on the application's shared arrays, which the
-			// neighboring codelets keep warm.
-			if !c.WarmInApp {
-				h.Flush()
-			}
-			if varyCell != nil && c.DatasetVariation > 0 {
-				scale := 1 - c.DatasetVariation*float64(k%3)
-				if scale < 0.05 {
-					scale = 0.05
-				}
-				*varyCell = int64(float64(baseVary) * scale)
-			}
-		}
-		h.ResetCounters()
-
-		e := &execState{h: h}
-		for _, n := range pr.root {
-			n.run(e)
-		}
-
-		ctr := assemble(e, pr, opts, k)
-		meas.Invocations = append(meas.Invocations, Invocation{
-			Index: k, Seconds: ctr.Seconds, Counters: ctr,
-		})
-	}
-	if varyCell != nil {
-		*varyCell = baseVary
-	}
-
+// pickMedian sets Seconds to the median invocation time and attaches
+// the counters of the invocation closest to it.
+func (meas *Measurement) pickMedian() {
 	times := make([]float64, len(meas.Invocations))
 	for i, inv := range meas.Invocations {
 		times[i] = inv.Seconds
 	}
 	meas.Seconds = stats.Median(times)
-	// Attach the counters of the invocation closest to the median.
 	bestIdx, bestDiff := 0, -1.0
 	for i, inv := range meas.Invocations {
 		d := inv.Seconds - meas.Seconds
@@ -229,7 +273,6 @@ func Measure(p *ir.Program, c *ir.Codelet, opts Options) (*Measurement, error) {
 		}
 	}
 	meas.Counters = meas.Invocations[bestIdx].Counters
-	return meas, nil
 }
 
 // assemble combines the walk's raw tallies into Counters under the
@@ -244,9 +287,11 @@ func assemble(e *execState, pr *prepared, opts Options, invocation int) Counters
 	ctr.VecFPOps = e.vecFPOps
 	ctr.MemLoads = e.memLoads
 	ctr.MemStores = e.memStores
-	for _, l := range e.h.Levels {
-		ctr.LevelHits = append(ctr.LevelHits, l.Hits)
-		ctr.LevelMisses = append(ctr.LevelMisses, l.Misses)
+	ctr.LevelHits = make([]int64, len(e.h.Levels))
+	ctr.LevelMisses = make([]int64, len(e.h.Levels))
+	for i, l := range e.h.Levels {
+		ctr.LevelHits[i] = l.Hits
+		ctr.LevelMisses[i] = l.Misses
 	}
 	ctr.MemAccesses = e.h.MemAccesses
 	ctr.MemWritebacks = e.h.MemWritebacks
@@ -274,8 +319,17 @@ func assemble(e *execState, pr *prepared, opts Options, invocation int) Counters
 // hashUnit returns a deterministic value in [-1, 1] from the
 // measurement identity.
 func hashUnit(codelet, machine string, invocation int, seed uint64) float64 {
+	// The bytes of "%s|%s|%d|%d", built without fmt.
+	var buf [128]byte
+	b := append(buf[:0], codelet...)
+	b = append(b, '|')
+	b = append(b, machine...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(invocation), 10)
+	b = append(b, '|')
+	b = strconv.AppendUint(b, seed, 10)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%d", codelet, machine, invocation, seed)
+	h.Write(b)
 	v := h.Sum64()
 	return float64(v%20001)/10000 - 1
 }

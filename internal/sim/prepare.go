@@ -25,7 +25,11 @@ type prepared struct {
 	// cells maps every variable (params + loop vars) to a storage
 	// cell read by compiled closures.
 	cells map[string]*int64
-	root  []node
+	// params lists the parameter cells, the part of an invocation's
+	// start state that lives outside the cache. Their order is fixed
+	// once built, which is all comparing start states needs.
+	params []*int64
+	root   []node
 
 	// latPenalty[lvl] is the extra load-to-use latency of a hit at
 	// cache level lvl relative to L1; the last entry is for DRAM.
@@ -168,6 +172,7 @@ func prepare(p *ir.Program, c *ir.Codelet, m *arch.Machine, ds *Dataset, inApp b
 		cell := new(int64)
 		*cell = v
 		pr.cells[name] = cell
+		pr.params = append(pr.params, cell)
 	}
 
 	// Latency penalty table, indexed by hit level (L1 = 0).
