@@ -108,7 +108,7 @@ echo "== benchmark harness =="
 
 # The performance trajectory gate (see README "Performance
 # trajectory"): every internal/bench spec runs in quick mode and is
-# diffed against the committed BENCH_14.json baseline; a median or
+# diffed against the committed BENCH_15.json baseline; a median or
 # allocation regression beyond the tolerance is a red build. The
 # tolerance is deliberately wide — CI boxes jitter badly — so only
 # order-of-magnitude mistakes (an accidental O(n²) in a hot path, a
@@ -119,7 +119,7 @@ echo "== benchmark harness =="
 # sweep is served by the stage store without extra simulator
 # invocations.
 echo "== bench trajectory =="
-go run ./cmd/fgbs bench -quick -compare BENCH_14.json -tolerance 200
+go run ./cmd/fgbs bench -quick -compare BENCH_15.json -tolerance 200
 # The go-test benchmarks still rot silently if nothing executes them:
 # the Figure 7 parallel baseline carries its byte-identical-to-serial
 # assertion in the bench body, so it must actually run.

@@ -80,13 +80,11 @@
 //	                its framed <suite>-<key>.json layout with fgbsd's
 //	                -profiledir
 //	-peers list     comma-separated base URLs of fgbsd daemons; adds a
-//	                peer tier to the stage store that fetches artifacts
-//	                from their /v1/artifacts/{key} endpoints before
-//	                recomputing, so a CLI run can reuse a daemon's
-//	                already-built profile
-//	-stagetiers l   comma-separated stage tier order (memory, disk,
-//	                peer); default: disk when -stagedir is set, then
-//	                peer when -peers is set
+//	                peer tier to the stage store, after the -stagedir
+//	                disk tier, that fetches artifacts from their
+//	                /v1/artifacts/{key} endpoints before recomputing,
+//	                so a CLI run can reuse a daemon's already-built
+//	                profile
 //	-faultprofile p JSON fault-injection profile applied to every
 //	                measurement, with the robust retry/outlier-rejection
 //	                protocol mounted on top (chaos testing; see the
@@ -115,7 +113,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/url"
 	"os"
 	"os/signal"
 	"runtime"
@@ -162,7 +159,6 @@ type config struct {
 	stageCache int
 	stageDir   string
 	peers      string
-	stageTiers string
 	// bench-only flags (the bench experiment shares the flag set).
 	benchSpec    string
 	benchReps    int
@@ -224,7 +220,6 @@ func run(ctx context.Context, args []string) error {
 	fs.IntVar(&cfg.stageCache, "stagecache", 256, "in-memory stage artifact cache size (entries)")
 	fs.StringVar(&cfg.stageDir, "stagedir", "", "directory for persisted stage artifacts (optional)")
 	fs.StringVar(&cfg.peers, "peers", "", "comma-separated base URLs of peer fgbsd daemons")
-	fs.StringVar(&cfg.stageTiers, "stagetiers", "", "comma-separated stage tier order (memory, disk, peer)")
 	fs.StringVar(&cfg.benchSpec, "spec", "", "bench: run only specs matching this regexp")
 	fs.IntVar(&cfg.benchReps, "reps", 0, "bench: timed repetitions per spec (0 = default)")
 	fs.IntVar(&cfg.benchWarmup, "warmup", -1, "bench: untimed warmup repetitions (-1 = default, 0 = none)")
@@ -247,11 +242,11 @@ func run(ctx context.Context, args []string) error {
 		cfg.measurer = measure.New(fault.NewInjector(fp, nil), measure.Config{})
 		cfg.measurerKey = fp.Fingerprint()
 	}
-	store, err := buildStore(cfg)
+	peers, err := stage.ParsePeers(cfg.peers)
 	if err != nil {
-		return err
+		return fmt.Errorf("-peers: %w", err)
 	}
-	cfg.engine = pipeline.NewEngine(store)
+	cfg.engine = pipeline.NewEngine(stage.NewStore(cfg.stageCache, cfg.stageDir, peers...))
 
 	if exp == "t1" {
 		return report.Table1(os.Stdout, arch.All())
@@ -502,35 +497,6 @@ func run(ctx context.Context, args []string) error {
 	default:
 		return fmt.Errorf("unknown experiment %q", exp)
 	}
-}
-
-// buildStore assembles the stage store's byte-tier chain from
-// -stagedir, -peers and -stagetiers, rejecting bad combinations before
-// any profiling starts.
-func buildStore(cfg config) (*stage.Store, error) {
-	var peers, names []string
-	if cfg.peers != "" {
-		for _, p := range strings.Split(cfg.peers, ",") {
-			p = strings.TrimSpace(p)
-			u, err := url.Parse(p)
-			if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-				return nil, fmt.Errorf("-peers: peer %q: want an absolute http(s) base URL", p)
-			}
-			peers = append(peers, p)
-		}
-	}
-	if cfg.stageTiers != "" {
-		for _, name := range strings.Split(cfg.stageTiers, ",") {
-			names = append(names, strings.TrimSpace(name))
-		}
-	} else {
-		names = stage.DefaultTierNames(cfg.stageDir, peers)
-	}
-	tiers, err := stage.NewTierChain(names, stage.TierConfig{Dir: cfg.stageDir, Peers: peers})
-	if err != nil {
-		return nil, fmt.Errorf("-stagetiers: %w", err)
-	}
-	return stage.NewTieredStore(cfg.stageCache, tiers), nil
 }
 
 // pipelineProfileFresh always re-profiles (ignoring any cache), which

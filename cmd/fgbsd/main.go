@@ -25,12 +25,10 @@
 //	                 per-K subsets, per-target evaluations — resolves
 //	                 through it, so queries and jobs share work
 //	-peers list      comma-separated base URLs of peer fgbsd daemons;
-//	                 adds a peer tier to the stage store that fetches
-//	                 artifacts from their /v1/artifacts/{key} endpoints
-//	                 before recomputing
-//	-stagetiers list comma-separated stage tier order (memory, disk,
-//	                 peer); default: disk when a directory is set, then
-//	                 peer when -peers is set
+//	                 adds a peer tier to the stage store, after the
+//	                 -profiledir disk tier, that fetches artifacts from
+//	                 their /v1/artifacts/{key} endpoints before
+//	                 recomputing
 //	-seed N          profiling seed (default 1)
 //	-workers N       concurrent measurements per profiling run
 //	                 (default GOMAXPROCS)
@@ -60,7 +58,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"net/url"
 	"os"
 	"os/signal"
 	"strings"
@@ -97,7 +94,6 @@ type daemonConfig struct {
 	cacheN       int
 	stageCacheN  int
 	peers        []string
-	stageTiers   []string
 	seed         uint64
 	workers      int
 	jobWorkers   int
@@ -121,9 +117,8 @@ func parseFlags(args []string) (daemonConfig, error) {
 	fs.StringVar(&cfg.dir, "profiledir", "", "directory for persisted profiles")
 	fs.IntVar(&cfg.cacheN, "cachesize", 256, "LRU result-cache capacity")
 	fs.IntVar(&cfg.stageCacheN, "stagecache", 512, "in-memory stage artifact store capacity")
-	var peerList, tierList string
+	var peerList string
 	fs.StringVar(&peerList, "peers", "", "comma-separated base URLs of peer fgbsd daemons")
-	fs.StringVar(&tierList, "stagetiers", "", "comma-separated stage tier order (memory, disk, peer)")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "profiling seed")
 	fs.IntVar(&cfg.workers, "workers", 0, "concurrent measurements per profiling run (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.jobWorkers, "jobworkers", 0, "concurrently running experiment jobs (0 = GOMAXPROCS)")
@@ -163,46 +158,10 @@ func parseFlags(args []string) (daemonConfig, error) {
 			return cfg, fmt.Errorf("-faultprofile: %w", err)
 		}
 	}
-	if cfg.peers, err = splitPeers(peerList); err != nil {
+	if cfg.peers, err = stage.ParsePeers(peerList); err != nil {
 		return cfg, fmt.Errorf("-peers: %w", err)
 	}
-	if tierList != "" {
-		for _, name := range strings.Split(tierList, ",") {
-			cfg.stageTiers = append(cfg.stageTiers, strings.TrimSpace(name))
-		}
-	}
-	// Dry-run the tier chain the server will build so a typo in
-	// -stagetiers (or a peer tier without -peers) refuses to start here
-	// instead of panicking inside server.New.
-	names := cfg.stageTiers
-	if len(names) == 0 {
-		names = stage.DefaultTierNames(cfg.dir, cfg.peers)
-	}
-	if _, err := stage.NewTierChain(names, stage.TierConfig{Dir: cfg.dir, Peers: cfg.peers}); err != nil {
-		return cfg, fmt.Errorf("-stagetiers: %w", err)
-	}
 	return cfg, nil
-}
-
-// splitPeers parses the -peers list, requiring absolute http(s) base
-// URLs — a bare host would silently never match anything.
-func splitPeers(list string) ([]string, error) {
-	if list == "" {
-		return nil, nil
-	}
-	var out []string
-	for _, p := range strings.Split(list, ",") {
-		p = strings.TrimSpace(p)
-		u, err := url.Parse(p)
-		if err != nil {
-			return nil, fmt.Errorf("peer %q: %w", p, err)
-		}
-		if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return nil, fmt.Errorf("peer %q: want an absolute http(s) base URL", p)
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // splitSuites parses a comma-separated suite list, restricted to the
@@ -235,7 +194,6 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		ResultCacheSize: cfg.cacheN,
 		StageCacheSize:  cfg.stageCacheN,
 		Peers:           cfg.peers,
-		StageTiers:      cfg.stageTiers,
 		SuiteNames:      cfg.serve,
 		JobWorkers:      cfg.jobWorkers,
 		JobRetention:    cfg.jobRetention,

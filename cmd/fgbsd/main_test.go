@@ -55,9 +55,6 @@ func TestParseFlagsRejectsBadInput(t *testing.T) {
 		{"positional arg", []string{"extra"}, "unexpected argument"},
 		{"unknown flag", []string{"-bogus"}, ""},
 		{"peer without scheme", []string{"-peers", "example.com:8093"}, "absolute http(s) base URL"},
-		{"unknown tier", []string{"-stagetiers", "bogus"}, "unknown tier"},
-		{"disk tier without dir", []string{"-stagetiers", "disk"}, "requires a stage directory"},
-		{"peer tier without peers", []string{"-stagetiers", "memory,peer"}, "requires at least one peer"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -72,15 +69,13 @@ func TestParseFlagsRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestParseFlagsTiers pins the -peers/-stagetiers plumbing: peer URLs
-// parse into the config, explicit tier orders survive, and the dry-run
-// validation accepts what server.New will accept.
+// TestParseFlagsTiers pins the -peers plumbing: peer URLs parse into
+// the config with surrounding whitespace trimmed, with or without a
+// -profiledir.
 func TestParseFlagsTiers(t *testing.T) {
-	dir := t.TempDir()
 	cfg, err := parseFlags([]string{
-		"-profiledir", dir,
+		"-profiledir", t.TempDir(),
 		"-peers", "http://127.0.0.1:9, https://peer.example:8093",
-		"-stagetiers", "memory, disk, peer",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,18 +83,14 @@ func TestParseFlagsTiers(t *testing.T) {
 	if want := []string{"http://127.0.0.1:9", "https://peer.example:8093"}; !reflect.DeepEqual(cfg.peers, want) {
 		t.Errorf("peers = %v, want %v", cfg.peers, want)
 	}
-	if want := []string{"memory", "disk", "peer"}; !reflect.DeepEqual(cfg.stageTiers, want) {
-		t.Errorf("stageTiers = %v, want %v", cfg.stageTiers, want)
-	}
 
-	// -peers alone (no explicit tier list, no directory) is a valid
-	// memoryless peer-only configuration via DefaultTierNames.
+	// -peers alone (no directory) is a valid peer-only configuration.
 	cfg, err = parseFlags([]string{"-peers", "http://127.0.0.1:9"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.stageTiers != nil {
-		t.Errorf("stageTiers = %v, want default (nil)", cfg.stageTiers)
+	if want := []string{"http://127.0.0.1:9"}; !reflect.DeepEqual(cfg.peers, want) {
+		t.Errorf("peers = %v, want %v", cfg.peers, want)
 	}
 }
 

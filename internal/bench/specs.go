@@ -464,87 +464,6 @@ func init() {
 	})
 
 	Register(Spec{
-		Name: "stage/tier-promote",
-		Doc:  "tiered byte plane: memory-evicted artifact re-read from the disk tier and promoted back into memory",
-		Setup: func(ctx context.Context) (*Instance, error) {
-			progs := benchSuite()
-			prof, err := pipeline.NewProfileContext(ctx, progs, pipeline.Options{Seed: 1})
-			if err != nil {
-				return nil, err
-			}
-			dir, err := os.MkdirTemp("", "fgbs-bench-tier-*")
-			if err != nil {
-				return nil, err
-			}
-			tiers, err := stage.NewTierChain(
-				[]string{stage.TierMemory, stage.TierDisk},
-				stage.TierConfig{Dir: dir},
-			)
-			if err != nil {
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			store := stage.NewTieredStore(8, tiers)
-			codec := profileArtifact{name: "bench-tier.json", progs: progs}
-			key := stage.NewKey("bench-tier", 1).Str("profile").Key()
-			ref := stage.Ref{Key: key, Name: codec.Filename()}
-			// Seed once; the timed path must never compute again.
-			if _, _, err := store.Resolve(ctx, "bench-tier", key, codec, func(context.Context) (any, error) {
-				return prof, nil
-			}); err != nil {
-				os.RemoveAll(dir)
-				return nil, err
-			}
-			op := func() error {
-				// Evict the decoded value and the memory-tier bytes so the
-				// resolve falls to disk and promotes the artifact back up.
-				store.Delete(key)
-				if err := tiers[0].Delete(ctx, ref); err != nil {
-					return err
-				}
-				v, out, err := store.Resolve(ctx, "bench-tier", key, codec, func(context.Context) (any, error) {
-					return nil, fmt.Errorf("tier-promote must not recompute")
-				})
-				if err != nil {
-					return err
-				}
-				if out.Tier != stage.TierDisk {
-					return fmt.Errorf("resolve served from tier %q, want %q", out.Tier, stage.TierDisk)
-				}
-				sink.Add(uint64(v.(*pipeline.Profile).N()))
-				return nil
-			}
-			verify := func() error {
-				st := store.Stats()
-				mem, disk := st.Tiers[stage.TierMemory], st.Tiers[stage.TierDisk]
-				if mem.Writes < 2 {
-					return fmt.Errorf("memory tier writes = %d, want the seed plus promotions", mem.Writes)
-				}
-				if disk.Hits < 1 {
-					return fmt.Errorf("disk tier hits = %d, want the evicted re-reads", disk.Hits)
-				}
-				if c := st.Stages["bench-tier"].Computes; c != 1 {
-					return fmt.Errorf("computes = %d, want only the seed", c)
-				}
-				// The last promotion is live: with only the value evicted,
-				// the memory tier serves.
-				store.Delete(key)
-				_, out, err := store.Resolve(ctx, "bench-tier", key, codec, func(context.Context) (any, error) {
-					return nil, fmt.Errorf("tier-promote must not recompute")
-				})
-				if err != nil {
-					return err
-				}
-				if out.Tier != stage.TierMemory {
-					return fmt.Errorf("post-promotion resolve served from %q, want %q", out.Tier, stage.TierMemory)
-				}
-				return nil
-			}
-			return &Instance{Op: op, Verify: verify, Cleanup: func() { os.RemoveAll(dir) }}, nil
-		},
-	})
-
-	Register(Spec{
 		Name: "stage/peer-fetch",
 		Doc:  "peer tier fetch: profile artifact served over HTTP from a warm peer, frame-verified, never recomputed",
 		Setup: func(ctx context.Context) (*Instance, error) {
@@ -569,15 +488,7 @@ func init() {
 				}
 				http.NotFound(w, r)
 			}))
-			tiers, err := stage.NewTierChain(
-				[]string{stage.TierPeer},
-				stage.TierConfig{Peers: []string{peer.URL}, Client: peer.Client()},
-			)
-			if err != nil {
-				peer.Close()
-				return nil, err
-			}
-			store := stage.NewTieredStore(8, tiers)
+			store := stage.NewStore(8, "", peer.URL)
 			op := func() error {
 				// Evicting the value forces the full fetch-verify-decode
 				// round trip every repetition.

@@ -2,9 +2,9 @@ package fault_test
 
 // The breaker decorator on the HTTP peer tier, exercised through a
 // real (httptest) peer from outside the stage package: transient 5xx
-// responses trip the peer tier into degraded, the local memory and
-// disk tiers keep serving throughout, and once the peer heals a
-// half-open probe closes the breaker again. Lives in the fault package
+// responses trip the peer tier into degraded, the local disk tier
+// keeps serving throughout, and once the peer heals a half-open probe
+// closes the breaker again. Lives in the fault package
 // because it is resilience behavior; package fault_test because stage
 // imports fault and the test drives stage's public API.
 
@@ -17,6 +17,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -64,20 +66,14 @@ func TestPeerTierBreaker(t *testing.T) {
 	}))
 	defer peer.Close()
 
-	tiers, err := stage.NewTierChain(
-		[]string{stage.TierMemory, stage.TierDisk, stage.TierPeer},
-		stage.TierConfig{Dir: t.TempDir(), Peers: []string{peer.URL}, Client: peer.Client()},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := stage.NewTieredStore(8, tiers)
+	dir := t.TempDir()
+	s := stage.NewStore(8, dir, peer.URL)
 	noCompute := func(context.Context) (any, error) {
 		return nil, errors.New("compute must not run")
 	}
 
 	// Healthy peer serves the cold chain; the artifact is promoted
-	// into memory and disk on the way.
+	// onto disk on the way.
 	v, out, err := s.Resolve(ctx, "tierbreaker", key, codec, noCompute)
 	if err != nil || v != "peer-artifact" || out.Tier != stage.TierPeer {
 		t.Fatalf("cold resolve = %v, %+v, %v; want peer-artifact via peer tier", v, out, err)
@@ -108,35 +104,22 @@ func TestPeerTierBreaker(t *testing.T) {
 	}
 	errsAfterTrip := st.Errors
 
-	// Memory and disk keep serving while the peer is degraded: evict
-	// the value, resolve from memory; evict the memory copy, resolve
-	// from disk. Neither touches the peer.
+	// Disk keeps serving while the peer is degraded: evict the value,
+	// resolve from disk without touching the peer.
 	s.Delete(key)
-	if v, out, err := s.Resolve(ctx, "tierbreaker", key, codec, noCompute); err != nil || v != "peer-artifact" || out.Tier != stage.TierMemory {
-		t.Fatalf("degraded-peer resolve = %v, %+v, %v; want memory tier hit", v, out, err)
-	}
-	ref := stage.Ref{Key: key, Name: codec.Filename()}
-	s.Delete(key)
-	if err := tiers[0].Delete(ctx, ref); err != nil {
-		t.Fatal(err)
-	}
 	if v, out, err := s.Resolve(ctx, "tierbreaker", key, codec, noCompute); err != nil || v != "peer-artifact" || out.Tier != stage.TierDisk {
 		t.Fatalf("degraded-peer resolve = %v, %+v, %v; want disk tier hit", v, out, err)
 	}
 	if got := s.Stats().Tiers[stage.TierPeer].Errors; got != errsAfterTrip {
-		t.Errorf("peer tier errors moved %d -> %d during local serves; degraded tier must be skipped", errsAfterTrip, got)
+		t.Errorf("peer tier errors moved %d -> %d during a disk serve; degraded tier must be skipped", errsAfterTrip, got)
 	}
 
-	// Heal the peer and strip the local copies so resolves must reach
-	// it. The open breaker skips most attempts (compute fails here, so
+	// Heal the peer and strip the disk copy so resolves must reach it.
+	// The open breaker skips most attempts (compute fails here, so
 	// those resolves error), until the paced half-open probe runs for
 	// real, succeeds, and closes the breaker.
 	failing.Store(false)
-	s.Delete(key)
-	if err := tiers[0].Delete(ctx, ref); err != nil {
-		t.Fatal(err)
-	}
-	if err := tiers[1].Delete(ctx, ref); err != nil {
+	if err := os.Remove(filepath.Join(dir, codec.Filename())); err != nil {
 		t.Fatal(err)
 	}
 	recovered := false

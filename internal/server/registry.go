@@ -95,18 +95,7 @@ func newRegistry(cfg Config, breakers *breakerSet) *registry {
 	if size <= 0 {
 		size = 512
 	}
-	names := cfg.StageTiers
-	if len(names) == 0 {
-		names = stage.DefaultTierNames(cfg.ProfileDir, cfg.Peers)
-	}
-	tiers, err := stage.NewTierChain(names, stage.TierConfig{Dir: cfg.ProfileDir, Peers: cfg.Peers})
-	if err != nil {
-		// Config.StageTiers documents the contract: tier lists are
-		// validated before the server is constructed (cmd/fgbsd does it
-		// in flag parsing), so reaching here is a programming error.
-		panic(fmt.Sprintf("server: invalid stage tier config: %v", err))
-	}
-	store := stage.NewTieredStore(size, tiers)
+	store := stage.NewStore(size, cfg.ProfileDir, cfg.Peers...)
 	ctx, stop := context.WithCancel(context.Background())
 	return &registry{
 		programs:    programs,

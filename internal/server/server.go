@@ -65,12 +65,6 @@ type Config struct {
 	// /v1/artifacts/{key} endpoints before recomputing (fgbsd's -peers
 	// flag).
 	Peers []string
-	// StageTiers orders the stage store's byte tiers explicitly
-	// (stage.TierMemory, stage.TierDisk, stage.TierPeer). Empty means
-	// stage.DefaultTierNames: disk when a directory is configured, then
-	// peer when Peers is set. Invalid tier configurations panic in New;
-	// cmd/fgbsd validates the flag before constructing the server.
-	StageTiers []string
 	// MeasurerKey identifies the Measurer's configuration in stage keys
 	// (fgbsd passes fault.Profile.Fingerprint()). See
 	// pipeline.StageOptions.MeasurerKey.

@@ -4,33 +4,29 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 )
 
 // The byte plane under the Store: an ordered chain of Backend tiers
-// holding encoded artifact bytes. The Store's value plane (decoded
-// artifacts in the LRU, singleflight) sits above it; on a value miss
-// the Store walks the chain top to bottom, decodes the first tier that
-// has the bytes, and promotes them into every tier above the hit. A
-// miss through the whole chain falls through to compute, and the
-// computed artifact is written through every tier.
+// holding encoded artifact bytes — the disk tier when the store has a
+// directory, then the peer tier when it has peers (see NewStore). The
+// Store's value plane (decoded artifacts in the LRU, singleflight)
+// sits above it; on a value miss the Store walks the chain top to
+// bottom, decodes the first tier that has the bytes, and promotes them
+// into every tier above the hit. A miss through the whole chain falls
+// through to compute, and the computed artifact is written through
+// every tier.
 //
 // Tiers deal in raw bytes only — framing, quarantine, and degradation
 // are decorators (Framed, Breakered) wrapped around every tier, so a
 // remote tier gets exactly the same integrity and breaker behavior as
 // the local disk.
 
-// Canonical tier names. NewTierChain resolves these; Outcome.Tier and
-// the Stats.Tiers rows report them.
+// Canonical tier names, reported by Outcome.Tier and the Stats.Tiers
+// rows.
 const (
-	TierMemory = "memory"
-	TierDisk   = "disk"
-	TierPeer   = "peer"
+	TierDisk = "disk"
+	TierPeer = "peer"
 )
-
-// DefaultMemoryTierEntries bounds a memory tier built without an
-// explicit capacity.
-const DefaultMemoryTierEntries = 256
 
 // ErrNotFound reports a clean miss: the tier is healthy, it just does
 // not hold the artifact. Every other error from a tier means the
@@ -92,22 +88,18 @@ type TierStats struct {
 // nil) and must copy data if it retains it beyond the call. All
 // methods may be called concurrently.
 type Backend interface {
-	// Name identifies the tier ("memory", "disk", "peer") in stats,
-	// health reports, and Outcome.Tier.
+	// Name identifies the tier ("disk", "peer") in stats, health
+	// reports, and Outcome.Tier.
 	Name() string
 	Get(ctx context.Context, ref Ref) ([]byte, error)
 	Put(ctx context.Context, ref Ref, data []byte) (bool, error)
-	Delete(ctx context.Context, ref Ref) error
-	// Len is the tier's current artifact count, where knowable (a
-	// remote tier reports 0).
-	Len() int
 	Stats() TierStats
 }
 
 // quarantiner is implemented by tiers that can move a corrupt artifact
-// out of the load path (the disk tier renames to *.corrupt; the memory
-// tier drops the entry). The Framed decorator counts the quarantine
-// and forwards it down the stack.
+// out of the load path (the disk tier renames to *.corrupt). The
+// Framed decorator counts the quarantine and forwards it down the
+// stack.
 type quarantiner interface {
 	Quarantine(ctx context.Context, ref Ref)
 }
@@ -117,93 +109,4 @@ func quarantineTier(ctx context.Context, tier Backend, ref Ref) {
 	if q, ok := tier.(quarantiner); ok {
 		q.Quarantine(ctx, ref)
 	}
-}
-
-// framedGetter is implemented by the Framed decorator: GetFramed
-// returns the verified artifact with its frame still attached, which
-// is the wire format the peer-fetch endpoint serves.
-type framedGetter interface {
-	GetFramed(ctx context.Context, ref Ref) ([]byte, error)
-}
-
-// remoteTier marks tiers that are themselves served by a peer's
-// artifact endpoint. FetchFramed skips them so two daemons pointed at
-// each other can never bounce a fetch back and forth.
-type remoteTier interface {
-	Remote() bool
-}
-
-// isRemote reports whether tier (through any decorators) is remote.
-func isRemote(tier Backend) bool {
-	r, ok := tier.(remoteTier)
-	return ok && r.Remote()
-}
-
-// TierConfig carries the resources tier names resolve against when
-// assembling a chain.
-type TierConfig struct {
-	// Dir is the disk tier's directory.
-	Dir string
-	// Peers are base URLs of peer fgbsd daemons for the peer tier.
-	Peers []string
-	// MemoryEntries bounds the memory tier (DefaultMemoryTierEntries
-	// when <= 0).
-	MemoryEntries int
-	// Client overrides the peer tier's HTTP client (nil uses
-	// http.DefaultClient).
-	Client *http.Client
-}
-
-// NewTierChain assembles an ordered backend chain from tier names,
-// wrapping every tier in the standard decorators
-// (Framed(Breakered(tier))) so integrity verification and breaker
-// degradation apply uniformly. Valid names are TierMemory, TierDisk,
-// and TierPeer; each may appear at most once and must have its
-// resources configured.
-func NewTierChain(names []string, cfg TierConfig) ([]Backend, error) {
-	seen := make(map[string]bool, len(names))
-	tiers := make([]Backend, 0, len(names))
-	for _, name := range names {
-		if seen[name] {
-			return nil, fmt.Errorf("stage: duplicate tier %q in chain", name)
-		}
-		seen[name] = true
-		var base Backend
-		switch name {
-		case TierMemory:
-			n := cfg.MemoryEntries
-			if n <= 0 {
-				n = DefaultMemoryTierEntries
-			}
-			base = NewMemoryBackend(n)
-		case TierDisk:
-			if cfg.Dir == "" {
-				return nil, fmt.Errorf("stage: tier %q requires a stage directory", TierDisk)
-			}
-			base = NewDiskBackend(cfg.Dir)
-		case TierPeer:
-			if len(cfg.Peers) == 0 {
-				return nil, fmt.Errorf("stage: tier %q requires at least one peer URL", TierPeer)
-			}
-			base = NewHTTPBackend(cfg.Peers, cfg.Client)
-		default:
-			return nil, fmt.Errorf("stage: unknown tier %q (valid: %s, %s, %s)", name, TierMemory, TierDisk, TierPeer)
-		}
-		tiers = append(tiers, Framed(Breakered(base)))
-	}
-	return tiers, nil
-}
-
-// DefaultTierNames is the chain implied by plain directory/peer
-// configuration when no explicit tier list is given: disk when a
-// directory is set, then peer when peers are set.
-func DefaultTierNames(dir string, peers []string) []string {
-	var names []string
-	if dir != "" {
-		names = append(names, TierDisk)
-	}
-	if len(peers) > 0 {
-		names = append(names, TierPeer)
-	}
-	return names
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // The two standard tier decorators. Every tier in a chain built by
-// NewTierChain is wrapped Framed(Breakered(tier)): the breaker sits
+// NewStore is wrapped Framed(Breakered(tier)): the breaker sits
 // against the device so raw I/O outcomes drive it, and the frame layer
 // sits on top so corruption is classified (quarantine) before it could
 // ever be mistaken for an I/O failure.
@@ -32,9 +32,6 @@ type FramedBackend struct {
 
 // Name reports the wrapped tier's name.
 func (f *FramedBackend) Name() string { return f.inner.Name() }
-
-// Remote forwards the wrapped tier's remote marker.
-func (f *FramedBackend) Remote() bool { return isRemote(f.inner) }
 
 // Get returns ref's verified payload with the frame stripped.
 func (f *FramedBackend) Get(ctx context.Context, ref Ref) ([]byte, error) {
@@ -87,20 +84,12 @@ func (f *FramedBackend) Put(ctx context.Context, ref Ref, payload []byte) (bool,
 	return written, err
 }
 
-// Delete forwards to the wrapped tier.
-func (f *FramedBackend) Delete(ctx context.Context, ref Ref) error {
-	return f.inner.Delete(ctx, ref)
-}
-
 // Quarantine counts a caller-detected corruption (a decode failure
 // above the frame layer) and forwards it down the stack.
 func (f *FramedBackend) Quarantine(ctx context.Context, ref Ref) {
 	f.quarantined.Add(1)
 	quarantineTier(ctx, f.inner, ref)
 }
-
-// Len reports the wrapped tier's artifact count.
-func (f *FramedBackend) Len() int { return f.inner.Len() }
 
 // Stats merges this decorator's traffic counters into the wrapped
 // tier's row.
@@ -139,9 +128,6 @@ type BreakeredBackend struct {
 
 // Name reports the wrapped tier's name.
 func (b *BreakeredBackend) Name() string { return b.inner.Name() }
-
-// Remote forwards the wrapped tier's remote marker.
-func (b *BreakeredBackend) Remote() bool { return isRemote(b.inner) }
 
 // allowed reports whether this operation should touch the tier.
 // Closed breaker: always. Open breaker: only every
@@ -239,19 +225,10 @@ func (b *BreakeredBackend) Put(ctx context.Context, ref Ref, data []byte) (bool,
 	}
 }
 
-// Delete forwards to the wrapped tier without gating: deletes are
-// rare, explicit, and their failure modes are the caller's to handle.
-func (b *BreakeredBackend) Delete(ctx context.Context, ref Ref) error {
-	return b.inner.Delete(ctx, ref)
-}
-
 // Quarantine forwards down the stack.
 func (b *BreakeredBackend) Quarantine(ctx context.Context, ref Ref) {
 	quarantineTier(ctx, b.inner, ref)
 }
-
-// Len reports the wrapped tier's artifact count.
-func (b *BreakeredBackend) Len() int { return b.inner.Len() }
 
 // Stats merges the breaker's state and error count into the wrapped
 // tier's row.

@@ -101,14 +101,6 @@ func (d *DiskBackend) Put(ctx context.Context, ref Ref, data []byte) (bool, erro
 	return true, nil
 }
 
-// Delete removes ref's file. A missing file is not an error.
-func (d *DiskBackend) Delete(ctx context.Context, ref Ref) error {
-	if err := os.Remove(filepath.Join(d.dir, ref.Name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	return nil
-}
-
 // Quarantine moves the corrupt artifact aside as <path>.corrupt — kept
 // for forensics, never silently deleted, and out of the load path so
 // the next resolve recomputes.

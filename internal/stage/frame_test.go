@@ -142,7 +142,7 @@ func TestDiskBreaker(t *testing.T) {
 	// Tier ops are driven through Put directly so each call is exactly
 	// one breaker-gated operation; Resolve interleaves a load and a
 	// save per miss, which would obscure the pacing arithmetic.
-	tier := s.Tiers()[0]
+	tier := s.tiers[0]
 	ref := Ref{Key: testKey(1), Name: codec.Filename()}
 
 	for i := 0; i < diskBreakerThreshold; i++ {

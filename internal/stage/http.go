@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 )
 
@@ -21,38 +22,51 @@ const maxArtifactBytes = 1 << 30
 
 // HTTPBackend is the remote byte tier: it fetches artifacts from peer
 // fgbsd daemons' /v1/artifacts/{key} endpoints before the chain falls
-// through to recomputing. The tier is read-only (Put and Delete are
-// no-ops) and carries no state of its own; in a standard chain the
-// Framed decorator verifies every response's integrity frame at this
-// node and the Breakered decorator degrades the tier when peers
-// misbehave, so a flapping peer costs probes, not correctness.
+// through to recomputing. The tier is read-only (Put is a no-op) and
+// carries no state of its own; in a standard chain the Framed
+// decorator verifies every response's integrity frame at this node and
+// the Breakered decorator degrades the tier when peers misbehave, so a
+// flapping peer costs probes, not correctness.
 type HTTPBackend struct {
-	peers  []string
-	client *http.Client
+	peers []string
 }
 
 // NewHTTPBackend builds a peer tier fetching from peers (base URLs,
-// probed in order). client nil means http.DefaultClient; callers
-// cancel or bound fetches through the Get context.
-func NewHTTPBackend(peers []string, client *http.Client) *HTTPBackend {
-	if client == nil {
-		client = http.DefaultClient
-	}
+// probed in order) through http.DefaultClient; callers cancel or bound
+// fetches through the Get context.
+func NewHTTPBackend(peers []string) *HTTPBackend {
 	trimmed := make([]string, 0, len(peers))
 	for _, p := range peers {
 		if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" {
 			trimmed = append(trimmed, p)
 		}
 	}
-	return &HTTPBackend{peers: trimmed, client: client}
+	return &HTTPBackend{peers: trimmed}
+}
+
+// ParsePeers parses a comma-separated -peers list (both binaries' flag)
+// into base URLs, trimming the whitespace around each. Every element
+// must be an absolute http(s) URL with a host — a bare host or an
+// empty element would silently never match anything. An empty list
+// means no peers.
+func ParsePeers(list string) ([]string, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var out []string
+	for _, p := range strings.Split(list, ",") {
+		p = strings.TrimSpace(p)
+		u, err := url.Parse(p)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return nil, fmt.Errorf("peer %q: want an absolute http(s) base URL", p)
+		}
+		out = append(out, p)
+	}
+	return out, nil
 }
 
 // Name identifies the tier.
 func (b *HTTPBackend) Name() string { return TierPeer }
-
-// Remote marks the tier as peer-served so FetchFramed never answers a
-// peer's fetch from another peer (no fetch loops between daemons).
-func (b *HTTPBackend) Remote() bool { return true }
 
 // artifactURL builds the peer-fetch URL for key on peer. The request
 // path embeds the key's canonical hex form verbatim — a pure function
@@ -94,7 +108,7 @@ func (b *HTTPBackend) fetch(ctx context.Context, peer string, key Key) ([]byte, 
 	if err != nil {
 		return nil, fmt.Errorf("stage: peer %s: %w", peer, err)
 	}
-	resp, err := b.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("stage: peer %s: %w", peer, err)
 	}
@@ -123,12 +137,6 @@ func (b *HTTPBackend) fetch(ctx context.Context, peer string, key Key) ([]byte, 
 func (b *HTTPBackend) Put(ctx context.Context, ref Ref, data []byte) (bool, error) {
 	return false, nil
 }
-
-// Delete is a no-op for the same reason.
-func (b *HTTPBackend) Delete(ctx context.Context, ref Ref) error { return nil }
-
-// Len is unknowable for a remote tier.
-func (b *HTTPBackend) Len() int { return 0 }
 
 // Stats reports the tier's base row; traffic counters come from the
 // decorators.

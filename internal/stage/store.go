@@ -112,14 +112,14 @@ const diskProbeInterval = 16
 // the whole chain.
 type Store struct {
 	cap   int
-	tiers []Backend
+	tiers []*FramedBackend
 
 	mu       sync.Mutex
 	ll       *list.List            // front = most recently used; guarded by mu
 	items    map[Key]*list.Element // guarded by mu
 	inflight map[Key]*flight       // guarded by mu
 	stages   map[string]*Counters  // guarded by mu
-	refs     map[Key]Ref           // byte-tier names per resolved key; guarded by mu
+	refs     map[Key]Ref           // keys a local tier holds, for FetchFramed; guarded by mu
 }
 
 // entry is one LRU slot.
@@ -138,24 +138,21 @@ type flight struct {
 }
 
 // NewStore builds a store holding at most capacity artifacts in
-// memory, persisting Codec-bearing stages under dir ("" disables the
-// byte tiers). The dir form is the single-node configuration: one
-// framed, breakered disk tier. Multi-tier chains come from
-// NewTieredStore.
-func NewStore(capacity int, dir string) *Store {
-	var tiers []Backend
-	if dir != "" {
-		tiers = []Backend{Framed(Breakered(NewDiskBackend(dir)))}
-	}
-	return NewTieredStore(capacity, tiers)
-}
-
-// NewTieredStore builds a store resolving byte misses through tiers,
-// in order (typically from NewTierChain). An empty chain disables the
-// byte plane; Codec-bearing stages then live memory-only.
-func NewTieredStore(capacity int, tiers []Backend) *Store {
+// memory. Codec-bearing stages also resolve through byte tiers derived
+// from the two ways a profile is shared: a disk tier under dir when dir
+// is set, then a peer tier fetching from peers (base URLs) when any
+// are given. Each tier is wrapped Framed(Breakered(tier)). With
+// neither, the byte plane is off and every stage lives memory-only.
+func NewStore(capacity int, dir string, peers ...string) *Store {
 	if capacity <= 0 {
 		capacity = 1
+	}
+	var tiers []*FramedBackend
+	if dir != "" {
+		tiers = append(tiers, Framed(Breakered(NewDiskBackend(dir))))
+	}
+	if len(peers) > 0 {
+		tiers = append(tiers, Framed(Breakered(NewHTTPBackend(peers))))
 	}
 	return &Store{
 		cap:      capacity,
@@ -166,13 +163,6 @@ func NewTieredStore(capacity int, tiers []Backend) *Store {
 		stages:   make(map[string]*Counters),
 		refs:     make(map[Key]Ref),
 	}
-}
-
-// Tiers returns the store's byte-tier chain, in resolve order.
-func (s *Store) Tiers() []Backend {
-	out := make([]Backend, len(s.tiers))
-	copy(out, s.tiers)
-	return out
 }
 
 // counterLocked returns stage's counter row, creating it on first use.
@@ -265,14 +255,12 @@ func (s *Store) Resolve(ctx context.Context, stage string, key Key, codec Codec,
 	return f.val, f.out, f.err
 }
 
-// refFor derives the byte-tier Ref for one codec-bearing resolve and
-// records it so FetchFramed can serve the artifact later.
-func (s *Store) refFor(key Key, codec Codec) Ref {
-	ref := Ref{Key: key, Name: codec.Filename()}
+// servable records that a local tier holds ref's bytes, so
+// FetchFramed (and the Keys index) can serve the artifact.
+func (s *Store) servable(ref Ref) {
 	s.mu.Lock()
-	s.refs[key] = ref
+	s.refs[ref.Key] = ref
 	s.mu.Unlock()
-	return ref
 }
 
 // fill satisfies a miss: the byte tiers first (when the stage has a
@@ -281,7 +269,7 @@ func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, co
 	tiered := codec != nil && len(s.tiers) > 0
 	var ref Ref
 	if tiered {
-		ref = s.refFor(key, codec)
+		ref = Ref{Key: key, Name: codec.Filename()}
 		for i, tier := range s.tiers {
 			payload, err := tier.Get(ctx, ref)
 			if err != nil {
@@ -296,10 +284,13 @@ func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, co
 				// The frame verified but the codec rejects the payload
 				// (a stale schema): quarantine in the serving tier and
 				// keep falling through.
-				quarantineTier(ctx, tier, ref)
+				tier.Quarantine(ctx, ref)
 				continue
 			}
-			s.promote(ctx, ref, payload, i)
+			if tier.Name() != TierPeer {
+				s.servable(ref)
+			}
+			s.put(ctx, s.tiers[:i], ref, payload)
 			return v, Outcome{Cached: true, Tier: tier.Name()}, nil
 		}
 	}
@@ -316,13 +307,17 @@ func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, co
 	return v, Outcome{}, nil
 }
 
-// promote copies a tier hit's bytes into every tier above it, so the
-// next resolve finds the artifact at the fastest tier that will hold
-// it. Promotion failures are the receiving tier's problem (its breaker
-// saw them); the resolve already has its artifact.
-func (s *Store) promote(ctx context.Context, ref Ref, payload []byte, hit int) {
-	for i := hit - 1; i >= 0; i-- {
-		s.tiers[i].Put(ctx, ref, payload)
+// put offers payload to tiers — the ones above a hit (promotion, so
+// the next resolve finds the artifact at the fastest tier that will
+// hold it) or the whole chain (write-through). Failures are the
+// receiving tier's problem (its breaker saw them); the resolve already
+// has its artifact. The peer tier is read-only, so a tier that reports
+// the write is local and the key becomes servable.
+func (s *Store) put(ctx context.Context, tiers []*FramedBackend, ref Ref, payload []byte) {
+	for _, tier := range tiers {
+		if written, err := tier.Put(ctx, ref, payload); written && err == nil {
+			s.servable(ref)
+		}
 	}
 }
 
@@ -342,18 +337,15 @@ func (s *Store) writeThrough(ctx context.Context, ref Ref, codec Codec, v any) {
 	if err := codec.Encode(buf, v); err != nil {
 		return
 	}
-	payload := buf.Bytes()
-	for _, tier := range s.tiers {
-		tier.Put(ctx, ref, payload)
-	}
+	s.put(ctx, s.tiers, ref, buf.Bytes())
 }
 
 // FetchFramed returns the framed bytes of a previously resolved
-// artifact — the peer-fetch endpoint's read path. Only keys this
-// store has resolved through a Codec are servable (the Ref carries the
-// tier filename); remote tiers are skipped so peers never bounce a
-// fetch back and forth. ErrNotFound means this node cannot serve the
-// key.
+// artifact — the peer-fetch endpoint's read path. Only keys a local
+// tier holds are servable (the Ref carries the tier filename); the
+// peer tier is skipped so two daemons pointed at each other never
+// bounce a fetch back and forth. ErrNotFound means this node cannot
+// serve the key.
 func (s *Store) FetchFramed(ctx context.Context, key Key) ([]byte, error) {
 	s.mu.Lock()
 	ref, ok := s.refs[key]
@@ -362,18 +354,11 @@ func (s *Store) FetchFramed(ctx context.Context, key Key) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	for _, tier := range s.tiers {
-		if isRemote(tier) {
+		if tier.Name() == TierPeer {
 			continue
 		}
-		if fg, ok := tier.(framedGetter); ok {
-			if data, err := fg.GetFramed(ctx, ref); err == nil {
-				return data, nil
-			}
-			continue
-		}
-		// A bare tier holds raw payload bytes; frame them for the wire.
-		if payload, err := tier.Get(ctx, ref); err == nil {
-			return Frame(payload), nil
+		if data, err := tier.GetFramed(ctx, ref); err == nil {
+			return data, nil
 		}
 	}
 	return nil, ErrNotFound
