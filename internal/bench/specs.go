@@ -25,6 +25,7 @@ import (
 	"fgbs/internal/sim"
 	"fgbs/internal/stage"
 	"fgbs/internal/stats"
+	"fgbs/internal/suites/nas"
 )
 
 // The default spec registry: one spec per hot path the pipeline's
@@ -124,6 +125,79 @@ func init() {
 					level += h.Access(addr, true)
 				}
 				sink.Add(uint64(level))
+				return nil
+			}
+			return &Instance{Op: op}, nil
+		},
+	})
+
+	Register(Spec{
+		Name: "cache/hierarchy-reuse",
+		Doc:  "within-line reuse: an 8 B-stride triad over 3 arrays, then an L1-resident reuse loop",
+		Setup: func(ctx context.Context) (*Instance, error) {
+			h, err := cache.NewHierarchy(arch.Reference())
+			if err != nil {
+				return nil, err
+			}
+			const (
+				arrayBytes = int64(1) << 17 // per triad array: past L2, within the LLC
+				reuseBytes = int64(1) << 10 // half the reference L1
+				reusePass  = 64
+			)
+			a, b, c := int64(0), arrayBytes, 2*arrayBytes
+			op := func() error {
+				level := 0
+				for off := int64(0); off < arrayBytes; off += 8 {
+					level += h.Access(b+off, false)
+					level += h.Access(c+off, false)
+					level += h.Access(a+off, true)
+				}
+				for pass := 0; pass < reusePass; pass++ {
+					for off := int64(0); off < reuseBytes; off += 8 {
+						level += h.Access(a+off, false)
+					}
+				}
+				sink.Add(uint64(level))
+				return nil
+			}
+			return &Instance{Op: op}, nil
+		},
+	})
+
+	Register(Spec{
+		Name: "sim/measure-nas",
+		Doc:  "sim.Measure in-app on NAS codelets: a unit-stride stencil, a stride-1 reduction and CG's indirect matvec",
+		Setup: func(ctx context.Context) (*Instance, error) {
+			type measured struct {
+				p    *ir.Program
+				c    *ir.Codelet
+				opts sim.Options
+			}
+			want := map[string]bool{"lu_rhs_x": true, "lu_l2norm": true, "cg_matvec": true}
+			var work []measured
+			for _, p := range []*ir.Program{nas.LU(), nas.CG()} {
+				ds, err := sim.BuildDataset(p, 1)
+				if err != nil {
+					return nil, err
+				}
+				opts := sim.Options{Machine: arch.Reference(), Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1, Dataset: ds}
+				for _, c := range p.Codelets {
+					if want[c.Name] {
+						work = append(work, measured{p, c, opts})
+					}
+				}
+			}
+			if len(work) != len(want) {
+				return nil, fmt.Errorf("found %d of the NAS codelets %v", len(work), want)
+			}
+			op := func() error {
+				for _, w := range work {
+					m, err := sim.Measure(w.p, w.c, w.opts)
+					if err != nil {
+						return err
+					}
+					sink.Add(uint64(m.Counters.LevelHits[0]))
+				}
 				return nil
 			}
 			return &Instance{Op: op}, nil

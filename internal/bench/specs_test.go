@@ -15,12 +15,14 @@ func TestRegistryShape(t *testing.T) {
 	}
 	want := []string{
 		"analysis/vet-tree",
+		"cache/hierarchy-reuse",
 		"cache/hierarchy-stream",
 		"cluster/ward-distance",
 		"features/normalize",
 		"pipeline/ksweep-cold",
 		"pipeline/ksweep-warm",
 		"sim/bottleneck",
+		"sim/measure-nas",
 		"stage/codec-roundtrip",
 		"stage/key-hash",
 		"stats/median-mad",
