@@ -88,14 +88,37 @@ go test -run '^$' -fuzz '^FuzzLevelMatchesReference$' -fuzztime 10s ./internal/c
 
 # The simulator's differential fuzz: sim.Measure, which replays an
 # invocation whose start state (cache words with dirty bits, parameter
-# values) repeats the last walked one, against the walk-every-invocation
-# loop kept in the test code, on every machine, both modes and fuzzed
-# invocation counts and seeds over every corpus family, a composed app,
-# a NAS codelet with dataset variation and an in-place sweep; any
-# difference in a returned Measurement is a red build. The seed corpus
-# runs in the plain go test above; this step searches past it.
+# values) repeats the last walked one and jumps an innermost loop over
+# a line run after an iteration that hits L1 on every ref, against the
+# oracle kept in the test code, which walks every iteration of every
+# invocation (measureWalkingEvery with runEveryIteration). Inputs are
+# every machine, both modes and fuzzed invocation counts and seeds over
+# every corpus family, a composed app, a NAS codelet with dataset
+# variation, an in-place sweep and the line-run kernels (refs sharing
+# an L1 set up to ways+1 lines, negative, zero and line-sized strides,
+# 1- and 2-trip loops, stores, a gather); any difference in a returned
+# Measurement is a red build. The seed corpus runs in the plain go test
+# above; this step searches past it.
 echo "== sim fuzz =="
 go test -run '^$' -fuzz '^FuzzMeasureMatchesWalk$' -fuzztime 10s ./internal/sim
+
+# Profile bytes must not depend on GOARCH. arm64, unlike amd64, may fuse
+# x*y+z into one multiply-add that skips the product's rounding, so
+# internal/sim rounds every such product explicitly (float64(x*y) + z).
+# This step cross-builds fgbsd for arm64 (outside the tree) and fails
+# if any internal/sim function disassembles to a fused multiply-add.
+echo "== sim arm64 fma =="
+tmp=$(mktemp -d)
+GOARCH=arm64 go build -o "$tmp"/fgbsd ./cmd/fgbsd
+fused=$(go tool objdump "$tmp"/fgbsd |
+	awk '/^TEXT /{fn=$2} /FMADDD|FMSUBD|FNMADDD|FNMSUBD/ && fn ~ /^fgbs\/internal\/sim\./ {print fn}' |
+	sort | uniq -c)
+rm -rf "$tmp"
+if [ -n "$fused" ]; then
+	echo "fused multiply-adds in internal/sim on arm64 (round with float64(x*y) + z):" >&2
+	echo "$fused" >&2
+	exit 1
+fi
 
 # cmd/fgbsbench is a nested module (the end-to-end benchmark harness),
 # so ./... above never reaches it. Its tests pin what the harness

@@ -52,6 +52,23 @@
 // unless its trip counts vary, and a standalone or warm in-app
 // invocation repeats once the cache settles. Only per-invocation
 // noise and the cost model run again.
+//
+// Nor is every iteration of an innermost loop walked. After a walked
+// iteration in which every ref is affine and hits L1, each ref stays on
+// the L1 line it just touched for a number of further iterations that
+// its address and stride give; for j, the least of these, the next j
+// iterations touch the same lines in the same order. They are skipped:
+// L1 gains j hits per ref and each ref's address advances j strides.
+// That is exact too. A hit never evicts, so every line the walked
+// iteration touched is still in L1; replaying its line sequence moves
+// the same lines to the front of their sets in the same order, which
+// leaves the MRU order as it was, and a store finds its dirty bit
+// already set. An L1 hit exposes no latency, so no float tally moves. A
+// loop with an indirect ref walks every iteration.
+//
+// Every float product that feeds a sum is rounded explicitly
+// (float64(x*y) + z), so no architecture fuses it into a multiply-add:
+// the tallies do not depend on GOARCH.
 package sim
 
 import (

@@ -155,7 +155,7 @@ func Measure(p *ir.Program, c *ir.Codelet, opts Options) (*Measurement, error) {
 				h.Flush()
 			}
 			if varyCell != nil && c.DatasetVariation > 0 {
-				scale := 1 - c.DatasetVariation*float64(k%3)
+				scale := 1 - float64(c.DatasetVariation*float64(k%3))
 				if scale < 0.05 {
 					scale = 0.05
 				}
@@ -308,7 +308,7 @@ func assemble(e *execState, pr *prepared, opts Options, invocation int) Counters
 	cycles := core + ctr.ExposedLatCycles + ctr.ProbeCycles
 
 	// Deterministic measurement pseudo-noise.
-	noise := 1 + opts.NoiseAmp*hashUnit(pr.codelet.Name, m.Name, invocation, opts.Seed)
+	noise := 1 + float64(opts.NoiseAmp*hashUnit(pr.codelet.Name, m.Name, invocation, opts.Seed))
 	cycles *= noise
 
 	ctr.Cycles = cycles

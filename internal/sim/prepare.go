@@ -98,6 +98,9 @@ type innerNode struct {
 	lo, hi  func() int64
 	refs    []refPlan
 	addrBuf []int64
+	// affine is set when every ref is affine, the precondition for
+	// line-run batching (see the package comment).
+	affine bool
 
 	perIterCycles float64
 	perIterInstr  float64
@@ -108,6 +111,9 @@ type innerNode struct {
 	lat           []float64
 }
 
+// run walks the loop, skipping line runs (see the package comment).
+// Products are rounded before they are summed so that no architecture
+// fuses them.
 func (n *innerNode) run(e *execState) {
 	lo, hi := n.lo(), n.hi()
 	trips := hi - lo
@@ -115,12 +121,12 @@ func (n *innerNode) run(e *execState) {
 		return
 	}
 	ft := float64(trips)
-	e.computeCycles += ft * n.perIterCycles
-	e.instr += ft * n.perIterInstr
+	e.computeCycles += float64(ft * n.perIterCycles)
+	e.instr += float64(ft * n.perIterInstr)
 	e.ops = e.ops.Plus(scaleOps(n.perIterOps, trips))
-	e.vecFPOps += ft * n.perIterVecFP
-	e.memLoads += ft * n.perIterLoads
-	e.memStores += ft * n.perIterStores
+	e.vecFPOps += float64(ft * n.perIterVecFP)
+	e.memLoads += float64(ft * n.perIterLoads)
+	e.memStores += float64(ft * n.perIterStores)
 
 	*n.cell = lo
 	for k := range n.refs {
@@ -128,8 +134,10 @@ func (n *innerNode) run(e *execState) {
 			n.addrBuf[k] = n.refs[k].startFn()
 		}
 	}
+	mask := e.h.LineBytes() - 1
 	for i := lo; i < hi; i++ {
 		*n.cell = i
+		allHit := n.affine
 		for k := range n.refs {
 			rp := &n.refs[k]
 			var a int64
@@ -141,10 +149,40 @@ func (n *innerNode) run(e *execState) {
 			}
 			lvl := e.h.Access(a, rp.write)
 			if lvl > 0 {
-				e.exposedLat += n.lat[lvl] * rp.exposure
+				allHit = false
+				e.exposedLat += float64(n.lat[lvl] * rp.exposure)
 			}
 		}
+		if allHit {
+			// The next j iterations touch the lines this one did: each
+			// access is an L1 hit that changes nothing but L1.Hits.
+			j := n.lineRun(hi-1-i, mask)
+			e.h.Levels[0].Hits += j * int64(len(n.refs))
+			for k := range n.refs {
+				n.addrBuf[k] += j * n.refs[k].strideBytes
+			}
+			i += j
+		}
 	}
+	*n.cell = hi - 1
+}
+
+// lineRun returns how many further iterations, at most limit, every ref
+// stays on the L1 line (mask+1 bytes) it touched in the iteration just
+// walked; addrBuf already holds each ref's next address.
+func (n *innerNode) lineRun(limit, mask int64) int64 {
+	j := limit
+	for k := range n.refs {
+		s := n.refs[k].strideBytes
+		prev := n.addrBuf[k] - s
+		switch {
+		case s > 0:
+			j = min(j, ((prev|mask)-prev)/s)
+		case s < 0:
+			j = min(j, (prev-prev&^mask)/-s)
+		}
+	}
+	return j
 }
 
 func scaleOps(o ir.OpCount, k int64) ir.OpCount {
@@ -267,6 +305,10 @@ func (pr *prepared) buildLoop(l *ir.Loop, lowered map[*ir.Loop]*compile.Loop) (n
 			}
 		}
 		in.addrBuf = make([]int64, len(in.refs))
+		in.affine = true
+		for _, rp := range in.refs {
+			in.affine = in.affine && rp.affine
+		}
 		return in, nil
 	}
 

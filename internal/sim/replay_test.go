@@ -14,9 +14,10 @@ import (
 )
 
 // measureWalkingEvery is Measure as it was before invocations whose
-// start state repeats were replayed: every invocation walks the loop
-// nest through the hierarchy. It is kept as the oracle Measure is
-// checked against.
+// start state repeats were replayed and before line runs were batched:
+// every invocation walks the loop nest, and every iteration of every
+// innermost loop goes through the hierarchy (walkEveryIteration). It is
+// kept as the oracle Measure is checked against.
 func measureWalkingEvery(p *ir.Program, c *ir.Codelet, opts Options) (*Measurement, error) {
 	pr, h, meas, err := setup(p, c, &opts)
 	if err != nil {
@@ -33,7 +34,7 @@ func measureWalkingEvery(p *ir.Program, c *ir.Codelet, opts Options) (*Measureme
 				h.Flush()
 			}
 			if varyCell != nil && c.DatasetVariation > 0 {
-				scale := 1 - c.DatasetVariation*float64(k%3)
+				scale := 1 - float64(c.DatasetVariation*float64(k%3))
 				if scale < 0.05 {
 					scale = 0.05
 				}
@@ -43,7 +44,7 @@ func measureWalkingEvery(p *ir.Program, c *ir.Codelet, opts Options) (*Measureme
 		h.ResetCounters()
 		e := &execState{h: h}
 		for _, n := range pr.root {
-			n.run(e)
+			walkEveryIteration(n, e)
 		}
 		ctr := assemble(e, pr, opts, k)
 		meas.Invocations = append(meas.Invocations, Invocation{
@@ -52,6 +53,67 @@ func measureWalkingEvery(p *ir.Program, c *ir.Codelet, opts Options) (*Measureme
 	}
 	meas.pickMedian()
 	return meas, nil
+}
+
+// walkEveryIteration runs n like n.run, except that every innermost
+// loop runs through runEveryIteration.
+func walkEveryIteration(n node, e *execState) {
+	switch n := n.(type) {
+	case *outerNode:
+		lo, hi := n.lo(), n.hi()
+		for i := lo; i < hi; i++ {
+			*n.cell = i
+			for _, b := range n.body {
+				walkEveryIteration(b, e)
+			}
+		}
+	case *innerNode:
+		runEveryIteration(n, e)
+	default:
+		panic(fmt.Sprintf("unknown node %T", n))
+	}
+}
+
+// runEveryIteration is innerNode.run as it was before line runs were
+// batched: every iteration sends every ref through the hierarchy. It is
+// kept as the oracle for that batching.
+func runEveryIteration(n *innerNode, e *execState) {
+	lo, hi := n.lo(), n.hi()
+	trips := hi - lo
+	if trips <= 0 {
+		return
+	}
+	ft := float64(trips)
+	e.computeCycles += float64(ft * n.perIterCycles)
+	e.instr += float64(ft * n.perIterInstr)
+	e.ops = e.ops.Plus(scaleOps(n.perIterOps, trips))
+	e.vecFPOps += float64(ft * n.perIterVecFP)
+	e.memLoads += float64(ft * n.perIterLoads)
+	e.memStores += float64(ft * n.perIterStores)
+
+	*n.cell = lo
+	for k := range n.refs {
+		if n.refs[k].affine {
+			n.addrBuf[k] = n.refs[k].startFn()
+		}
+	}
+	for i := lo; i < hi; i++ {
+		*n.cell = i
+		for k := range n.refs {
+			rp := &n.refs[k]
+			var a int64
+			if rp.affine {
+				a = n.addrBuf[k]
+				n.addrBuf[k] += rp.strideBytes
+			} else {
+				a = rp.addrFn()
+			}
+			lvl := e.h.Access(a, rp.write)
+			if lvl > 0 {
+				e.exposedLat += float64(n.lat[lvl] * rp.exposure)
+			}
+		}
+	}
 }
 
 // replayCase is one codelet of the differential corpus.
@@ -85,10 +147,83 @@ func inPlaceScale() (*ir.Program, *ir.Codelet) {
 	return p, c
 }
 
+// setStrideElems is how many doubles apart two addresses map to the
+// same L1 set on every modeled machine (4 sets of 64-byte lines).
+const setStrideElems = 4 * 64 / 8
+
+// lineRunKernel builds a one-loop codelet for i in [0, trips) over an
+// array a of n doubles that loads a at every index in loads, each an
+// affine function of i. With store set, the loads' sum is stored to
+// b[i]; otherwise it is summed into a register scalar.
+func lineRunKernel(name string, n, trips int64, store bool, loads ...ir.Expr) (*ir.Program, *ir.Codelet) {
+	p := ir.NewProgram("linerun_" + name)
+	p.SetParam("n", n)
+	p.SetParam("trips", trips)
+	p.AddArray("a", ir.F64, ir.AV("n"))
+	p.AddArray("b", ir.F64, ir.AV("n"))
+	p.AddScalar("s", ir.F64)
+	rhs := p.LoadE("a", loads[0])
+	for _, ix := range loads[1:] {
+		rhs = ir.Add(rhs, p.LoadE("a", ix))
+	}
+	lhs := p.Ref("s")
+	if store {
+		lhs = p.Ref("b", ir.V("i"))
+	} else {
+		rhs = ir.Add(p.LoadE("s"), rhs)
+	}
+	c := &ir.Codelet{
+		Name: name, Invocations: 10,
+		Loop: &ir.Loop{Var: "i", Lower: ir.AC(0), Upper: ir.AV("trips"), Body: []ir.Stmt{
+			&ir.Assign{LHS: lhs, RHS: rhs},
+		}},
+	}
+	p.MustAddCodelet(c)
+	return p, c
+}
+
+// lineRunCorpus returns the kernels that pin innerNode's line-run
+// batching against runEveryIteration: two refs in one L1 set; 7, 8 and
+// 9 distinct lines in one set (ways-1, ways and ways+1 on the 8-way
+// L1s, all past the Atom's 6 ways); a negative stride; a loop-invariant
+// ref; 64- and 128-byte strides; refs at different offsets within a
+// line; trip counts 1 and 2; a store stream; and a gather.
+func lineRunCorpus() []replayCase {
+	i := ir.V("i")
+	plus := func(k int64) ir.Expr { return ir.Add(i, ir.CI(k)) }
+	times := func(k int64) ir.Expr { return ir.Mul(ir.CI(k), i) }
+	perSet := func(lines int64) []ir.Expr {
+		var ix []ir.Expr
+		for k := int64(0); k < lines; k++ {
+			ix = append(ix, plus(k*setStrideElems))
+		}
+		return ix
+	}
+	var cases []replayCase
+	add := func(p *ir.Program, c *ir.Codelet) { cases = append(cases, replayCase{p, c}) }
+	add(lineRunKernel("two_in_set", 1024, 512, false, i, plus(setStrideElems)))
+	for _, lines := range []int64{7, 8, 9} {
+		add(lineRunKernel(fmt.Sprintf("set_lines_%d", lines), 256+lines*setStrideElems, 256, false, perSet(lines)...))
+	}
+	add(lineRunKernel("neg_stride", 512, 500, false, ir.Sub(ir.CI(511), i)))
+	add(lineRunKernel("invariant", 512, 300, false, ir.CI(3), i))
+	add(lineRunKernel("stride_64", 8*300, 300, false, times(8), i))
+	add(lineRunKernel("stride_128", 16*300, 300, false, times(16)))
+	add(lineRunKernel("offsets", 512, 500, false, i, plus(1)))
+	add(lineRunKernel("trips_1", 64, 1, false, i))
+	add(lineRunKernel("trips_2", 64, 2, false, i, plus(7)))
+	add(lineRunKernel("store", 600, 599, true, plus(1)))
+	// A gather over four times the largest modeled L1: many all-hit
+	// iterations are followed by a gather that misses.
+	add(gatherKernel(2048, 4*32*1024/arch.CacheScale/8))
+	return cases
+}
+
 // replayCorpus returns the differential corpus: the first codelet of
 // every corpus family, every codelet of a composed app (which holds
 // both WarmInApp values), a NAS MG codelet with DatasetVariation both
-// as NAS declares it (warm) and flushed, and inPlaceScale.
+// as NAS declares it (warm) and flushed, inPlaceScale and
+// lineRunCorpus.
 func replayCorpus(tb testing.TB) []replayCase {
 	tb.Helper()
 	replayOnce.Do(func() {
@@ -118,6 +253,7 @@ func replayCorpus(tb testing.TB) []replayCase {
 		}
 		p, c := inPlaceScale()
 		replayCases = append(replayCases, replayCase{p, c})
+		replayCases = append(replayCases, lineRunCorpus()...)
 	})
 	if replayErr != nil {
 		tb.Fatal(replayErr)
@@ -130,11 +266,13 @@ func replayMachines() []*arch.Machine {
 }
 
 // FuzzMeasureMatchesWalk checks that Measure, which replays an
-// invocation whose start state repeats, returns exactly what walking
-// every invocation returns. Its seed corpus, which a plain go test
-// runs, is every machine in both modes at 1, 3 and 10 invocations,
-// rotating through the differential corpus, plus every codelet of that
-// corpus in both modes at the default invocation count.
+// invocation whose start state repeats and batches line runs, returns
+// exactly what walking every iteration of every invocation returns. Its
+// seed corpus, which a plain go test runs, is every machine in both
+// modes at 1, 3 and 10 invocations, rotating through the differential
+// corpus, plus every codelet of that corpus in both modes at the
+// default invocation count: on one machine, or on every machine for
+// the lineRunCorpus kernels, whose outcome hinges on L1 ways.
 func FuzzMeasureMatchesWalk(f *testing.F) {
 	ms := replayMachines()
 	i := 0
@@ -147,9 +285,16 @@ func FuzzMeasureMatchesWalk(f *testing.F) {
 		}
 	}
 	var warm, flushed, varying int
-	for codelet, rc := range replayCorpus(f) {
-		for _, mode := range []Mode{ModeInApp, ModeStandalone} {
-			f.Add(uint8(codelet), uint8(codelet%len(ms)), uint8(mode), uint8(0), uint64(2))
+	cases := replayCorpus(f)
+	lineRuns := len(cases) - len(lineRunCorpus())
+	for codelet, rc := range cases {
+		for machine := range ms {
+			if codelet < lineRuns && machine != codelet%len(ms) {
+				continue
+			}
+			for _, mode := range []Mode{ModeInApp, ModeStandalone} {
+				f.Add(uint8(codelet), uint8(machine), uint8(mode), uint8(0), uint64(2))
+			}
 		}
 		if rc.c.WarmInApp {
 			warm++
