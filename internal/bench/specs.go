@@ -596,6 +596,60 @@ func init() {
 			return &Instance{Op: op, Verify: verify, Cleanup: peer.Close}, nil
 		},
 	})
+
+	Register(Spec{
+		Name: "stage/restart-read",
+		Doc:  "a new engine over a warm disk directory resolving Profile on the 40-codelet fgbsbench corpus: detect key, disk read, decode",
+		Setup: func(ctx context.Context) (*Instance, error) {
+			progs, err := restartCorpus()
+			if err != nil {
+				return nil, err
+			}
+			dir, err := os.MkdirTemp("", "fgbs-bench-restart-*")
+			if err != nil {
+				return nil, err
+			}
+			opts := pipeline.StageOptions{Options: pipeline.Options{Seed: restartSeed}, DiskName: "bench.json"}
+			// Warm the directory off the clock: one cold build, persisted.
+			if _, _, err := pipeline.NewEngine(stage.NewStore(8, dir)).Profile(ctx, progs, opts); err != nil {
+				os.RemoveAll(dir)
+				return nil, err
+			}
+			op := func() error {
+				// Every repetition is a restart: a fresh store and engine
+				// over the same directory, so the detect key, the disk
+				// read, the frame check and the decode all run.
+				st, out, err := pipeline.NewEngine(stage.NewStore(8, dir)).Profile(ctx, progs, opts)
+				if err != nil {
+					return err
+				}
+				if out.Tier != stage.TierDisk {
+					return fmt.Errorf("restart served from tier %q, want %q", out.Tier, stage.TierDisk)
+				}
+				sink.Add(uint64(st.Profile().N()))
+				return nil
+			}
+			return &Instance{Op: op, Cleanup: func() { os.RemoveAll(dir) }}, nil
+		},
+	})
+}
+
+// restartSeed is the seed fgbsbench profiles and generates its corpus
+// on.
+const restartSeed = 20140215
+
+// restartCorpus is fgbsbench's corpus: 24 mixed-family codelets plus
+// two composed applications of 8, 40 codelets in all.
+func restartCorpus() ([]*ir.Program, error) {
+	progs, err := corpus.Mixed(restartSeed, 24, 0)
+	if err != nil {
+		return nil, err
+	}
+	apps, err := corpus.ComposeApps(restartSeed, 2, 8, 0)
+	if err != nil {
+		return nil, err
+	}
+	return append(progs, apps...), nil
 }
 
 // profileArtifact is the disk codec the codec-roundtrip spec resolves

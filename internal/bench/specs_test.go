@@ -25,6 +25,7 @@ func TestRegistryShape(t *testing.T) {
 		"sim/measure-nas",
 		"stage/codec-roundtrip",
 		"stage/key-hash",
+		"stage/restart-read",
 		"stats/median-mad",
 	}
 	got := map[string]bool{}
