@@ -102,6 +102,16 @@ go test -run '^$' -fuzz '^FuzzLevelMatchesReference$' -fuzztime 10s ./internal/c
 echo "== sim fuzz =="
 go test -run '^$' -fuzz '^FuzzMeasureMatchesWalk$' -fuzztime 10s ./internal/sim
 
+# The binary profile decoder reads bytes from disk and from peers, so it
+# must reject anything that is not an exact encoding: arbitrary input
+# yields an error or a consistent profile, never a panic or an
+# allocation sized by a forged count, and an accepted input re-encodes
+# to identical bytes. The seed corpus (a clean and a degraded profile,
+# truncations, the retired JSON layout) runs in the plain go test
+# above; this step searches past it.
+echo "== profile fuzz =="
+go test -run '^$' -fuzz '^FuzzReadProfile$' -fuzztime 10s ./internal/pipeline
+
 # Profile bytes must not depend on GOARCH. arm64, unlike amd64, may fuse
 # x*y+z into one multiply-add that skips the product's rounding, so
 # internal/sim rounds every such product explicitly (float64(x*y) + z).

@@ -77,7 +77,7 @@
 //	-stagedir path  also persist stage artifacts (the profile) under
 //	                this directory and load them back on later runs —
 //	                the directory-shaped analogue of -cache, sharing
-//	                its framed <suite>-<key>.json layout with fgbsd's
+//	                its framed <suite>-<key>.prof layout with fgbsd's
 //	                -profiledir
 //	-peers list     comma-separated base URLs of fgbsd daemons; adds a
 //	                peer tier to the stage store, after the -stagedir
@@ -184,7 +184,7 @@ func (c config) stageOpts(suite string) pipeline.StageOptions {
 	return pipeline.StageOptions{
 		Options:     pipeline.Options{Seed: c.seed, Measurer: c.measurer},
 		MeasurerKey: c.measurerKey,
-		DiskName:    suite + ".json",
+		DiskName:    suite + ".prof",
 	}
 }
 
@@ -412,7 +412,7 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		defer f.Close()
-		if err := prof.SaveJSON(f); err != nil {
+		if err := prof.Save(f); err != nil {
 			return err
 		}
 		fmt.Printf("profiled %d codelets of %s; cached to %s\n", prof.N(), cfg.suite, cfg.cache)

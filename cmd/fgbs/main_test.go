@@ -65,7 +65,7 @@ func TestRunCanceled(t *testing.T) {
 
 func TestProfileCacheRejectsCorrupt(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "cache.json")
+	path := filepath.Join(dir, "cache.prof")
 	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}

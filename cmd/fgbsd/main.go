@@ -17,7 +17,7 @@
 //	-preload list    comma-separated suites to profile at startup
 //	                 instead of on first request
 //	-profiledir dir  the stage store's disk tier: persist built profiles
-//	                 as framed <dir>/<suite>-<key>.json artifacts and
+//	                 as framed <dir>/<suite>-<key>.prof artifacts and
 //	                 reload them on restart
 //	-cachesize N     LRU result-cache capacity in entries (default 256)
 //	-stagecache N    in-memory stage artifact store capacity in entries

@@ -13,8 +13,8 @@ import (
 // sources — map iteration order, wall clocks (time.*), math/rand, and
 // pointer formatting (%p) — and reports any tainted value flowing into
 // a stage.KeyBuilder write method (Str, Strs, Int, Uint64, Float,
-// Bool, Upstream) or NewKey itself. A key built from such a value
-// hashes differently run to run, which silently defeats the
+// Bool, Upstream, Append) or NewKey itself. A key built from such a
+// value hashes differently run to run, which silently defeats the
 // content-addressed store and, once keys route a multi-node cluster,
 // scatters one artifact across shards.
 //
@@ -44,7 +44,7 @@ var keypurityCheck = &Check{
 // arguments are checked too (stage name and version are key material).
 var keyBuilderMethods = map[string]bool{
 	"Str": true, "Strs": true, "Int": true, "Uint64": true,
-	"Float": true, "Bool": true, "Upstream": true,
+	"Float": true, "Bool": true, "Upstream": true, "Append": true,
 }
 
 func runKeyPurity(p *Pass) {

@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -302,9 +300,9 @@ func init() {
 				return nil, err
 			}
 			store := stage.NewStore(8, dir)
-			codec := profileArtifact{name: "bench-profile.json", progs: progs}
+			codec := pipeline.ProfileCodec("bench-profile.prof", prof.Progs, prof.Codelets)
 			key := stage.NewKey("bench-codec", 1).Str("profile").Key()
-			path := filepath.Join(dir, codec.name)
+			path := filepath.Join(dir, codec.Filename())
 			op := func() error {
 				// Encode: a computed artifact persists through the codec.
 				store.Delete(key)
@@ -546,13 +544,13 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			codec := profileArtifact{name: "bench-peer.json", progs: progs}
+			codec := pipeline.ProfileCodec("bench-peer.prof", prof.Progs, prof.Codelets)
 			key := stage.NewKey("bench-peer", 1).Str("profile").Key()
-			var buf bytes.Buffer
-			if err := codec.Encode(&buf, prof); err != nil {
+			payload, err := codec.Encode(nil, prof)
+			if err != nil {
 				return nil, err
 			}
-			framed := stage.Frame(buf.Bytes())
+			framed := stage.Frame(payload)
 			// The warm peer: serves exactly the artifact, framed for the
 			// wire the way /v1/artifacts/{key} is.
 			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -609,7 +607,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			opts := pipeline.StageOptions{Options: pipeline.Options{Seed: restartSeed}, DiskName: "bench.json"}
+			opts := pipeline.StageOptions{Options: pipeline.Options{Seed: restartSeed}, DiskName: "bench.prof"}
 			// Warm the directory off the clock: one cold build, persisted.
 			if _, _, err := pipeline.NewEngine(stage.NewStore(8, dir)).Profile(ctx, progs, opts); err != nil {
 				os.RemoveAll(dir)
@@ -651,23 +649,3 @@ func restartCorpus() ([]*ir.Program, error) {
 	}
 	return append(progs, apps...), nil
 }
-
-// profileArtifact is the disk codec the codec-roundtrip spec resolves
-// through: the same SaveJSON/ReadProfile layout the pipeline's profile
-// stage persists.
-type profileArtifact struct {
-	name  string
-	progs []*ir.Program
-}
-
-func (c profileArtifact) Filename() string { return c.name }
-
-func (c profileArtifact) Encode(w io.Writer, v any) error {
-	return v.(*pipeline.Profile).SaveJSON(w)
-}
-
-func (c profileArtifact) Decode(r io.Reader) (any, error) {
-	return pipeline.ReadProfile(r, c.progs)
-}
-
-func (c profileArtifact) Persist(v any) bool { return true }

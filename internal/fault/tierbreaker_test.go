@@ -9,12 +9,10 @@ package fault_test
 // imports fault and the test drives stage's public API.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -29,11 +27,14 @@ import (
 // byte tiers.
 type tierCodec struct{ name string }
 
-func (c tierCodec) Filename() string                { return c.name }
-func (c tierCodec) Encode(w io.Writer, v any) error { return json.NewEncoder(w).Encode(v) }
-func (c tierCodec) Decode(r io.Reader) (any, error) {
+func (c tierCodec) Filename() string { return c.name }
+func (c tierCodec) Encode(dst []byte, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	return append(dst, b...), err
+}
+func (c tierCodec) Decode(data []byte) (any, error) {
 	var s string
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
+	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -44,11 +45,11 @@ func TestPeerTierBreaker(t *testing.T) {
 	ctx := context.Background()
 	codec := tierCodec{name: "tierbreaker.json"}
 	key := stage.NewKey("tierbreaker", 1).Str("shared").Key()
-	var buf bytes.Buffer
-	if err := codec.Encode(&buf, "peer-artifact"); err != nil {
+	payload, err := codec.Encode(nil, "peer-artifact")
+	if err != nil {
 		t.Fatal(err)
 	}
-	framed := stage.Frame(buf.Bytes())
+	framed := stage.Frame(payload)
 
 	// The peer: serves the shared key framed while healthy, returns
 	// 503 for everything while failing.

@@ -232,7 +232,7 @@ func TestChaosPermanentFailureDegradesLoudly(t *testing.T) {
 
 	// Failure markers survive the save/load round trip.
 	var buf bytes.Buffer
-	if err := prof.SaveJSON(&buf); err != nil {
+	if err := prof.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadProfile(&buf, chaosSuite())

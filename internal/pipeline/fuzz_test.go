@@ -2,25 +2,25 @@ package pipeline
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
 // FuzzReadProfile: arbitrary input must produce an error or a valid
-// profile — never a panic or an inconsistent result.
+// profile — never a panic or an inconsistent result — and an accepted
+// input must re-encode to exactly its own bytes, so the strict decoder
+// admits one encoding per profile.
 func FuzzReadProfile(f *testing.F) {
-	f.Add([]byte("{}"))
-	f.Add([]byte(`{"version":1}`))
-	f.Add([]byte(`{"version":1,"codelets":["alpha_copy"],"apps":["alpha"]}`))
-	f.Add([]byte(strings.Repeat("[", 100)))
-	// A real serialized profile as a seed.
-	prof, err := NewProfile(tinySuite(), Options{Seed: 1})
-	if err == nil {
-		var buf bytes.Buffer
-		if err := prof.SaveJSON(&buf); err == nil {
-			f.Add(buf.Bytes())
-		}
+	clean, err := NewProfile(tinySuite(), Options{Seed: 1})
+	if err != nil {
+		f.Fatal(err)
 	}
+	enc := encodeProfile(f, clean)
+	f.Add(enc)
+	f.Add(encodeProfile(f, degradedProfile(f)))
+	f.Add(enc[:len(enc)/2])
+	f.Add(enc[:profileHeaderLen])
+	f.Add(enc[:len(enc)-1])
+	f.Add([]byte(`{"version":1}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadProfile(bytes.NewReader(data), tinySuite())
 		if err != nil {
@@ -34,6 +34,13 @@ func FuzzReadProfile(f *testing.F) {
 			if len(tgt) != p.N() {
 				t.Fatal("accepted inconsistent target measurements")
 			}
+		}
+		re, err := p.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("accepted profile does not re-encode: %v", err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatal("accepted profile re-encodes to different bytes")
 		}
 	})
 }

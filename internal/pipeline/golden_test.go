@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"runtime"
+	"sync"
 	"testing"
 
 	"fgbs/internal/corpus"
@@ -30,17 +31,38 @@ const goldenProfileSHA256 = "85dadf98fe6e9ba9bfffd762a7a66669e580924e2a67459818c
 // flush the hierarchy between invocations while the application's warm
 // codelets keep it; every standalone run preloads its memory dump; and
 // the stores produce dirty write-backs on every machine.
-func goldenCorpus(t *testing.T) []*ir.Program {
-	t.Helper()
+func goldenCorpus() ([]*ir.Program, error) {
 	progs, err := corpus.Mixed(goldenSeed, len(corpus.FamilyNames()), 1)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	apps, err := corpus.ComposeApps(goldenSeed, 1, 3, 1)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	return append(progs, apps...)
+	return append(progs, apps...), nil
+}
+
+var (
+	goldenOnce sync.Once
+	goldenProf *Profile
+	goldenErr  error
+)
+
+// goldenProfile is the golden corpus's profile on the reference seed,
+// built once per test binary.
+func goldenProfile(tb testing.TB) *Profile {
+	tb.Helper()
+	goldenOnce.Do(func() {
+		var progs []*ir.Program
+		if progs, goldenErr = goldenCorpus(); goldenErr == nil {
+			goldenProf, goldenErr = NewProfileContext(context.Background(), progs, Options{Seed: goldenSeed})
+		}
+	})
+	if goldenErr != nil {
+		tb.Fatal(goldenErr)
+	}
+	return goldenProf
 }
 
 // TestProfileGolden pins the full profile of a small fixed corpus on
@@ -49,10 +71,7 @@ func TestProfileGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("hash recorded on amd64; FMA fusion on %s changes float bytes", runtime.GOARCH)
 	}
-	prof, err := NewProfileContext(context.Background(), goldenCorpus(t), Options{Seed: goldenSeed})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prof := goldenProfile(t)
 	var buf bytes.Buffer
 	if err := prof.SaveJSON(&buf); err != nil {
 		t.Fatal(err)

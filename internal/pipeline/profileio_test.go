@@ -2,17 +2,72 @@ package pipeline
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+
+	"fgbs/internal/fault"
+	"fgbs/internal/ir"
+	"fgbs/internal/measure"
 )
+
+// encodeProfile is p's binary encoding, failing the test on error.
+func encodeProfile(tb testing.TB, p *Profile) []byte {
+	tb.Helper()
+	b, err := p.AppendBinary(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
+// renderJSON is p's canonical SaveJSON rendering.
+func renderJSON(tb testing.TB, p *Profile) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := p.SaveJSON(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+var (
+	degradedOnce sync.Once
+	degradedProf *Profile
+	degradedErr  error
+)
+
+// degradedProfile is a chaosSuite profile carrying both failure
+// markers: beta_gather loses its reference measurements everywhere and
+// alpha_copy its Atom measurements. chaosSuite has tinySuite's
+// programs and codelet names, so the profile decodes against either.
+func degradedProfile(tb testing.TB) *Profile {
+	tb.Helper()
+	degradedOnce.Do(func() {
+		faults := &fault.Profile{Seed: chaosSeed, Rules: []fault.Rule{
+			{Codelet: "beta_gather", PermanentRate: 1},
+			{Machine: "Atom", Codelet: "alpha_copy", PermanentRate: 1},
+		}}
+		degradedProf, degradedErr = NewProfile(chaosSuite(), Options{Seed: 1, Measurer: chaosMeasurer(faults, measure.Config{})})
+	})
+	if degradedErr != nil {
+		tb.Fatal(degradedErr)
+	}
+	if degradedProf.RefFailed == nil || degradedProf.TargetFailed == nil {
+		tb.Fatal("degraded fixture lacks a failure marker")
+	}
+	return degradedProf
+}
 
 func TestProfileRoundTrip(t *testing.T) {
 	prof := tinyProfile(t)
 	var buf bytes.Buffer
-	if err := prof.SaveJSON(&buf); err != nil {
+	if err := prof.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadProfile(&buf, tinySuite())
+	back, err := ReadProfile(bytes.NewReader(buf.Bytes()), tinySuite())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +92,9 @@ func TestProfileRoundTrip(t *testing.T) {
 				t.Error("target times changed")
 			}
 		}
+	}
+	if !bytes.Equal(renderJSON(t, back), renderJSON(t, prof)) {
+		t.Error("SaveJSON of the decoded profile differs from the original's")
 	}
 	// A loaded profile must drive the full downstream pipeline.
 	sub, err := back.Subset(tinyMask, 3)
@@ -65,79 +123,144 @@ func TestProfileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadProfileRejectsWrongSuite(t *testing.T) {
-	prof := tinyProfile(t)
-	var buf bytes.Buffer
-	if err := prof.SaveJSON(&buf); err != nil {
-		t.Fatal(err)
+// TestProfileBinaryPreservesSaveJSON: decoding keeps every byte of the
+// canonical rendering, for the golden corpus and for a profile with
+// both failure markers, and re-encoding gives back the exact artifact.
+func TestProfileBinaryPreservesSaveJSON(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prof func(testing.TB) *Profile
+	}{
+		{"golden", goldenProfile},
+		{"degraded", degradedProfile},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := tc.prof(t)
+			enc := encodeProfile(t, orig)
+			back, err := decodeProfile(enc, orig.Progs, orig.Codelets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(renderJSON(t, back), renderJSON(t, orig)) {
+				t.Error("SaveJSON of the decoded profile differs from the original's")
+			}
+			if !bytes.Equal(encodeProfile(t, back), enc) {
+				t.Error("re-encoding the decoded profile changed its bytes")
+			}
+		})
 	}
+}
+
+func TestReadProfileRejectsWrongSuite(t *testing.T) {
+	enc := encodeProfile(t, tinyProfile(t))
 	// A suite with a renamed codelet must be rejected.
 	other := tinySuite()
 	other[0].Codelets[0].Name = "renamed"
-	if _, err := ReadProfile(bytes.NewReader(buf.Bytes()), other); err == nil {
+	if _, err := ReadProfile(bytes.NewReader(enc), other); err == nil {
 		t.Error("mismatched suite accepted")
 	}
 }
 
 func TestReadProfileRejectsWrongVersion(t *testing.T) {
-	// A profile saved by a different build must point the user at
-	// regenerating the cache, not at a JSON internals error.
-	prof := tinyProfile(t)
-	var buf bytes.Buffer
-	if err := prof.SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	stale := strings.Replace(buf.String(), `"version": 1`, `"version": 99`, 1)
-	if stale == buf.String() {
-		t.Fatal("fixture did not contain the version field")
-	}
-	_, err := ReadProfile(strings.NewReader(stale), tinySuite())
-	if err == nil || !strings.Contains(err.Error(), "regenerate the cache") {
-		t.Errorf("stale version error = %v, want a 'regenerate the cache' hint", err)
+	// A profile saved by a different build, or a cache in the retired
+	// JSON layout, must point the user at regenerating the cache, not
+	// at a decoding internals error.
+	stale := encodeProfile(t, tinyProfile(t))
+	binary.LittleEndian.PutUint32(stale[len(profileMagic):], 99)
+	retired := []byte(`{"version": 1, "reference": "Nehalem"}`)
+	for name, data := range map[string][]byte{"version 99": stale, "JSON layout": retired} {
+		_, err := ReadProfile(bytes.NewReader(data), tinySuite())
+		if err == nil || !strings.Contains(err.Error(), "regenerate the cache") {
+			t.Errorf("%s: error = %v, want a 'regenerate the cache' hint", name, err)
+		}
 	}
 }
 
 func TestReadProfileRejectsTruncated(t *testing.T) {
-	prof := tinyProfile(t)
-	var buf bytes.Buffer
-	if err := prof.SaveJSON(&buf); err != nil {
+	full := encodeProfile(t, tinyProfile(t))
+	ps, cs, err := Detect(tinySuite())
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
 	// A partially written cache (disk full, killed save) at any cut
 	// point must fail loudly, never yield a half-filled profile.
-	for _, frac := range []int{4, 2} {
-		cut := full[:len(full)/frac]
-		if _, err := ReadProfile(bytes.NewReader(cut), tinySuite()); err == nil {
-			t.Errorf("truncated profile (1/%d) accepted", frac)
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := decodeProfile(full[:cut], ps, cs); err == nil {
+			t.Fatalf("profile cut at byte %d of %d accepted", cut, len(full))
 		}
 	}
 }
 
 func TestReadProfileRejectsMissingCodelet(t *testing.T) {
-	prof := tinyProfile(t)
-	var buf bytes.Buffer
-	if err := prof.SaveJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
+	enc := encodeProfile(t, tinyProfile(t))
 	// A suite that lost a codelet since the profile was saved (count
 	// mismatch) must be rejected.
 	smaller := tinySuite()
 	smaller[0].Codelets = smaller[0].Codelets[:len(smaller[0].Codelets)-1]
-	_, err := ReadProfile(bytes.NewReader(buf.Bytes()), smaller)
+	_, err := ReadProfile(bytes.NewReader(enc), smaller)
 	if err == nil || !strings.Contains(err.Error(), "codelets") {
 		t.Errorf("shrunken suite error = %v, want codelet count mismatch", err)
 	}
 }
 
 func TestReadProfileRejectsGarbage(t *testing.T) {
-	if _, err := ReadProfile(strings.NewReader("not json"), tinySuite()); err == nil {
-		t.Error("garbage accepted")
+	good := encodeProfile(t, tinyProfile(t))
+	ps, cs, err := Detect(tinySuite())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := ReadProfile(strings.NewReader(`{"version":99}`), tinySuite()); err == nil {
-		t.Error("wrong version accepted")
+	edit := func(fn func(b []byte) []byte) []byte {
+		return fn(append([]byte(nil), good...))
 	}
-	if _, err := ReadProfile(strings.NewReader(`{"version":1,"codelets":["x"]}`), tinySuite()); err == nil {
-		t.Error("inconsistent arrays accepted")
+	// flagsAt is the refFailed flag byte; the name section follows the
+	// tgtFailed flag.
+	flagsAt := profileHeaderLen - 2
+	nameAt := profileHeaderLen
+	cases := map[string][]byte{
+		"not a profile":   []byte("not json"),
+		"magic only":      []byte(profileMagic),
+		"trailing byte":   edit(func(b []byte) []byte { return append(b, 0) }),
+		"bool byte 2":     edit(func(b []byte) []byte { b[len(b)-1] = 2; return b }),
+		"flag byte 2":     edit(func(b []byte) []byte { b[flagsAt] = 2; return b }),
+		"unknown machine": edit(func(b []byte) []byte { b[nameAt+4] = 'X'; return b }),
+	}
+	// A suite codelet bound twice (and so another never) is rejected
+	// even though every name is in the suite.
+	dup := *tinyProfile(t)
+	dup.Codelets = append([]*ir.Codelet(nil), dup.Codelets...)
+	dup.Codelets[1] = dup.Codelets[0]
+	if _, err := decodeProfile(encodeProfile(t, &dup), ps, cs); err == nil || !strings.Contains(err.Error(), "twice") {
+		t.Errorf("duplicate codelet: error = %v, want a 'twice' rejection", err)
+	}
+	for name, data := range cases {
+		if _, err := decodeProfile(data, ps, cs); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestReadProfileForgedCountDoesNotAllocate: a header claiming 2^32-1
+// targets or a 2^32-1-wide feature row is rejected against the bytes
+// that follow, before anything is sized by the forged count.
+func TestReadProfileForgedCountDoesNotAllocate(t *testing.T) {
+	good := encodeProfile(t, tinyProfile(t))
+	ps, cs, err := Detect(tinySuite())
+	if err != nil {
+		t.Fatal(err)
+	}
+	countAt := map[string]int{"targets": len(profileMagic) + 4, "features": len(profileMagic) + 12}
+	for name, at := range countAt {
+		data := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(data[at:], 0xFFFFFFFF)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := decodeProfile(data, ps, cs)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("forged %s count accepted", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("forged %s count allocated %d bytes before failing", name, grew)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"context"
 	"fmt"
-	"io"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -32,24 +31,13 @@ import (
 // computation changes meaning: old artifacts become unreachable
 // instead of silently wrong.
 const (
-	detectStageVersion    = 1
-	profileStageVersion   = 1
+	detectStageVersion    = 2
+	profileStageVersion   = 2
 	normalizeStageVersion = 1
 	clusterStageVersion   = 1
 	representStageVersion = 1
 	predictStageVersion   = 1
 )
-
-// detectKey fingerprints Step A's input: each program's name, its
-// uncovered fraction (not part of the pseudo-source) and its
-// deterministic pseudo-source rendering.
-func detectKey(progs []*ir.Program) stage.Key {
-	b := stage.NewKey("detect", detectStageVersion)
-	for _, p := range progs {
-		b.Str(p.Name).Float(p.UncoveredFraction).Str(p.Source())
-	}
-	return b.Key()
-}
 
 // profileKey fingerprints Step B: the detected input plus everything
 // that shapes measurements — seed, machines, and the measurer's
@@ -131,8 +119,8 @@ type StageOptions struct {
 
 	// DiskName, when non-empty and the engine's store has byte tiers,
 	// persists the profile stage through them. The file is
-	// key-qualified — "nr.json" is written and read only as
-	// "nr-<key prefix>.json" — so resolves under different profile
+	// key-qualified — "nr.prof" is written and read only as
+	// "nr-<key prefix>.prof" — so resolves under different profile
 	// keys (another seed, an injected fault profile) never share an
 	// artifact. The bare name is never touched.
 	DiskName string
@@ -187,22 +175,31 @@ type detected struct {
 	cs []*ir.Codelet
 }
 
-// profileCodec persists the profile stage as the raw SaveJSON layout
-// under a key-qualified filename, so differently-keyed runs stay
-// separate.
+// profileCodec persists the profile stage in the binary profile layout
+// (profileio.go) under a key-qualified filename, so differently-keyed
+// runs stay separate. It decodes against the detect artifact the
+// resolve already holds, so loading a profile never runs Detect again.
 type profileCodec struct {
-	name  string // key-qualified filename (diskFilename)
-	progs []*ir.Program
+	name string // key-qualified filename (diskFilename)
+	det  *detected
+}
+
+// ProfileCodec returns the profile stage's codec for the byte tiers,
+// storing under filename and binding decoded profiles to ps and cs —
+// Detect's aligned output for the suite, as in Profile.Progs and
+// Profile.Codelets.
+func ProfileCodec(filename string, ps []*ir.Program, cs []*ir.Codelet) stage.Codec {
+	return profileCodec{name: filename, det: &detected{ps: ps, cs: cs}}
 }
 
 func (c profileCodec) Filename() string { return c.name }
 
-func (c profileCodec) Encode(w io.Writer, v any) error {
-	return v.(*Profile).SaveJSON(w)
+func (c profileCodec) Encode(dst []byte, v any) ([]byte, error) {
+	return v.(*Profile).AppendBinary(dst)
 }
 
-func (c profileCodec) Decode(r io.Reader) (any, error) {
-	return ReadProfile(r, c.progs)
+func (c profileCodec) Decode(data []byte) (any, error) {
+	return decodeProfile(data, c.det.ps, c.det.cs)
 }
 
 // Persist keeps degraded profiles off disk: a restart should retry the
@@ -213,7 +210,7 @@ func (c profileCodec) Persist(v any) bool {
 
 // diskFilename qualifies a profile stage filename with its key so
 // differently-keyed resolves (another seed, an injected fault profile)
-// never share a disk artifact: "nr.json" → "nr-<key prefix>.json".
+// never share a disk artifact: "nr.prof" → "nr-<key prefix>.prof".
 func diskFilename(name string, k stage.Key) string {
 	ext := filepath.Ext(name)
 	base := strings.TrimSuffix(name, ext)
@@ -244,7 +241,7 @@ func (e *Engine) Profile(ctx context.Context, progs []*ir.Program, opts StageOpt
 	pk := profileKey(dk, opts.Options, e.measurerKey(opts))
 	var codec stage.Codec
 	if opts.DiskName != "" {
-		codec = profileCodec{name: diskFilename(opts.DiskName, pk), progs: progs}
+		codec = profileCodec{name: diskFilename(opts.DiskName, pk), det: det}
 	}
 	// The profile compute consumes the detect artifact instead of
 	// calling NewProfileContext, which would re-run Detect: Detect runs

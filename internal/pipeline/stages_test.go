@@ -68,51 +68,68 @@ func allKeys(in stageInputs) map[string]stage.Key {
 // downstream of it — never anything upstream, so cached upstream
 // artifacts keep hitting.
 func TestStageKeyInvalidation(t *testing.T) {
-	base := allKeys(baseInputs())
 	cases := []struct {
 		name string
 		mut  func(*stageInputs)
 		// from is the first (most upstream) stage whose key must
 		// change; "" means no key changes at all.
 		from string
+		// prep, when set, edits both sides before mut: the case then
+		// compares prep'd inputs with and without mut.
+		prep func(*stageInputs)
 	}{
-		{"program source", func(in *stageInputs) {
+		{name: "program source", mut: func(in *stageInputs) {
 			in.progs[0].Codelets[0].Invocations++
-		}, "detect"},
-		{"uncovered fraction", func(in *stageInputs) {
+		}, from: "detect"},
+		{name: "uncovered fraction", mut: func(in *stageInputs) {
 			in.progs[0].UncoveredFraction = 0.25
-		}, "detect"},
-		{"seed", func(in *stageInputs) { in.opts.Seed = 2 }, "profile"},
-		{"targets", func(in *stageInputs) {
+		}, from: "detect"},
+		// The two below simulate differently but rendered the same
+		// pseudo-source, so a source-text key let them share artifacts.
+		{name: "int init kind", mut: func(in *stageInputs) {
+			in.progs[0].Array("idx").Init.Kind = ir.IntInitMod
+		}, from: "detect"},
+		{name: "dataset variation", prep: func(in *stageInputs) {
+			c := in.progs[0].Codelets[0]
+			c.DatasetVariation, c.VaryParam = 0.349, "n"
+		}, mut: func(in *stageInputs) {
+			in.progs[0].Codelets[0].DatasetVariation = 0.351
+		}, from: "detect"},
+		{name: "seed", mut: func(in *stageInputs) { in.opts.Seed = 2 }, from: "profile"},
+		{name: "targets", mut: func(in *stageInputs) {
 			in.opts.Targets = arch.Targets()[:2]
-		}, "profile"},
-		{"measurer key", func(in *stageInputs) {
+		}, from: "profile"},
+		{name: "measurer key", mut: func(in *stageInputs) {
 			in.measurerKey = "fault:deadbeef"
-		}, "profile"},
-		{"workers is excluded", func(in *stageInputs) {
+		}, from: "profile"},
+		{name: "workers is excluded", mut: func(in *stageInputs) {
 			in.opts.Workers = 7
-		}, ""},
-		{"feature mask", func(in *stageInputs) {
+		}, from: ""},
+		{name: "feature mask", mut: func(in *stageInputs) {
 			in.mask = features.AllMask()
-		}, "normalize"},
-		{"no-normalize ablation", func(in *stageInputs) {
+		}, from: "normalize"},
+		{name: "no-normalize ablation", mut: func(in *stageInputs) {
 			in.cfg.NoNormalize = true
-		}, "normalize"},
-		{"linkage", func(in *stageInputs) {
+		}, from: "normalize"},
+		{name: "linkage", mut: func(in *stageInputs) {
 			in.cfg.Linkage = cluster.Complete
-		}, "cluster"},
-		{"cluster count", func(in *stageInputs) { in.k = 4 }, "represent"},
-		{"rep strategy ablation", func(in *stageInputs) {
+		}, from: "cluster"},
+		{name: "cluster count", mut: func(in *stageInputs) { in.k = 4 }, from: "represent"},
+		{name: "rep strategy ablation", mut: func(in *stageInputs) {
 			in.cfg.RepStrategy = RepFirst
-		}, "represent"},
-		{"screening ablation", func(in *stageInputs) {
+		}, from: "represent"},
+		{name: "screening ablation", mut: func(in *stageInputs) {
 			in.cfg.IgnoreScreening = true
-		}, "represent"},
-		{"target index", func(in *stageInputs) { in.target = 1 }, "predict"},
+		}, from: "represent"},
+		{name: "target index", mut: func(in *stageInputs) { in.target = 1 }, from: "predict"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			in := baseInputs()
+			if tc.prep != nil {
+				tc.prep(&in)
+			}
+			base := allKeys(in)
 			tc.mut(&in)
 			got := allKeys(in)
 			invalidated := false
@@ -403,20 +420,20 @@ func TestDegradedProfileDoesNotPoisonRebuild(t *testing.T) {
 // contract: profiles persist under key-qualified filenames, so
 // fault-injected and clean runs (or runs with different seeds) sharing
 // one directory never adopt each other's artifacts, and fresh artifacts
-// are written only under the keyed name, never the bare <suite>.json.
+// are written only under the keyed name, never the bare <suite>.prof.
 func TestDiskArtifactsKeyedByOptions(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	cleanOpts := StageOptions{Options: Options{Seed: 1}, DiskName: "tiny.json"}
+	cleanOpts := StageOptions{Options: Options{Seed: 1}, DiskName: "tiny.prof"}
 
 	if _, _, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), cleanOpts); err != nil {
 		t.Fatal(err)
 	}
-	keyed, err := filepath.Glob(filepath.Join(dir, "tiny-*.json"))
+	keyed, err := filepath.Glob(filepath.Join(dir, "tiny-*.prof"))
 	if err != nil || len(keyed) != 1 {
 		t.Fatalf("keyed files = %v (err %v), want exactly one", keyed, err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "tiny.json")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(filepath.Join(dir, "tiny.prof")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("bare name was written (stat err %v)", err)
 	}
 
@@ -429,7 +446,7 @@ func TestDiskArtifactsKeyedByOptions(t *testing.T) {
 	// A fault-keyed resolve over the same directory must re-measure,
 	// not adopt the clean artifact.
 	cm := &countingMeasurer{}
-	faultOpts := StageOptions{Options: Options{Seed: 1, Measurer: cm}, MeasurerKey: "fault:deadbeef", DiskName: "tiny.json"}
+	faultOpts := StageOptions{Options: Options{Seed: 1, Measurer: cm}, MeasurerKey: "fault:deadbeef", DiskName: "tiny.prof"}
 	if _, out, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), faultOpts); err != nil {
 		t.Fatal(err)
 	} else if out.Tier != "" {
@@ -440,7 +457,7 @@ func TestDiskArtifactsKeyedByOptions(t *testing.T) {
 	}
 
 	// A different seed must re-measure too.
-	if _, out, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), StageOptions{Options: Options{Seed: 2}, DiskName: "tiny.json"}); err != nil {
+	if _, out, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), StageOptions{Options: Options{Seed: 2}, DiskName: "tiny.prof"}); err != nil {
 		t.Fatal(err)
 	} else if out.Tier != "" {
 		t.Error("different-seed resolve adopted another seed's artifact")

@@ -25,10 +25,8 @@ import (
 // Persistence and memoization live in the pipeline's stage store: the
 // registry resolves builds through a pipeline.Engine, which loads a
 // previously saved profile from the store's disk directory and saves
-// fresh builds back under key-qualified <suite>-<key>.json names (the
-// bare <suite>.json files earlier releases wrote are still adopted,
-// read-only, for measurer-free builds). The registry itself keeps no
-// disk logic — it is a thin suite-name → stage-graph view, plus the
+// fresh builds back under key-qualified <suite>-<key>.prof names. The
+// registry itself keeps no disk logic — it is a thin suite-name → stage-graph view, plus the
 // failure policy below.
 //
 // Resilience: every build outcome feeds the suite's circuit breaker.
@@ -120,15 +118,12 @@ func (r *registry) Close() { r.stop() }
 func suiteKey(suite string) string { return "suite:" + suite }
 
 // stageOpts assembles the engine inputs for one suite. DiskName seeds
-// the engine's key-qualified <suite>-<key>.json layout; for
-// measurer-free builds the engine also falls back to the bare
-// <suite>.json earlier registries wrote, so old cache directories
-// keep being adopted.
+// the engine's key-qualified <suite>-<key>.prof layout.
 func (r *registry) stageOpts(suite string) pipeline.StageOptions {
 	return pipeline.StageOptions{
 		Options:     pipeline.Options{Seed: r.seed, Workers: r.workers, Measurer: r.measurer},
 		MeasurerKey: r.measurerKey,
-		DiskName:    suite + ".json",
+		DiskName:    suite + ".prof",
 	}
 }
 

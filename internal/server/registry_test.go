@@ -23,12 +23,12 @@ func TestRegistryPersistsProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Profiles persist only under the key-qualified name, never the
-	// bare <suite>.json.
-	keyed, err := filepath.Glob(filepath.Join(dir, "tiny-*.json"))
+	// bare <suite>.prof.
+	keyed, err := filepath.Glob(filepath.Join(dir, "tiny-*.prof"))
 	if err != nil || len(keyed) != 1 {
 		t.Fatalf("keyed profile files = %v (err %v), want exactly one", keyed, err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "tiny.json")); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, "tiny.prof")); !os.IsNotExist(err) {
 		t.Fatalf("bare filename was written (stat err %v)", err)
 	}
 
@@ -60,7 +60,7 @@ func TestRegistryRebuildsOnCorruptCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Close()
-	keyed, err := filepath.Glob(filepath.Join(dir, "tiny-*.json"))
+	keyed, err := filepath.Glob(filepath.Join(dir, "tiny-*.prof"))
 	if err != nil || len(keyed) != 1 {
 		t.Fatalf("keyed profile files = %v (err %v), want exactly one", keyed, err)
 	}

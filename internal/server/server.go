@@ -50,7 +50,7 @@ type Config struct {
 	// (0 = GOMAXPROCS).
 	Workers int
 	// ProfileDir, when set, is the stage store's disk tier: built
-	// profiles persist as framed <dir>/<suite>-<key>.json artifacts and
+	// profiles persist as framed <dir>/<suite>-<key>.prof artifacts and
 	// load back on restart, and completed job results persist under
 	// <dir>/jobs.
 	ProfileDir string

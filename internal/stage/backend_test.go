@@ -247,7 +247,7 @@ func TestFetchFramed(t *testing.T) {
 		t.Fatalf("fetched artifact fails verification: %v", err)
 	}
 	payload, _ := unframe(data)
-	if v, err := codec.Decode(bytes.NewReader(payload)); err != nil || v != "served" {
+	if v, err := codec.Decode(payload); err != nil || v != "served" {
 		t.Errorf("fetched payload decodes to %v, %v", v, err)
 	}
 	if _, err := s.FetchFramed(ctx, testKey(99)); !errors.Is(err, ErrNotFound) {

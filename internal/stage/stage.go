@@ -53,10 +53,10 @@ type KeyBuilder struct {
 }
 
 // builderPool recycles KeyBuilder scratch buffers. Typical derivations
-// encode a few hundred bytes; the detect key (whole-suite sources) can
-// reach megabytes, and such a buffer is kept and reused too — there is
-// exactly one detect derivation per resolve, so at most a handful of
-// large buffers ever live in the pool.
+// encode a few hundred bytes; the detect key (a structural walk of
+// whole suites) runs to tens of kilobytes, and such a buffer is kept
+// and reused too — there is exactly one detect derivation per resolve,
+// so at most a handful of large buffers ever live in the pool.
 var builderPool = sync.Pool{
 	New: func() any { return &KeyBuilder{buf: make([]byte, 0, 512)} },
 }
@@ -122,6 +122,21 @@ func (b *KeyBuilder) Bool(v bool) *KeyBuilder {
 	} else {
 		b.buf = append(b.buf, 0)
 	}
+	return b
+}
+
+// Append mixes in one variable-length value that fill encodes straight
+// into the key's buffer: fill receives the buffer, appends to it, and
+// returns the extended slice, never touching the bytes already there.
+// The value gets a header like any other field, so it cannot run into
+// its neighbors; telling apart two values fill writes is fill's job —
+// its encoding must be injective. Structural walks use it to mix in
+// whole trees without a 9-byte header per node.
+func (b *KeyBuilder) Append(fill func(dst []byte) []byte) *KeyBuilder {
+	start := len(b.buf)
+	b.header('a', 0)
+	b.buf = fill(b.buf)
+	binary.BigEndian.PutUint64(b.buf[start+1:], uint64(len(b.buf)-start-9))
 	return b
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -363,20 +362,15 @@ type testCodec struct {
 
 func (c testCodec) Filename() string { return c.name }
 
-func (c testCodec) Encode(w io.Writer, v any) error {
-	_, err := fmt.Fprint(w, v)
-	return err
+func (c testCodec) Encode(dst []byte, v any) ([]byte, error) {
+	return fmt.Append(dst, v), nil
 }
 
-func (c testCodec) Decode(r io.Reader) (any, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(b) == 0 {
+func (c testCodec) Decode(data []byte) (any, error) {
+	if len(data) == 0 {
 		return nil, errors.New("empty artifact")
 	}
-	return string(b), nil
+	return string(data), nil
 }
 
 func (c testCodec) Persist(v any) bool { return c.persist }
@@ -476,16 +470,16 @@ func TestSaveDiskBytesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var direct bytes.Buffer
-	if err := codec.Encode(&direct, payload); err != nil {
+	direct, err := codec.Encode(nil, payload)
+	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := unframe(onDisk)
 	if err != nil {
 		t.Fatalf("persisted artifact not framed: %v", err)
 	}
-	if !bytes.Equal(got, direct.Bytes()) {
-		t.Errorf("framed payload %q != direct encode %q", got, direct.Bytes())
+	if !bytes.Equal(got, direct) {
+		t.Errorf("framed payload %q != direct encode %q", got, direct)
 	}
 }
 

@@ -1,22 +1,19 @@
 package stage
 
 import (
-	"bytes"
 	"container/list"
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
 
 // bufPool recycles the scratch buffers artifact bytes are encoded
-// into. Profile artifacts run to megabytes of JSON; without pooling,
-// every persist allocates and grows a fresh buffer of that size.
-// Codecs must not retain the readers or writers they are handed — the
-// buffer behind them returns to the pool when the call ends, and
-// tiers copy what they keep (see Backend's Put contract).
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// into; without pooling, every persist allocates and grows a fresh
+// buffer of the artifact's size. Codecs must not retain the slices
+// they are handed — the buffer returns to the pool when the call ends,
+// and tiers copy what they keep (see Backend's Put contract).
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Codec serializes one stage's artifacts for the Store's byte tiers.
 // Stages whose artifacts are not worth persisting (cheap to recompute,
@@ -28,10 +25,13 @@ type Codec interface {
 	// stage embeds a key prefix) so differently-keyed resolves never
 	// share a file.
 	Filename() string
-	// Encode writes the artifact.
-	Encode(w io.Writer, v any) error
-	// Decode reads it back. Any error means "rebuild", never "fail".
-	Decode(r io.Reader) (any, error)
+	// Encode appends the artifact's bytes to dst and returns the
+	// extended slice.
+	Encode(dst []byte, v any) ([]byte, error)
+	// Decode reads an artifact back from the payload a tier served.
+	// data is only valid during the call: a codec copies what it
+	// keeps. Any error means "rebuild", never "fail".
+	Decode(data []byte) (any, error)
 	// Persist reports whether v should be written at all — the hook
 	// that keeps degraded profiles off disk (a restart should retry the
 	// measurements, not resurrect the outage).
@@ -279,7 +279,7 @@ func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, co
 				// artifact can always be regenerated.
 				continue
 			}
-			v, err := codec.Decode(bytes.NewReader(payload))
+			v, err := codec.Decode(payload)
 			if err != nil {
 				// The frame verified but the codec rejects the payload
 				// (a stale schema): quarantine in the serving tier and
@@ -327,17 +327,17 @@ func (s *Store) put(ctx context.Context, tiers []*FramedBackend, ref Ref, payloa
 // optimization). A failed encode writes nowhere — an unencodable
 // artifact is not a tier failure.
 func (s *Store) writeThrough(ctx context.Context, ref Ref, codec Codec, v any) {
-	// Encode into a pooled buffer, then hand the bytes to the tiers:
-	// the encoder's many small writes land in memory, a failed encode
-	// never reaches a device, and the frame header needs the payload's
-	// checksum before the first byte leaves the process.
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
+	// Encode into a pooled buffer, then hand the bytes to the tiers: a
+	// failed encode never reaches a device, and the frame header needs
+	// the payload's checksum before the first byte leaves the process.
+	buf := bufPool.Get().(*[]byte)
 	defer bufPool.Put(buf)
-	if err := codec.Encode(buf, v); err != nil {
+	payload, err := codec.Encode((*buf)[:0], v)
+	*buf = payload[:0]
+	if err != nil {
 		return
 	}
-	s.put(ctx, s.tiers, ref, buf.Bytes())
+	s.put(ctx, s.tiers, ref, payload)
 }
 
 // FetchFramed returns the framed bytes of a previously resolved
