@@ -9,8 +9,14 @@ import (
 // profile — never a panic or an inconsistent result — and an accepted
 // input must re-encode to exactly its own bytes, so the strict decoder
 // admits one encoding per profile.
+//
+// The seed profiles are built on chaosSuite, tinySuite scaled down
+// (same programs and codelet names, so they decode against tinySuite):
+// every fuzz worker builds them under coverage instrumentation, and
+// tinySuite's full-size simulation would use up a short -fuzztime
+// before the first mutation runs.
 func FuzzReadProfile(f *testing.F) {
-	clean, err := NewProfile(tinySuite(), Options{Seed: 1})
+	clean, err := NewProfile(chaosSuite(), Options{Seed: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -21,8 +27,9 @@ func FuzzReadProfile(f *testing.F) {
 	f.Add(enc[:profileHeaderLen])
 	f.Add(enc[:len(enc)-1])
 	f.Add([]byte(`{"version":1}`))
+	progs := tinySuite() // only read: ReadProfile never mutates a suite
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ReadProfile(bytes.NewReader(data), tinySuite())
+		p, err := ReadProfile(bytes.NewReader(data), progs)
 		if err != nil {
 			return
 		}

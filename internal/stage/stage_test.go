@@ -76,6 +76,15 @@ func TestKeyBoundaryCollisions(t *testing.T) {
 	if a, b := NewKey("s", 1).Str("\x00").Key(), NewKey("s", 1).Uint64(0).Key(); a == b {
 		t.Error("type tags do not separate Str from Uint64")
 	}
+	raw := func(s string) func([]byte) []byte {
+		return func(dst []byte) []byte { return append(dst, s...) }
+	}
+	if a, b := NewKey("s", 1).Append(raw("ab")).Append(raw("c")).Key(), NewKey("s", 1).Append(raw("a")).Append(raw("bc")).Key(); a == b {
+		t.Error(`Append("ab")+Append("c") collides with Append("a")+Append("bc")`)
+	}
+	if a, b := NewKey("s", 1).Append(raw("x")).Key(), NewKey("s", 1).Str("x").Key(); a == b {
+		t.Error("type tags do not separate Append from Str")
+	}
 }
 
 func testKey(i int) Key {
