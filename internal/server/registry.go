@@ -26,8 +26,8 @@ import (
 // registry resolves builds through a pipeline.Engine, which loads a
 // previously saved profile from the store's disk directory and saves
 // fresh builds back under key-qualified <suite>-<key>.prof names. The
-// registry itself keeps no disk logic — it is a thin suite-name → stage-graph view, plus the
-// failure policy below.
+// registry itself keeps no disk logic — it is a thin suite-name →
+// stage-graph view, plus the failure policy below.
 //
 // Resilience: every build outcome feeds the suite's circuit breaker.
 // Repeated build failures open it, after which requests fail fast (or
