@@ -112,6 +112,14 @@ go test -run '^$' -fuzz '^FuzzMeasureMatchesWalk$' -fuzztime 10s ./internal/sim
 echo "== profile fuzz =="
 go test -run '^$' -fuzz '^FuzzReadProfile$' -fuzztime 10s ./internal/pipeline
 
+# The integrity frame is checked on bytes from disk and from peers, so
+# unframe must accept exactly one spelling of every artifact: any input
+# it accepts must equal Frame of the payload it returns. The seed corpus
+# (frames of an empty, a short and a 9 KB payload, plus truncations)
+# runs in the plain go test above; this step searches past it.
+echo "== frame fuzz =="
+go test -run '^$' -fuzz '^FuzzUnframe$' -fuzztime 10s ./internal/stage
+
 # Profile bytes must not depend on GOARCH. arm64, unlike amd64, may fuse
 # x*y+z into one multiply-add that skips the product's rounding, so
 # internal/sim rounds every such product explicitly (float64(x*y) + z).

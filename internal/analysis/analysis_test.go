@@ -3,6 +3,8 @@ package analysis
 import (
 	"bufio"
 	"fmt"
+	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -47,6 +49,41 @@ func TestLockOrderCorpus(t *testing.T)      { testCorpus(t, "lockorder") }
 func TestGoroutineLeakCorpus(t *testing.T)  { testCorpus(t, "goroutineleak") }
 func TestKeyPurityCorpus(t *testing.T)      { testCorpus(t, "keypurity") }
 func TestAllocHotCorpus(t *testing.T)       { testCorpus(t, "allochot") }
+
+// TestKeyPuritySinkInRealTree keeps keypurity's peer-URL sink connected
+// to the tree it guards. The sink matches HTTPBackend.artifactURL by
+// name, and the corpus defines its own HTTPBackend, so renaming the
+// real type would silently disable the check while the corpus stays
+// green. internal/stage must define the type with the method, and the
+// sink must match a call to it there.
+func TestKeyPuritySinkInRealTree(t *testing.T) {
+	pkgs, err := loadRealTree(t).Select([]string{"fgbs/internal/stage"})
+	if err != nil || len(pkgs) != 1 {
+		t.Fatalf("Select(fgbs/internal/stage) = %d packages, %v", len(pkgs), err)
+	}
+	pkg := pkgs[0]
+	tn, ok := pkg.Types.Scope().Lookup("HTTPBackend").(*types.TypeName)
+	if !ok {
+		t.Fatal("internal/stage has no type HTTPBackend: keypurity's peer-URL sink matches nothing")
+	}
+	if m, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), true, pkg.Types, "artifactURL"); m == nil {
+		t.Fatal("stage.HTTPBackend has no artifactURL method: keypurity's peer-URL sink matches nothing")
+	}
+	sinks := 0
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && isKeySink(pkg, call) {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "artifactURL" {
+					sinks++
+				}
+			}
+			return true
+		})
+	}
+	if sinks == 0 {
+		t.Error("keypurity matches no artifactURL call in internal/stage")
+	}
+}
 
 func testCorpus(t *testing.T, check string) {
 	t.Helper()

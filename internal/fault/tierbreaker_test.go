@@ -1,12 +1,13 @@
 package fault_test
 
-// The breaker decorator on the HTTP peer tier, exercised through a
-// real (httptest) peer from outside the stage package: transient 5xx
-// responses trip the peer tier into degraded, the local disk tier
-// keeps serving throughout, and once the peer heals a half-open probe
-// closes the breaker again. Lives in the fault package
-// because it is resilience behavior; package fault_test because stage
-// imports fault and the test drives stage's public API.
+// The peer tier's breaker, exercised through a real (httptest) peer
+// from outside the stage package: transient 5xx responses trip the
+// peer tier into degraded, the local disk tier keeps serving
+// throughout, and once the peer heals a half-open probe closes the
+// breaker again. Along the way each tier's whole Stats row is pinned,
+// since every counter in it comes from the one tier type. Lives in the
+// fault package because it is resilience behavior; package fault_test
+// because stage imports fault and the test drives stage's public API.
 
 import (
 	"context"
@@ -80,6 +81,19 @@ func TestPeerTierBreaker(t *testing.T) {
 		t.Fatalf("cold resolve = %v, %+v, %v; want peer-artifact via peer tier", v, out, err)
 	}
 
+	// A corrupt disk copy of a key the peer does not hold: the disk
+	// tier quarantines it, the peer misses, and compute republishes.
+	corruptKey := stage.NewKey("tierbreaker", 1).Str("corrupt").Key()
+	corruptCodec := tierCodec{name: "tierbreaker-corrupt.json"}
+	if err := os.WriteFile(filepath.Join(dir, corruptCodec.Filename()), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if v, out, err := s.Resolve(ctx, "tierbreaker", corruptKey, corruptCodec, func(context.Context) (any, error) {
+		return "recomputed", nil
+	}); err != nil || v != "recomputed" || out.Cached {
+		t.Fatalf("resolve over a corrupt disk copy = %v, %+v, %v; want compute", v, out, err)
+	}
+
 	// Three transient 5xx failures in a row trip the peer breaker.
 	// The resolves themselves still succeed — compute covers the miss
 	// — and the read-only peer tier's no-op Puts must not reset the
@@ -113,6 +127,22 @@ func TestPeerTierBreaker(t *testing.T) {
 	}
 	if got := s.Stats().Tiers[stage.TierPeer].Errors; got != errsAfterTrip {
 		t.Errorf("peer tier errors moved %d -> %d during a disk serve; degraded tier must be skipped", errsAfterTrip, got)
+	}
+
+	// Whole rows after the script so far. Disk: misses on the cold,
+	// corrupt and three failing resolves, less the corrupt one, which
+	// quarantined instead; writes for the promotion, the republish and
+	// three write-throughs; one hit just now; five published files.
+	// Peer: the cold hit, the miss on the corrupt key, three errors;
+	// its no-op puts count nowhere.
+	wantRows := map[string]stage.TierStats{
+		stage.TierDisk: {State: stage.TierOK, Entries: 5, Hits: 1, Misses: 4, Writes: 5, Errors: 0, Quarantined: 1},
+		stage.TierPeer: {State: stage.TierDegraded, Entries: 0, Hits: 1, Misses: 1, Writes: 0, Errors: 3, Quarantined: 0},
+	}
+	for name, want := range wantRows {
+		if got := s.Stats().Tiers[name]; got != want {
+			t.Errorf("%s tier row = %+v, want %+v", name, got, want)
+		}
 	}
 
 	// Heal the peer and strip the disk copy so resolves must reach it.

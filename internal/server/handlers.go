@@ -431,7 +431,7 @@ func validArtifactKey(key string) bool {
 // peer-fetch endpoint a cold node's HTTPBackend calls before
 // recomputing. The body is the at-rest frame (header + payload)
 // verbatim, so the fetching node verifies integrity itself; the read
-// runs through this node's tier decorators, so a tripped disk breaker
+// runs through this node's disk tier, so a tripped disk breaker
 // degrades the endpoint to 404s instead of error storms. Keys this
 // node has not resolved are plain 404s — the peer falls through to
 // compute.

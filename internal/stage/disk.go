@@ -11,29 +11,16 @@ import (
 	"fgbs/internal/fault"
 )
 
-// DiskBackend is the durable byte tier: one file per artifact under a
-// shared directory, written via tmp + fsync + rename + parent-dir
-// fsync so a published name never points at torn bytes. The tier
-// stores whatever bytes it is handed — in a standard chain that is the
-// framed form, because the Framed decorator wraps it.
-type DiskBackend struct {
+// diskDevice is the durable byte device: one file per artifact under
+// a shared directory, written via tmp + fsync + rename + parent-dir
+// fsync so a published name never points at torn bytes.
+type diskDevice struct {
 	dir string
 }
 
-// NewDiskBackend builds a disk tier rooted at dir.
-func NewDiskBackend(dir string) *DiskBackend {
-	return &DiskBackend{dir: dir}
-}
-
-// Name identifies the tier.
-func (d *DiskBackend) Name() string { return TierDisk }
-
-// Dir returns the tier's directory.
-func (d *DiskBackend) Dir() string { return d.dir }
-
-// Get reads ref's file. A missing file is a clean miss (ErrNotFound);
+// get reads ref's file. A missing file is a clean miss (ErrNotFound);
 // any other failure is an I/O error for the breaker.
-func (d *DiskBackend) Get(ctx context.Context, ref Ref) ([]byte, error) {
+func (d *diskDevice) get(ctx context.Context, ref Ref) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(d.dir, ref.Name))
 	switch {
 	case err == nil:
@@ -45,10 +32,10 @@ func (d *DiskBackend) Get(ctx context.Context, ref Ref) ([]byte, error) {
 	}
 }
 
-// Put writes data under ref.Name durably: encode-before-open already
+// put writes data under ref.Name durably: encode-before-open already
 // happened upstream, so a failed write never publishes anything — the
 // tmp file is removed and the error feeds the breaker.
-func (d *DiskBackend) Put(ctx context.Context, ref Ref, data []byte) (bool, error) {
+func (d *diskDevice) put(ctx context.Context, ref Ref, data []byte) (bool, error) {
 	if err := os.MkdirAll(d.dir, 0o755); err != nil {
 		return false, err
 	}
@@ -101,18 +88,18 @@ func (d *DiskBackend) Put(ctx context.Context, ref Ref, data []byte) (bool, erro
 	return true, nil
 }
 
-// Quarantine moves the corrupt artifact aside as <path>.corrupt — kept
+// quarantine moves the corrupt artifact aside as <path>.corrupt — kept
 // for forensics, never silently deleted, and out of the load path so
 // the next resolve recomputes.
-func (d *DiskBackend) Quarantine(ctx context.Context, ref Ref) {
+func (d *diskDevice) quarantine(ref Ref) {
 	path := filepath.Join(d.dir, ref.Name)
 	os.Rename(path, path+".corrupt") // a missing file has nothing to move aside
 }
 
-// Len counts the published artifacts in the directory (tmp and
+// entries counts the published artifacts in the directory (tmp and
 // quarantined files excluded). It reads the directory on every call;
 // callers are stats paths, not hot paths.
-func (d *DiskBackend) Len() int {
+func (d *diskDevice) entries() int {
 	ents, err := os.ReadDir(d.dir)
 	if err != nil {
 		return 0
@@ -129,10 +116,4 @@ func (d *DiskBackend) Len() int {
 		n++
 	}
 	return n
-}
-
-// Stats reports the tier's base row; traffic counters come from the
-// decorators.
-func (d *DiskBackend) Stats() TierStats {
-	return TierStats{State: TierOK, Entries: d.Len()}
 }

@@ -4,9 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 )
 
 // Artifact integrity framing. Every artifact the store writes is
@@ -42,8 +41,8 @@ func VerifyFrame(data []byte) error {
 
 // Frame returns payload prefixed with its integrity frame — the at-
 // rest and on-the-wire form of every artifact. Harnesses use it to
-// stage artifacts a peer endpoint would serve; the Framed decorator
-// uses it on every Put.
+// stage artifacts a peer endpoint would serve; every tier uses it on
+// every put.
 func Frame(payload []byte) []byte {
 	h := frameHeader(payload)
 	out := make([]byte, 0, len(h)+len(payload))
@@ -57,43 +56,24 @@ func frameHeader(payload []byte) string {
 	return fmt.Sprintf("%s v%d sha256:%s len:%d\n", frameMagic, frameVersion, hex.EncodeToString(sum[:]), len(payload))
 }
 
-// unframe validates data's frame and returns the payload. A non-nil
-// error means the bytes fail verification: no frame at all, truncated
-// header, unsupported version, length or checksum mismatch.
-func unframe(data []byte) (payload []byte, err error) {
+// unframe validates data's frame and returns the payload. A frame is
+// accepted only when its header line is byte for byte the one Frame
+// writes for the payload that follows, so there is exactly one
+// accepted spelling of every artifact. A non-nil error means the bytes
+// fail verification: no frame at all, a truncated header, or a header
+// that does not match the payload (another frame version, a length or
+// checksum mismatch, a non-canonical spelling).
+func unframe(data []byte) ([]byte, error) {
 	if !bytes.HasPrefix(data, []byte(frameMagic+" ")) {
-		return nil, fmt.Errorf("stage: artifact has no integrity frame")
+		return nil, errors.New("stage: artifact has no integrity frame")
 	}
 	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
-		return nil, fmt.Errorf("stage: truncated frame header")
+		return nil, errors.New("stage: truncated frame header")
 	}
-	fields := strings.Fields(string(data[:nl]))
-	if len(fields) != 4 {
-		return nil, fmt.Errorf("stage: malformed frame header %q", data[:nl])
-	}
-	ver, err := strconv.Atoi(strings.TrimPrefix(fields[1], "v"))
-	if err != nil || !strings.HasPrefix(fields[1], "v") {
-		return nil, fmt.Errorf("stage: malformed frame version %q", fields[1])
-	}
-	if ver != frameVersion {
-		return nil, fmt.Errorf("stage: artifact has frame version %d, this build reads version %d", ver, frameVersion)
-	}
-	wantSum, ok := strings.CutPrefix(fields[2], "sha256:")
-	if !ok {
-		return nil, fmt.Errorf("stage: malformed frame digest %q", fields[2])
-	}
-	wantLen, err := strconv.Atoi(strings.TrimPrefix(fields[3], "len:"))
-	if err != nil || !strings.HasPrefix(fields[3], "len:") {
-		return nil, fmt.Errorf("stage: malformed frame length %q", fields[3])
-	}
-	payload = data[nl+1:]
-	if len(payload) != wantLen {
-		return nil, fmt.Errorf("stage: artifact payload is %d bytes, frame says %d (truncated write?)", len(payload), wantLen)
-	}
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != wantSum {
-		return nil, fmt.Errorf("stage: artifact checksum mismatch")
+	payload := data[nl+1:]
+	if string(data[:nl+1]) != frameHeader(payload) {
+		return nil, fmt.Errorf("stage: frame header does not match its %d-byte payload", len(payload))
 	}
 	return payload, nil
 }

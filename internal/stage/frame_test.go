@@ -1,6 +1,7 @@
 package stage
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -34,12 +35,48 @@ func TestUnframeRejectsCorruption(t *testing.T) {
 		"malformed length":  strings.Replace(good, "len:", "len:x", 1),
 		"garbage after sum": good + "trailing",
 		"unframed":          string(payload),
+		// Non-canonical spellings of a true header: each parses to the
+		// right version, digest and length, but only the one header
+		// Frame writes is accepted.
+		"signed version": strings.Replace(good, " v1 ", " v+1 ", 1),
+		"padded version": strings.Replace(good, " v1 ", " v01 ", 1),
+		"signed length":  strings.Replace(good, "len:20", "len:+20", 1),
+		"padded length":  strings.Replace(good, "len:20", "len:020", 1),
+		"doubled space":  strings.Replace(good, " sha256:", "  sha256:", 1),
+		"tab separator":  strings.Replace(good, " sha256:", "\tsha256:", 1),
+		"trailing space": strings.Replace(good, "\n", " \n", 1),
 	}
 	for name, data := range cases {
+		if data == good {
+			t.Fatalf("%s: the case does not alter the frame", name)
+		}
 		if _, err := unframe([]byte(data)); err == nil {
 			t.Errorf("%s: unframe accepted corrupt data", name)
 		}
 	}
+}
+
+// FuzzUnframe feeds unframe arbitrary bytes: it must never panic, and
+// every input it accepts must be exactly the frame Frame writes for
+// the payload it returned — one spelling per artifact.
+func FuzzUnframe(f *testing.F) {
+	for _, payload := range []string{"", "the artifact payload", strings.Repeat("artifact|", 1024)} {
+		framed := Frame([]byte(payload))
+		nl := strings.IndexByte(string(framed), '\n')
+		f.Add(framed)
+		f.Add(framed[:len(framed)-1])
+		f.Add(framed[:nl+1])
+		f.Add(framed[:nl])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, err := unframe(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(Frame(payload), data) {
+			t.Fatalf("unframe accepted %q, which is not Frame of its %d-byte payload", data, len(payload))
+		}
+	})
 }
 
 // TestQuarantine pins the corruption path end to end: a torn or
@@ -139,14 +176,14 @@ func TestDiskBreaker(t *testing.T) {
 	codec := testCodec{name: "art.txt", persist: true}
 	ctx := context.Background()
 	s := NewStore(4, dir)
-	// Tier ops are driven through Put directly so each call is exactly
+	// Tier ops are driven through put directly so each call is exactly
 	// one breaker-gated operation; Resolve interleaves a load and a
 	// save per miss, which would obscure the pacing arithmetic.
 	tier := s.tiers[0]
 	ref := Ref{Key: testKey(1), Name: codec.Filename()}
 
 	for i := 0; i < diskBreakerThreshold; i++ {
-		tier.Put(ctx, ref, []byte("v"))
+		tier.put(ctx, ref, []byte("v"))
 	}
 	disk := func() TierStats { return s.Stats().Tiers[TierDisk] }
 	if got := disk().State; got != TierDegraded {
@@ -157,13 +194,13 @@ func TestDiskBreaker(t *testing.T) {
 	// While open, ops are skipped between probes: the next
 	// diskProbeInterval-1 puts must not touch the device at all.
 	for i := 0; i < diskProbeInterval-1; i++ {
-		tier.Put(ctx, ref, []byte(fmt.Sprintf("v%d", i)))
+		tier.put(ctx, ref, []byte(fmt.Sprintf("v%d", i)))
 	}
 	if got := disk().Errors; got != errsAtTrip {
 		t.Errorf("skipped ops still hit the disk: errors %d → %d", errsAtTrip, got)
 	}
 	// The next op is the probe; the disk is still broken, so it fails.
-	tier.Put(ctx, ref, []byte("probe"))
+	tier.put(ctx, ref, []byte("probe"))
 	if got := disk().Errors; got != errsAtTrip+1 {
 		t.Errorf("probe did not hit the disk: errors %d → %d", errsAtTrip, got)
 	}
@@ -193,13 +230,13 @@ func TestDiskBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < diskProbeInterval; i++ {
-		tier.Put(ctx, ref, []byte("recovered"))
+		tier.put(ctx, ref, []byte("recovered"))
 	}
 	if got := disk().State; got != TierOK {
 		t.Errorf("disk state after repair = %q, want %q", got, TierOK)
 	}
 	// Closed again: writes flow to disk normally.
-	tier.Put(ctx, ref, []byte("recovered"))
+	tier.put(ctx, ref, []byte("recovered"))
 	if _, err := os.Stat(filepath.Join(dir, "art.txt")); err != nil {
 		t.Errorf("recovered disk has no artifact: %v", err)
 	}

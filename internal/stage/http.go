@@ -20,21 +20,21 @@ const ArtifactPathPrefix = "/v1/artifacts/"
 // bigger artifact.
 const maxArtifactBytes = 1 << 30
 
-// HTTPBackend is the remote byte tier: it fetches artifacts from peer
+// HTTPBackend is the peer device: it fetches artifacts from peer
 // fgbsd daemons' /v1/artifacts/{key} endpoints before the chain falls
-// through to recomputing. The tier is read-only (Put is a no-op) and
-// carries no state of its own; in a standard chain the Framed
-// decorator verifies every response's integrity frame at this node and
-// the Breakered decorator degrades the tier when peers misbehave, so a
-// flapping peer costs probes, not correctness.
+// through to recomputing. The device is read-only (put is a no-op) and
+// carries no state of its own; its tier verifies every response's
+// integrity frame at this node and degrades when peers misbehave, so a
+// flapping peer costs probes, not correctness. (fgbsvet's keypurity
+// check finds artifactURL by this type's name.)
 type HTTPBackend struct {
 	peers []string
 }
 
-// NewHTTPBackend builds a peer tier fetching from peers (base URLs,
+// newHTTPBackend builds a peer device fetching from peers (base URLs,
 // probed in order) through http.DefaultClient; callers cancel or bound
-// fetches through the Get context.
-func NewHTTPBackend(peers []string) *HTTPBackend {
+// fetches through the get context.
+func newHTTPBackend(peers []string) *HTTPBackend {
 	trimmed := make([]string, 0, len(peers))
 	for _, p := range peers {
 		if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" {
@@ -65,9 +65,6 @@ func ParsePeers(list string) ([]string, error) {
 	return out, nil
 }
 
-// Name identifies the tier.
-func (b *HTTPBackend) Name() string { return TierPeer }
-
 // artifactURL builds the peer-fetch URL for key on peer. The request
 // path embeds the key's canonical hex form verbatim — a pure function
 // of the content address, which is what keeps peer fetches
@@ -77,12 +74,12 @@ func (b *HTTPBackend) artifactURL(peer string, key Key) string {
 	return peer + ArtifactPathPrefix + key.String()
 }
 
-// Get fetches ref's framed bytes from the first peer that has them. A
+// get fetches ref's framed bytes from the first peer that has them. A
 // 404 means that peer does not hold the artifact and the next one is
 // probed; transport failures and non-200 statuses are I/O errors for
 // the breaker (the first such error is returned so the breaker sees
 // the root cause, but later peers are still tried first).
-func (b *HTTPBackend) Get(ctx context.Context, ref Ref) ([]byte, error) {
+func (b *HTTPBackend) get(ctx context.Context, ref Ref) ([]byte, error) {
 	var firstErr error
 	for _, peer := range b.peers {
 		data, err := b.fetch(ctx, peer, ref.Key)
@@ -133,13 +130,13 @@ func (b *HTTPBackend) fetch(ctx context.Context, peer string, key Key) ([]byte, 
 	}
 }
 
-// Put is a no-op: the tier is read-only (peers pull, nobody pushes).
-func (b *HTTPBackend) Put(ctx context.Context, ref Ref, data []byte) (bool, error) {
+// put is a no-op: the device is read-only (peers pull, nobody pushes).
+func (b *HTTPBackend) put(ctx context.Context, ref Ref, data []byte) (bool, error) {
 	return false, nil
 }
 
-// Stats reports the tier's base row; traffic counters come from the
-// decorators.
-func (b *HTTPBackend) Stats() TierStats {
-	return TierStats{State: TierOK}
-}
+// quarantine is a no-op: a peer's bytes are not this node's to move.
+func (b *HTTPBackend) quarantine(ref Ref) {}
+
+// entries is zero: a peer's holdings are not counted here.
+func (b *HTTPBackend) entries() int { return 0 }

@@ -12,7 +12,7 @@ import (
 // into; without pooling, every persist allocates and grows a fresh
 // buffer of the artifact's size. Codecs must not retain the slices
 // they are handed — the buffer returns to the pool when the call ends,
-// and tiers copy what they keep (see Backend's Put contract).
+// and devices copy what they keep (see device's put contract).
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // Codec serializes one stage's artifacts for the Store's byte tiers.
@@ -106,13 +106,13 @@ const diskProbeInterval = 16
 // share the outcome); artifacts are treated as immutable once stored —
 // the same contract pipeline.Profile already carries — so values are
 // shared, never copied. Beneath it, for stages with a Codec, sits an
-// ordered chain of byte tiers (see Backend): a value miss probes the
+// ordered chain of byte tiers (see tier): a value miss probes the
 // tiers top to bottom, a tier hit is decoded and its bytes promoted
 // into every tier above, and a computed artifact is written through
 // the whole chain.
 type Store struct {
 	cap   int
-	tiers []*FramedBackend
+	tiers []*tier
 
 	mu       sync.Mutex
 	ll       *list.List            // front = most recently used; guarded by mu
@@ -141,18 +141,18 @@ type flight struct {
 // memory. Codec-bearing stages also resolve through byte tiers derived
 // from the two ways a profile is shared: a disk tier under dir when dir
 // is set, then a peer tier fetching from peers (base URLs) when any
-// are given. Each tier is wrapped Framed(Breakered(tier)). With
-// neither, the byte plane is off and every stage lives memory-only.
+// are given. With neither, the byte plane is off and every stage lives
+// memory-only.
 func NewStore(capacity int, dir string, peers ...string) *Store {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	var tiers []*FramedBackend
+	var tiers []*tier
 	if dir != "" {
-		tiers = append(tiers, Framed(Breakered(NewDiskBackend(dir))))
+		tiers = append(tiers, &tier{name: TierDisk, dev: &diskDevice{dir: dir}})
 	}
 	if len(peers) > 0 {
-		tiers = append(tiers, Framed(Breakered(NewHTTPBackend(peers))))
+		tiers = append(tiers, &tier{name: TierPeer, dev: newHTTPBackend(peers)})
 	}
 	return &Store{
 		cap:      capacity,
@@ -270,11 +270,11 @@ func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, co
 	var ref Ref
 	if tiered {
 		ref = Ref{Key: key, Name: codec.Filename()}
-		for i, tier := range s.tiers {
-			payload, err := tier.Get(ctx, ref)
+		for i, t := range s.tiers {
+			_, payload, err := t.get(ctx, ref)
 			if err != nil {
 				// A miss, an I/O failure, or corruption (already
-				// quarantined and counted by the tier's decorators):
+				// quarantined and counted by the tier):
 				// fall through to the next tier, then to compute — the
 				// artifact can always be regenerated.
 				continue
@@ -284,14 +284,14 @@ func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, co
 				// The frame verified but the codec rejects the payload
 				// (a stale schema): quarantine in the serving tier and
 				// keep falling through.
-				tier.Quarantine(ctx, ref)
+				t.quarantine(ref)
 				continue
 			}
-			if tier.Name() != TierPeer {
+			if t.name != TierPeer {
 				s.servable(ref)
 			}
 			s.put(ctx, s.tiers[:i], ref, payload)
-			return v, Outcome{Cached: true, Tier: tier.Name()}, nil
+			return v, Outcome{Cached: true, Tier: t.name}, nil
 		}
 	}
 	v, err := compute(ctx)
@@ -313,9 +313,9 @@ func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, co
 // receiving tier's problem (its breaker saw them); the resolve already
 // has its artifact. The peer tier is read-only, so a tier that reports
 // the write is local and the key becomes servable.
-func (s *Store) put(ctx context.Context, tiers []*FramedBackend, ref Ref, payload []byte) {
-	for _, tier := range tiers {
-		if written, err := tier.Put(ctx, ref, payload); written && err == nil {
+func (s *Store) put(ctx context.Context, tiers []*tier, ref Ref, payload []byte) {
+	for _, t := range tiers {
+		if t.put(ctx, ref, payload) {
 			s.servable(ref)
 		}
 	}
@@ -353,12 +353,12 @@ func (s *Store) FetchFramed(ctx context.Context, key Key) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	for _, tier := range s.tiers {
-		if tier.Name() == TierPeer {
+	for _, t := range s.tiers {
+		if t.name == TierPeer {
 			continue
 		}
-		if data, err := tier.GetFramed(ctx, ref); err == nil {
-			return data, nil
+		if framed, _, err := t.get(ctx, ref); err == nil {
+			return framed, nil
 		}
 	}
 	return nil, ErrNotFound
@@ -445,7 +445,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Unlock()
 	st.Tiers = make(map[string]TierStats, len(s.tiers))
 	for _, t := range s.tiers {
-		st.Tiers[t.Name()] = t.Stats()
+		st.Tiers[t.name] = t.stats()
 	}
 	return st
 }
