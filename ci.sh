@@ -107,10 +107,10 @@ go test -run '^$' -fuzz '^FuzzMeasureMatchesWalk$' -fuzztime 10s ./internal/sim
 # yields an error or a consistent profile, never a panic or an
 # allocation sized by a forged count, and an accepted input re-encodes
 # to identical bytes. The seed corpus (a clean and a degraded profile,
-# truncations, the retired JSON layout) runs in the plain go test
-# above; this step searches past it.
+# truncations, and a JSON profile that must be rejected) runs in the
+# plain go test above; this step searches past it.
 echo "== profile fuzz =="
-go test -run '^$' -fuzz '^FuzzReadProfile$' -fuzztime 10s ./internal/pipeline
+go test -run '^$' -fuzz '^FuzzDecodeProfile$' -fuzztime 10s ./internal/pipeline
 
 # The integrity frame is checked on bytes from disk and from peers, so
 # unframe must accept exactly one spelling of every artifact: any input
@@ -119,6 +119,15 @@ go test -run '^$' -fuzz '^FuzzReadProfile$' -fuzztime 10s ./internal/pipeline
 # runs in the plain go test above; this step searches past it.
 echo "== frame fuzz =="
 go test -run '^$' -fuzz '^FuzzUnframe$' -fuzztime 10s ./internal/stage
+
+# decodeBody is the one decoder for every /v1/* request body: a body it
+# accepts into a query or a job request, re-encoded with json.Marshal,
+# must be accepted again and decode to the same value. The seed corpus
+# (a valid query, a GA job, trailing data and an unknown field, the
+# last two rejected) runs in the plain go test above; this step
+# searches past it.
+echo "== body fuzz =="
+go test -run '^$' -fuzz '^FuzzDecodeBody$' -fuzztime 10s ./internal/server
 
 # Profile bytes must not depend on GOARCH. arm64, unlike amd64, may fuse
 # x*y+z into one multiply-add that skips the product's rounding, so

@@ -23,7 +23,6 @@
 //	clusters  cluster memberships at the elbow K
 //	dendro    Ward dendrogram merge history
 //	show      pseudo-source of a codelet (-codelet name)
-//	save      profile a suite and write it to -cache
 //	export    data series: -what eval|sweep|features (CSV) or
 //	          evaljson|subsetjson|select (the JSON forms the fgbsd
 //	          service also returns)
@@ -59,10 +58,6 @@
 //	                generations, as in the paper; slow)
 //	-paperfeatures  use the exact Table 2 feature set instead of the
 //	                default mask
-//	-cache path     load the profile from path if it exists; the save
-//	                experiment writes it (profiling is the expensive
-//	                step — cache it once, then every experiment is
-//	                instant)
 //	-codelet name   codelet for the show experiment
 //	-what kind      export kind: eval, sweep, features, evaljson,
 //	                subsetjson or select
@@ -75,10 +70,12 @@
 //	                repeated work within one run (a K sweep's shared
 //	                clustering, say) is computed once.
 //	-stagedir path  also persist stage artifacts (the profile) under
-//	                this directory and load them back on later runs —
-//	                the directory-shaped analogue of -cache, sharing
-//	                its framed <suite>-<key>.prof layout with fgbsd's
-//	                -profiledir
+//	                this directory and load them back on later runs
+//	                (profiling is the expensive step — persist it once,
+//	                then every experiment on the same suite, seed and
+//	                -faultprofile is instant). Files are framed
+//	                <suite>-<key>.prof, the layout fgbsd's -profiledir
+//	                shares
 //	-peers list     comma-separated base URLs of fgbsd daemons; adds a
 //	                peer tier to the stage store, after the -stagedir
 //	                disk tier, that fetches artifacts from their
@@ -149,7 +146,6 @@ type config struct {
 	trials     int
 	full       bool
 	paperSet   bool
-	cache      string
 	codelet    string
 	what       string
 	family     string
@@ -210,7 +206,6 @@ func run(ctx context.Context, args []string) error {
 	fs.IntVar(&cfg.trials, "trials", 1000, "random clusterings per K (f7)")
 	fs.BoolVar(&cfg.full, "full", false, "full-size GA run for t2")
 	fs.BoolVar(&cfg.paperSet, "paperfeatures", false, "use the exact Table 2 feature set")
-	fs.StringVar(&cfg.cache, "cache", "", "profile cache file (load if present; 'save' writes it)")
 	fs.StringVar(&cfg.codelet, "codelet", "", "codelet name for 'show'")
 	fs.StringVar(&cfg.what, "what", "eval", "export kind: eval, sweep, features, evaljson, subsetjson or select")
 	fs.StringVar(&cfg.family, "family", "", "corpus: codelet family to generate")
@@ -399,24 +394,6 @@ func run(ctx context.Context, args []string) error {
 			cross = append(cross, cp)
 		}
 		return report.Figure8(os.Stdout, prof, cross, per)
-	case "save":
-		if cfg.cache == "" {
-			return fmt.Errorf("save needs -cache <path>")
-		}
-		prof, err := pipelineProfileFresh(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(cfg.cache)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := prof.Save(f); err != nil {
-			return err
-		}
-		fmt.Printf("profiled %d codelets of %s; cached to %s\n", prof.N(), cfg.suite, cfg.cache)
-		return nil
 	case "show":
 		return cmdShow(cfg)
 	case "export":
@@ -499,16 +476,6 @@ func run(ctx context.Context, args []string) error {
 	}
 }
 
-// pipelineProfileFresh always re-profiles (ignoring any cache), which
-// is what 'save' wants.
-func pipelineProfileFresh(ctx context.Context, cfg config) (*pipeline.Profile, error) {
-	progs, err := suites.Programs(cfg.suite)
-	if err != nil {
-		return nil, err
-	}
-	return pipeline.NewProfileContext(ctx, progs, pipeline.Options{Seed: cfg.seed, Measurer: cfg.measurer})
-}
-
 // exportKinds are the valid -what values.
 var exportKinds = []string{"eval", "sweep", "features", "evaljson", "subsetjson", "select"}
 
@@ -561,23 +528,12 @@ func validate(cfg config) error {
 	return nil
 }
 
-// profile resolves the suite through the stage graph: a -cache file is
-// adopted as the profile artifact, anything else resolves via the
-// engine (in-memory, then -stagedir, then a fresh build).
+// profile resolves the suite through the stage graph: the in-memory
+// LRU, then the -stagedir and -peers tiers, then a fresh build.
 func profile(ctx context.Context, cfg config, suite string) (*pipeline.Staged, error) {
 	progs, err := suites.Programs(suite)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.cache != "" {
-		if f, err := os.Open(cfg.cache); err == nil {
-			defer f.Close()
-			prof, err := pipeline.ReadProfile(f, progs)
-			if err != nil {
-				return nil, fmt.Errorf("loading %s: %w (re-create with 'save')", cfg.cache, err)
-			}
-			return cfg.engine.Adopt(progs, cfg.stageOpts(suite), prof), nil
-		}
 	}
 	st, _, err := cfg.engine.Profile(ctx, progs, cfg.stageOpts(suite))
 	return st, err

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,7 +21,6 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		{"bad flag", []string{"t5", "-bogus"}},
 		{"show without codelet", []string{"show"}},
 		{"show unknown codelet", []string{"show", "-codelet", "ghost"}},
-		{"save without cache", []string{"save", "-suite", "nr", "-cache", ""}},
 		{"negative k", []string{"summary", "-k", "-3"}},
 		{"unknown target", []string{"f4", "-target", "PDP-11"}},
 		{"unknown export kind", []string{"export", "-what", "yaml"}},
@@ -63,15 +64,67 @@ func TestRunCanceled(t *testing.T) {
 	}
 }
 
-func TestProfileCacheRejectsCorrupt(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cache.prof")
-	if err := os.WriteFile(path, []byte("junk"), 0o644); err != nil {
+// runStdout runs the CLI and returns what it printed to stdout.
+func runStdout(t *testing.T, args ...string) []byte {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := profile(context.Background(), config{cache: path}, "nr")
-	if err == nil || !strings.Contains(err.Error(), "re-create") {
-		t.Errorf("corrupt cache error = %v", err)
+	var readErr error
+	out := make(chan []byte)
+	go func() {
+		b, err := io.ReadAll(r)
+		readErr = err
+		out <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	runErr := run(context.Background(), args)
+	os.Stdout = stdout
+	w.Close()
+	b := <-out
+	r.Close()
+	if runErr != nil {
+		t.Fatalf("run(%v): %v", args, runErr)
+	}
+	if readErr != nil {
+		t.Fatalf("reading stdout: %v", readErr)
+	}
+	return b
+}
+
+// TestStageDirPersistsPerSeed pins -stagedir as the way to reuse a
+// profile across runs: a warm run prints the cold run's bytes from the
+// one artifact it wrote, and another seed gets its own artifact and its
+// own answer instead of the first seed's.
+func TestStageDirPersistsPerSeed(t *testing.T) {
+	dir := t.TempDir()
+	export := func(seed string) []byte {
+		return runStdout(t, "export", "-what", "evaljson", "-suite", "syn-smoke", "-seed", seed, "-stagedir", dir)
+	}
+	profs := func() []string {
+		m, err := filepath.Glob(filepath.Join(dir, "*.prof"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	cold := export("1")
+	if len(cold) == 0 {
+		t.Fatal("export printed nothing")
+	}
+	if warm := export("1"); !bytes.Equal(warm, cold) {
+		t.Errorf("warm run differs from cold run:\ncold: %s\nwarm: %s", cold, warm)
+	}
+	if got := profs(); len(got) != 1 {
+		t.Fatalf("after two seed-1 runs: profile artifacts %v, want exactly one", got)
+	}
+	if other := export("2"); bytes.Equal(other, cold) {
+		t.Error("seed 2 printed seed 1's answer")
+	}
+	if got := profs(); len(got) != 2 {
+		t.Errorf("after a seed-2 run: profile artifacts %v, want two", got)
 	}
 }
 

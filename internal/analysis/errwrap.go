@@ -9,9 +9,9 @@ import (
 
 // errWrapCheck enforces error-chain hygiene: a fmt.Errorf that formats
 // an error operand with %v or %s flattens it to text, so errors.Is and
-// errors.As can no longer see the cause (the profile-cache code paths
-// rely on sentinel matching). Any fmt.Errorf whose arguments include
-// an error but whose format string has no %w is a finding.
+// errors.As can no longer see the cause (fault.IsTransient classifies
+// wrapped measurement errors that way). Any fmt.Errorf whose arguments
+// include an error but whose format string has no %w is a finding.
 var errWrapCheck = &Check{
 	Name: "errwrap",
 	Doc:  "forbid fmt.Errorf formatting an error operand without %w",

@@ -230,12 +230,8 @@ func TestChaosPermanentFailureDegradesLoudly(t *testing.T) {
 		t.Errorf("degraded eval not JSON-marshalable: %v", err)
 	}
 
-	// Failure markers survive the save/load round trip.
-	var buf bytes.Buffer
-	if err := prof.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadProfile(&buf, chaosSuite())
+	// Failure markers survive the encode/decode round trip.
+	back, err := decodeSuite(t, encodeProfile(t, prof), chaosSuite())
 	if err != nil {
 		t.Fatal(err)
 	}

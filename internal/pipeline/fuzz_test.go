@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// FuzzReadProfile: arbitrary input must produce an error or a valid
+// FuzzDecodeProfile: arbitrary input must produce an error or a valid
 // profile — never a panic or an inconsistent result — and an accepted
 // input must re-encode to exactly its own bytes, so the strict decoder
 // admits one encoding per profile.
@@ -15,7 +15,7 @@ import (
 // every fuzz worker builds them under coverage instrumentation, and
 // tinySuite's full-size simulation would use up a short -fuzztime
 // before the first mutation runs.
-func FuzzReadProfile(f *testing.F) {
+func FuzzDecodeProfile(f *testing.F) {
 	clean, err := NewProfile(chaosSuite(), Options{Seed: 1})
 	if err != nil {
 		f.Fatal(err)
@@ -26,10 +26,18 @@ func FuzzReadProfile(f *testing.F) {
 	f.Add(enc[:len(enc)/2])
 	f.Add(enc[:profileHeaderLen])
 	f.Add(enc[:len(enc)-1])
-	f.Add([]byte(`{"version":1}`))
-	progs := tinySuite() // only read: ReadProfile never mutates a suite
+	jsonProfile := []byte(`{"version":1}`)
+	f.Add(jsonProfile)
+	// Detect once: decodeProfile only reads the inventory it binds to.
+	ps, cs, err := Detect(tinySuite())
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := decodeProfile(jsonProfile, ps, cs); err == nil {
+		f.Fatal("a JSON profile decoded as a binary one")
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ReadProfile(bytes.NewReader(data), progs)
+		p, err := decodeProfile(data, ps, cs)
 		if err != nil {
 			return
 		}

@@ -18,7 +18,7 @@ import (
 // reference profile and features, the standalone (microbenchmark)
 // times, and the full-suite ground truth on each target.
 //
-// A Profile is immutable after NewProfile/ReadProfile returns: Subset,
+// A Profile is immutable once built or decoded: Subset,
 // Evaluate, NormalizedPoints and the experiment helpers only read it
 // (NormalizedPoints copies rows before normalizing), so one Profile
 // may be shared by any number of concurrent goroutines — the property

@@ -22,9 +22,11 @@ import (
 //
 // The artifact stores measurements and codelet names; loading re-binds
 // them to the suite's programs, which must match (the IR itself is
-// code, not data). One compact binary layout serves every place a
-// profile is persisted — the stage store's disk and peer tiers and the
-// CLI's save/-cache file. All integers are little-endian:
+// code, not data). A profile is persisted only as the profile stage's
+// artifact (profileCodec), so every copy — fgbsd's -profiledir, the
+// CLI's -stagedir, a peer's /v1/artifacts — sits under the key of the
+// suite, seed and measurer that produced it. All integers are
+// little-endian:
 //
 //	magic      "fgbsprof"
 //	version    uint32
@@ -46,8 +48,10 @@ import (
 // profileMagic opens every binary profile.
 const profileMagic = "fgbsprof"
 
-// profileVersion is the binary layout's version. A profile of any
-// other version is rejected with a hint to regenerate it.
+// profileVersion is the binary layout's version; a profile of any
+// other version is rejected. Bump profileStageVersion with it, so the
+// stage tiers file the new layout under new keys and never read an old
+// one.
 const profileVersion = 1
 
 // profileHeaderLen is the fixed-size prefix: magic, version, three
@@ -137,17 +141,6 @@ func (p *Profile) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Save writes the profile's binary encoding to w — the CLI's -cache
-// file.
-func (p *Profile) Save(w io.Writer) error {
-	b, err := p.AppendBinary(nil)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 func appendName(dst []byte, s string) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
 	return append(dst, s...)
@@ -172,21 +165,6 @@ func appendBools(dst []byte, vs []bool) []byte {
 		dst = appendBool(dst, v)
 	}
 	return dst
-}
-
-// ReadProfile deserializes a binary profile and re-binds it to the
-// suite programs it was built from. The suite must contain exactly the
-// serialized codelets, in any program order.
-func ReadProfile(r io.Reader, progs []*ir.Program) (*Profile, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline: reading profile: %w", err)
-	}
-	ps, cs, err := Detect(progs)
-	if err != nil {
-		return nil, err
-	}
-	return decodeProfile(data, ps, cs)
 }
 
 // errProfileTruncated reports a profile that ends before its counts
@@ -275,18 +253,16 @@ func (r *profileReader) machine() *arch.Machine {
 
 // decodeProfile decodes a binary profile against a detected codelet
 // inventory (ps, cs: Detect's aligned output), binding each serialized
-// codelet to the suite's by (app, name). data is only read; the
-// profile keeps no reference to it.
+// codelet to the suite's by (app, name). The suite must contain exactly
+// the serialized codelets, in any program order. data is only read;
+// the profile keeps no reference to it.
 func decodeProfile(data []byte, ps []*ir.Program, cs []*ir.Codelet) (*Profile, error) {
 	if !bytes.HasPrefix(data, []byte(profileMagic)) {
-		if bytes.HasPrefix(bytes.TrimSpace(data), []byte("{")) {
-			return nil, fmt.Errorf("pipeline: profile is in the retired JSON layout — regenerate the cache")
-		}
 		return nil, fmt.Errorf("pipeline: not a binary profile (bad magic)")
 	}
 	r := &profileReader{data: data[len(profileMagic):]}
 	if v := r.u32(); r.err == nil && v != profileVersion {
-		return nil, fmt.Errorf("pipeline: profile cache has version %d, this build reads version %d — regenerate the cache", v, profileVersion)
+		return nil, fmt.Errorf("pipeline: profile has version %d, this build reads version %d", v, profileVersion)
 	}
 	t, n, f := r.u32(), r.u32(), r.u32()
 	refFailed, tgtFailed := r.flag(), r.flag()
@@ -435,7 +411,7 @@ type profileJSON struct {
 // SaveJSON renders the profile as indented JSON: the canonical,
 // human-readable form that tests hash and compare (TestProfileGolden
 // pins it). Nothing reads it back; profiles persist in the binary
-// layout (AppendBinary, Save).
+// layout (AppendBinary).
 func (p *Profile) SaveJSON(w io.Writer) error {
 	pj := profileJSON{
 		Version:   1,

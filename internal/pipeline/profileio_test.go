@@ -23,6 +23,17 @@ func encodeProfile(tb testing.TB, p *Profile) []byte {
 	return b
 }
 
+// decodeSuite decodes data against progs' detected codelets, the
+// binding the profile stage's codec makes against its detect artifact.
+func decodeSuite(tb testing.TB, data []byte, progs []*ir.Program) (*Profile, error) {
+	tb.Helper()
+	ps, cs, err := Detect(progs)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return decodeProfile(data, ps, cs)
+}
+
 // renderJSON is p's canonical SaveJSON rendering.
 func renderJSON(tb testing.TB, p *Profile) []byte {
 	tb.Helper()
@@ -63,11 +74,7 @@ func degradedProfile(tb testing.TB) *Profile {
 
 func TestProfileRoundTrip(t *testing.T) {
 	prof := tinyProfile(t)
-	var buf bytes.Buffer
-	if err := prof.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadProfile(bytes.NewReader(buf.Bytes()), tinySuite())
+	back, err := decodeSuite(t, encodeProfile(t, prof), tinySuite())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,23 +163,22 @@ func TestReadProfileRejectsWrongSuite(t *testing.T) {
 	// A suite with a renamed codelet must be rejected.
 	other := tinySuite()
 	other[0].Codelets[0].Name = "renamed"
-	if _, err := ReadProfile(bytes.NewReader(enc), other); err == nil {
+	if _, err := decodeSuite(t, enc, other); err == nil {
 		t.Error("mismatched suite accepted")
 	}
 }
 
 func TestReadProfileRejectsWrongVersion(t *testing.T) {
-	// A profile saved by a different build, or a cache in the retired
-	// JSON layout, must point the user at regenerating the cache, not
-	// at a decoding internals error.
+	// A profile encoded by a build with another layout version is
+	// rejected with that version named, not with a decoding internals
+	// error; a JSON profile is not a binary profile at all.
 	stale := encodeProfile(t, tinyProfile(t))
 	binary.LittleEndian.PutUint32(stale[len(profileMagic):], 99)
-	retired := []byte(`{"version": 1, "reference": "Nehalem"}`)
-	for name, data := range map[string][]byte{"version 99": stale, "JSON layout": retired} {
-		_, err := ReadProfile(bytes.NewReader(data), tinySuite())
-		if err == nil || !strings.Contains(err.Error(), "regenerate the cache") {
-			t.Errorf("%s: error = %v, want a 'regenerate the cache' hint", name, err)
-		}
+	if _, err := decodeSuite(t, stale, tinySuite()); err == nil || !strings.Contains(err.Error(), "version 99") {
+		t.Errorf("version 99: error = %v, want the version named", err)
+	}
+	if _, err := decodeSuite(t, []byte(`{"version": 1, "reference": "Nehalem"}`), tinySuite()); err == nil {
+		t.Error("JSON layout: accepted")
 	}
 }
 
@@ -197,7 +203,7 @@ func TestReadProfileRejectsMissingCodelet(t *testing.T) {
 	// mismatch) must be rejected.
 	smaller := tinySuite()
 	smaller[0].Codelets = smaller[0].Codelets[:len(smaller[0].Codelets)-1]
-	_, err := ReadProfile(bytes.NewReader(enc), smaller)
+	_, err := decodeSuite(t, enc, smaller)
 	if err == nil || !strings.Contains(err.Error(), "codelets") {
 		t.Errorf("shrunken suite error = %v, want codelet count mismatch", err)
 	}

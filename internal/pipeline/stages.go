@@ -281,17 +281,15 @@ func (e *Engine) stagedKey(pk stage.Key, prof *Profile) stage.Key {
 	return stage.NewKey("profile-degraded", profileStageVersion).Upstream(pk).Int(n).Key()
 }
 
-// Adopt inserts an externally built profile (e.g. loaded from a CLI
-// -cache file) into the stage graph under the key Engine.Profile would
-// derive for the same inputs, replacing any stored artifact. The
-// adopted profile is trusted as-is, matching the CLI's historical
-// cache semantics — except a degraded profile, which (like a degraded
-// build) is served but never memoized, under an isolated key.
+// Adopt binds a profile built elsewhere — tests share one expensive
+// build across fresh engines — to the key Engine.Profile would derive
+// for the same inputs, so its derived stages resolve and memoize as if
+// the engine had built it. The profile itself is stored nowhere: a
+// later Engine.Profile resolve builds or loads its own. The caller
+// vouches that prof was built from progs under opts; a degraded
+// profile gets an isolated key, as a degraded build does.
 func (e *Engine) Adopt(progs []*ir.Program, opts StageOptions, prof *Profile) *Staged {
 	pk := profileKey(detectKey(progs), opts.Options, e.measurerKey(opts))
-	if !prof.Degraded() {
-		e.store.Put(pk, prof)
-	}
 	return &Staged{eng: e, prof: prof, key: e.stagedKey(pk, prof)}
 }
 

@@ -201,15 +201,3 @@ func (b *breakerSet) snapshot() ([]breakerInfo, int64) {
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Key < infos[j].Key })
 	return infos, b.trips
 }
-
-// anyOpen reports whether any circuit is open or probing.
-func (b *breakerSet) anyOpen() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, st := range b.states {
-		if st.open {
-			return true
-		}
-	}
-	return false
-}

@@ -148,23 +148,6 @@ func TestStoreLRUEviction(t *testing.T) {
 	}
 }
 
-func TestStorePutReplacesAndEvicts(t *testing.T) {
-	s := NewStore(2, "")
-	s.Put(testKey(1), "old")
-	s.Put(testKey(1), "new")
-	if v, _ := s.Get(testKey(1)); v != "new" {
-		t.Errorf("Get after replacing Put = %v, want new", v)
-	}
-	s.Put(testKey(2), "b")
-	s.Put(testKey(3), "c") // evicts key 1 (least recently used)
-	if _, ok := s.Get(testKey(1)); ok {
-		t.Error("Put did not evict beyond capacity")
-	}
-	if s.Len() != 2 {
-		t.Errorf("Len = %d, want 2", s.Len())
-	}
-}
-
 func TestStoreDelete(t *testing.T) {
 	s := NewStore(4, "")
 	ctx := context.Background()

@@ -219,17 +219,15 @@ func (s *Store) Resolve(ctx context.Context, stage string, key Key, codec Codec,
 	finish := func() {
 		s.mu.Lock()
 		delete(s.inflight, key)
+		// The key cannot be in items: Resolve opened this flight
+		// only after missing there, and the flight is the key's only
+		// writer.
 		if f.err == nil {
-			if el, ok := s.items[key]; ok {
-				el.Value.(*entry).val = f.val
-				s.ll.MoveToFront(el)
-			} else {
-				s.items[key] = s.ll.PushFront(&entry{key: key, val: f.val})
-				for s.ll.Len() > s.cap {
-					last := s.ll.Back()
-					s.ll.Remove(last)
-					delete(s.items, last.Value.(*entry).key)
-				}
+			s.items[key] = s.ll.PushFront(&entry{key: key, val: f.val})
+			for s.ll.Len() > s.cap {
+				last := s.ll.Back()
+				s.ll.Remove(last)
+				delete(s.items, last.Value.(*entry).key)
 			}
 		}
 		s.mu.Unlock()
@@ -376,25 +374,6 @@ func (s *Store) Keys() []Key {
 	s.mu.Unlock()
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
-}
-
-// Put stores an externally produced artifact under key, replacing any
-// existing value — the adoption path for profiles loaded from a CLI
-// -cache file, which must win over whatever a rebuild would produce.
-func (s *Store) Put(key Key, v any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
-		el.Value.(*entry).val = v
-		s.ll.MoveToFront(el)
-		return
-	}
-	s.items[key] = s.ll.PushFront(&entry{key: key, val: v})
-	for s.ll.Len() > s.cap {
-		last := s.ll.Back()
-		s.ll.Remove(last)
-		delete(s.items, last.Value.(*entry).key)
-	}
 }
 
 // Delete evicts key from the value LRU; byte-tier artifacts, when any,
