@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -9,7 +10,6 @@ import (
 
 	"fgbs/internal/arch"
 	"fgbs/internal/cluster"
-	"fgbs/internal/fault"
 	"fgbs/internal/features"
 	"fgbs/internal/ir"
 	"fgbs/internal/stage"
@@ -109,12 +109,10 @@ type StageOptions struct {
 	Options
 
 	// MeasurerKey identifies the Measurer's configuration in the
-	// profile key (e.g. fault.Profile.Fingerprint()). Leave empty with
-	// a nil Measurer. With a non-nil Measurer and an empty key, the
-	// engine falls back to a per-Measurer-instance token, so distinct
-	// anonymous measurers never collide with each other or with the
-	// clean simulator — at the cost of no artifact sharing across
-	// engine restarts.
+	// profile key (e.g. fault.Profile.Fingerprint()). It is required
+	// with a non-nil Measurer — the engine rejects an unkeyed one,
+	// which would share the clean simulator's key — and left empty
+	// with a nil Measurer.
 	MeasurerKey string
 
 	// DiskName, when non-empty and the engine's store has byte tiers,
@@ -131,12 +129,6 @@ type Engine struct {
 	store *stage.Store
 
 	mu sync.Mutex
-	// anon assigns per-instance tokens to measurers without a
-	// MeasurerKey; guarded by mu. Keyed by the Measurer itself — every
-	// implementation in this codebase is a pointer or empty struct, so
-	// interface comparison is safe.
-	anon  map[fault.Measurer]string // guarded by mu
-	anonN int                       // guarded by mu
 	// degradedN numbers degraded builds: each gets a unique Staged key
 	// so its derived stages can never be served to a clean rebuild (or
 	// to another degraded build) of the same profile key.
@@ -146,28 +138,15 @@ type Engine struct {
 // NewEngine wraps a store. Engines are cheap; everything lives in the
 // store, so any number of engines may share one.
 func NewEngine(store *stage.Store) *Engine {
-	return &Engine{store: store, anon: make(map[fault.Measurer]string)}
+	return &Engine{store: store}
 }
 
 // Store exposes the backing store (for stats and tests).
 func (e *Engine) Store() *stage.Store { return e.store }
 
-// measurerKey resolves StageOptions' measurer identity for key
-// derivation.
-func (e *Engine) measurerKey(opts StageOptions) string {
-	if opts.MeasurerKey != "" || opts.Measurer == nil {
-		return opts.MeasurerKey
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	k, ok := e.anon[opts.Measurer]
-	if !ok {
-		e.anonN++
-		k = fmt.Sprintf("anon-measurer-%d", e.anonN)
-		e.anon[opts.Measurer] = k
-	}
-	return k
-}
+// errUnkeyedMeasurer rejects a Measurer without a MeasurerKey: its
+// profiles would resolve under the clean simulator's key.
+var errUnkeyedMeasurer = errors.New("pipeline: StageOptions.Measurer needs a MeasurerKey")
 
 // detected is the detect stage's artifact.
 type detected struct {
@@ -225,6 +204,9 @@ func diskFilename(name string, k stage.Key) string {
 // them only when no stored artifact matches. The Outcome reports how
 // the profile stage was satisfied (memory/coalesced/disk vs computed).
 func (e *Engine) Profile(ctx context.Context, progs []*ir.Program, opts StageOptions) (*Staged, stage.Outcome, error) {
+	if opts.Measurer != nil && opts.MeasurerKey == "" {
+		return nil, stage.Outcome{}, errUnkeyedMeasurer
+	}
 	dk := detectKey(progs)
 	dV, _, err := e.store.Resolve(ctx, "detect", dk, nil, func(context.Context) (any, error) {
 		ps, cs, err := Detect(progs)
@@ -238,7 +220,7 @@ func (e *Engine) Profile(ctx context.Context, progs []*ir.Program, opts StageOpt
 	}
 	det := dV.(*detected)
 
-	pk := profileKey(dk, opts.Options, e.measurerKey(opts))
+	pk := profileKey(dk, opts.Options, opts.MeasurerKey)
 	var codec stage.Codec
 	if opts.DiskName != "" {
 		codec = profileCodec{name: diskFilename(opts.DiskName, pk), det: det}
@@ -287,9 +269,13 @@ func (e *Engine) stagedKey(pk stage.Key, prof *Profile) stage.Key {
 // the engine had built it. The profile itself is stored nowhere: a
 // later Engine.Profile resolve builds or loads its own. The caller
 // vouches that prof was built from progs under opts; a degraded
-// profile gets an isolated key, as a degraded build does.
+// profile gets an isolated key, as a degraded build does. Adopt panics
+// on an unkeyed Measurer, which Engine.Profile rejects.
 func (e *Engine) Adopt(progs []*ir.Program, opts StageOptions, prof *Profile) *Staged {
-	pk := profileKey(detectKey(progs), opts.Options, e.measurerKey(opts))
+	if opts.Measurer != nil && opts.MeasurerKey == "" {
+		panic(errUnkeyedMeasurer)
+	}
+	pk := profileKey(detectKey(progs), opts.Options, opts.MeasurerKey)
 	return &Staged{eng: e, prof: prof, key: e.stagedKey(pk, prof)}
 }
 

@@ -313,6 +313,21 @@ func TestSweepKProfilesExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestEngineRejectsUnkeyedMeasurer: a Measurer without a MeasurerKey
+// would resolve under the clean simulator's profile key, so the engine
+// refuses it before measuring anything.
+func TestEngineRejectsUnkeyedMeasurer(t *testing.T) {
+	cm := &countingMeasurer{}
+	eng := NewEngine(stage.NewStore(16, ""))
+	_, _, err := eng.Profile(context.Background(), tinySuite(), StageOptions{Options: Options{Seed: 1, Measurer: cm}})
+	if !errors.Is(err, errUnkeyedMeasurer) {
+		t.Fatalf("err = %v, want errUnkeyedMeasurer", err)
+	}
+	if n := cm.n.Load(); n != 0 {
+		t.Errorf("rejected resolve ran %d measurements, want 0", n)
+	}
+}
+
 // TestEngineProfileMatchesMonolith pins that an engine-built profile —
 // which consumes the memoized detect artifact instead of re-detecting —
 // serializes byte-identically to the monolithic NewProfile.

@@ -197,6 +197,7 @@ func TestChaosDegradedProfileServesStale(t *testing.T) {
 		SuiteNames:   []string{"tiny"},
 		Programs:     testPrograms,
 		Measurer:     rob,
+		MeasurerKey:  "chaos-atom-beta",
 		MeasureStats: func() measure.Stats { return rob.Stats() },
 		FaultStats:   func() fault.Stats { return inj.Stats() },
 	})
@@ -297,6 +298,7 @@ func TestChaosRecoveryProbeRestoresFreshResults(t *testing.T) {
 		SuiteNames:      []string{"tiny"},
 		Programs:        testPrograms,
 		Measurer:        sw,
+		MeasurerKey:     "chaos-switchable",
 		BreakerCooldown: 10 * time.Second,
 	})
 	defer s.Close()
@@ -358,6 +360,7 @@ func TestChaosFailedProbeFallsBackToLastGood(t *testing.T) {
 			return testPrograms(name)
 		},
 		Measurer:        sw,
+		MeasurerKey:     "chaos-switchable",
 		BreakerCooldown: 10 * time.Second,
 	})
 	defer s.Close()
@@ -385,6 +388,14 @@ func TestChaosFailedProbeFallsBackToLastGood(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Stale") != "true" {
 		t.Fatalf("open-circuit fallback: status=%d stale=%q, want 200 stale", resp.StatusCode, resp.Header.Get("X-Stale"))
 	}
+	// /v1/suites lists the profile those answers come from.
+	var suites struct {
+		Suites []suiteInfo `json:"suites"`
+	}
+	get(t, ts, "/v1/suites", &suites)
+	if len(suites.Suites) != 1 || !suites.Suites[0].Loaded || !suites.Suites[0].Degraded {
+		t.Errorf("suites after failed probe = %+v, want tiny loaded and degraded", suites.Suites)
+	}
 
 	// Everything heals: the next probe rebuilds cleanly.
 	buildBroken.Store(false)
@@ -396,6 +407,86 @@ func TestChaosFailedProbeFallsBackToLastGood(t *testing.T) {
 	}
 	if resp.Header.Get("X-Stale") != "" {
 		t.Error("healed response still stale")
+	}
+}
+
+// TestChaosProbeInFlightServesRetained holds the recovery probe inside
+// its build: a second request must not wait on it but answer at once
+// from the served degraded profile, marked stale, and join the probe
+// rather than start another build.
+func TestChaosProbeInFlightServesRetained(t *testing.T) {
+	sw := &switchableMeasurer{inner: brokenBeta()}
+	var holdProbe atomic.Bool
+	probing := make(chan struct{})
+	release := make(chan struct{})
+	s := New(Config{
+		Seed:       1,
+		SuiteNames: []string{"tiny"},
+		Programs: func(name string) ([]*ir.Program, error) {
+			if holdProbe.Load() {
+				close(probing)
+				<-release
+			}
+			return testPrograms(name)
+		},
+		Measurer:        sw,
+		MeasurerKey:     "chaos-switchable",
+		BreakerCooldown: 10 * time.Second,
+	})
+	defer s.Close()
+	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
+	s.breakers.now = clock.now
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	// Runs first on a failed check, so the held probe cannot keep the
+	// server from closing.
+	releaseProbe := sync.OnceFunc(func() { close(release) })
+	defer releaseProbe()
+
+	const q = `{"suite":"tiny","k":2}`
+	resp, _ := rawBody(t, ts, "/v1/subset", q)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Stale") != "true" {
+		t.Fatalf("degraded build: status=%d stale=%q", resp.StatusCode, resp.Header.Get("X-Stale"))
+	}
+
+	// The faults clear and the cooldown elapses: the next request
+	// becomes the probe, held inside its build.
+	sw.set(measure.New(fault.Sim{}, measure.Config{Invocations: -1, Sleep: chaosSleep}))
+	holdProbe.Store(true)
+	clock.advance(11 * time.Second)
+	probeStatus := make(chan string, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/subset", "application/json", strings.NewReader(q))
+		if err != nil {
+			probeStatus <- err.Error()
+			return
+		}
+		resp.Body.Close()
+		probeStatus <- fmt.Sprintf("%d stale=%q", resp.StatusCode, resp.Header.Get("X-Stale"))
+	}()
+	<-probing
+	holdProbe.Store(false)
+
+	coalesced := s.registry.coalesced.Load()
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/subset", "application/json", strings.NewReader(q))
+	if err != nil {
+		t.Fatalf("request during probe: %v (it must not wait on the probe)", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Stale") != "true" {
+		t.Errorf("request during probe: status=%d stale=%q, want 200 stale", resp.StatusCode, resp.Header.Get("X-Stale"))
+	}
+	if got := s.registry.coalesced.Load(); got != coalesced+1 {
+		t.Errorf("coalesced = %d, want %d", got, coalesced+1)
+	}
+
+	releaseProbe()
+	if got := <-probeStatus; got != `200 stale=""` {
+		t.Errorf("probe = %s, want 200 fresh", got)
+	}
+	if got := s.registry.builds.Load(); got != 2 {
+		t.Errorf("builds = %d, want 2 (one build, one probe)", got)
 	}
 }
 

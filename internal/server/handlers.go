@@ -148,10 +148,11 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (queryReque
 // and serves it. compute returns the response value to encode.
 //
 // Graceful degradation: when the registry hands back a stale profile
-// (degraded build, or last-good data behind an open circuit), the
-// response is decorated with "stale": true plus an X-Stale header and
-// deliberately NOT cached — a recovered rebuild must become visible on
-// the next request, not hide behind a stale LRU entry. When the
+// (a degraded build, served while its circuit is open or its recovery
+// probe runs), the response is decorated with "stale": true plus an
+// X-Stale header and deliberately NOT cached — a recovered rebuild
+// must become visible on the next request, not hide behind a stale
+// LRU entry. When the
 // circuit is open and there is nothing to degrade onto, requests fail
 // fast with 503 and a Retry-After hint instead of hammering a build
 // that keeps failing.
@@ -178,6 +179,12 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, key string, comp
 	}
 	v, err := compute(st)
 	if err != nil {
+		if r.Context().Err() != nil {
+			// A compute cut short by the client is no fault of the
+			// query: the same 503 as a canceled wait above.
+			writeError(w, http.StatusServiceUnavailable, "request canceled: %v", err)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -291,11 +298,12 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 // suiteInfo is one entry of the /v1/suites listing.
 type suiteInfo struct {
 	Name string `json:"name"`
-	// Loaded reports whether the suite's profile is resident.
+	// Loaded reports whether requests for the suite are answered from
+	// a served profile, degraded or not.
 	Loaded   bool     `json:"loaded"`
 	Codelets int      `json:"codelets,omitempty"`
 	Targets  []string `json:"targets,omitempty"`
-	// Degraded reports whether the resident profile carries failure
+	// Degraded reports whether the served profile carries failure
 	// markers (measurements lost to permanent faults).
 	Degraded bool `json:"degraded,omitempty"`
 }
@@ -392,7 +400,7 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 			"coalesced":      s.registry.coalesced.Load(),
 			"diskLoads":      s.registry.diskLoads.Load(),
 			"peerLoads":      s.registry.peerLoads.Load(),
-			"inFlightBuilds": s.registry.building.Load(),
+			"inFlightBuilds": s.registry.inFlightBuilds(),
 			"staleServes":    s.registry.staleHits.Load(),
 		},
 		"stages": s.registry.store.Stats(),

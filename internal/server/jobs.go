@@ -265,10 +265,11 @@ func (s *Server) randBaselineJob(req jobRequest, mask features.Mask) jobs.Fn {
 
 func (s *Server) gaJob(req jobRequest) jobs.Fn {
 	return func(ctx context.Context, pr *jobs.Progress) (any, error) {
-		prof, _, err := s.registry.Profile(ctx, req.Suite)
+		st, _, err := s.registry.Staged(ctx, req.Suite)
 		if err != nil {
 			return nil, err
 		}
+		prof := st.Profile()
 		targets := req.Targets
 		if len(targets) == 0 {
 			for _, m := range prof.Targets {

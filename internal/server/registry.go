@@ -17,25 +17,28 @@ import (
 // registry owns one lazily-built Staged profile per suite. Profiling
 // is the expensive step — seconds of simulation per suite — so the
 // registry coalesces concurrent demand singleflight-style: the first
-// request for a suite starts exactly one build, every later request
-// (while it runs) waits on the same entry, and once built the staged
-// profile is shared read-only forever (see pipeline.Profile's
-// immutability contract).
+// request for a suite starts exactly one detached build, every later
+// request (while it runs) joins it, and a clean profile, once served,
+// is shared read-only forever (see pipeline.Profile's immutability
+// contract).
 //
 // Persistence and memoization live in the pipeline's stage store: the
 // registry resolves builds through a pipeline.Engine, which loads a
 // previously saved profile from the store's disk directory and saves
 // fresh builds back under key-qualified <suite>-<key>.prof names. The
-// registry itself keeps no disk logic — it is a thin suite-name →
-// stage-graph view, plus the failure policy below.
+// registry keeps its own flight anyway, because stage.Store.Resolve
+// runs a compute under its first caller's ctx and a build must outlive
+// the request that started it.
 //
-// Resilience: every build outcome feeds the suite's circuit breaker.
-// Repeated build failures open it, after which requests fail fast (or
-// serve the last good profile, marked stale) until a cooldown admits
-// one half-open rebuild probe. A build that succeeds but carries
-// failure markers (measurements lost to permanent faults) is kept and
-// served — degraded data beats no data — but trips the suite breaker
-// so a later probe can rebuild once the faults clear.
+// Resilience: failed and degraded builds share one recovery path. A
+// failed build counts against the suite's circuit breaker; a build
+// that succeeds but carries failure markers (measurements lost to
+// permanent faults) is served — degraded data beats no data — and
+// trips the breaker at once. Either way the build slot is dropped and
+// the next request the breaker admits, after its cooldown, becomes the
+// half-open rebuild probe. While the breaker is open or a probe runs,
+// every other request gets the served profile, marked stale, or fails
+// fast when there is none.
 type registry struct {
 	programs    func(string) ([]*ir.Program, error)
 	seed        uint64
@@ -53,28 +56,26 @@ type registry struct {
 	stop context.CancelFunc
 
 	mu       sync.Mutex
-	entries  map[string]*regEntry        // guarded by mu
-	lastGood map[string]*pipeline.Staged // guarded by mu; newest served profile per suite
+	inflight map[string]*flight          // guarded by mu; at most one build per suite
+	served   map[string]*pipeline.Staged // guarded by mu; newest profile per suite, final once clean
 
 	builds    atomic.Int64 // profiling runs started
 	coalesced atomic.Int64 // requests that joined an in-flight build
 	diskLoads atomic.Int64 // builds satisfied from the stage store's disk tier
 	peerLoads atomic.Int64 // builds satisfied by fetching a peer's artifact
-	building  atomic.Int64 // builds currently in flight
-	staleHits atomic.Int64 // requests answered from a degraded or last-good profile
+	staleHits atomic.Int64 // requests answered from a degraded profile
 }
 
-// regEntry is one suite's build slot. ready is closed when st/err are
+// flight is one suite's running build. done is closed when st/err are
 // final.
-type regEntry struct {
-	ready    chan struct{}
-	st       *pipeline.Staged
-	err      error
-	degraded bool
+type flight struct {
+	done chan struct{}
+	st   *pipeline.Staged
+	err  error
 }
 
 // circuitOpenError is returned while a suite's breaker is open and no
-// last-good profile exists to degrade onto.
+// served profile exists to degrade onto.
 type circuitOpenError struct {
 	suite   string
 	retryIn time.Duration
@@ -106,8 +107,8 @@ func newRegistry(cfg Config, breakers *breakerSet) *registry {
 		breakers:    breakers,
 		ctx:         ctx,
 		stop:        stop,
-		entries:     make(map[string]*regEntry),
-		lastGood:    make(map[string]*pipeline.Staged),
+		inflight:    make(map[string]*flight),
+		served:      make(map[string]*pipeline.Staged),
 	}
 }
 
@@ -127,150 +128,84 @@ func (r *registry) stageOpts(suite string) pipeline.StageOptions {
 	}
 }
 
-// Profile returns the suite's shared profile — Staged, unwrapped, for
-// callers that only need the measurements.
-func (r *registry) Profile(ctx context.Context, suite string) (*pipeline.Profile, bool, error) {
-	st, stale, err := r.Staged(ctx, suite)
-	if err != nil {
-		return nil, stale, err
-	}
-	return st.Profile(), stale, nil
-}
-
-// Staged returns the suite's staged profile, building it at most once,
-// plus a stale flag: true when the returned data is degraded (built
-// under permanent faults) or is a retained last-good profile served
-// because the current build is failing. ctx bounds this caller's wait,
-// not the build itself.
+// Staged returns the suite's staged profile, building it at most once
+// per recovery attempt, plus a stale flag: true when the returned
+// profile is degraded (built under permanent faults). ctx bounds this
+// caller's wait, not the build itself.
 func (r *registry) Staged(ctx context.Context, suite string) (*pipeline.Staged, bool, error) {
-	key := suiteKey(suite)
 	r.mu.Lock()
-	e, ok := r.entries[suite]
-	if !ok {
-		if !r.breakers.allow(key) {
-			lg := r.lastGood[suite]
-			r.mu.Unlock()
-			if lg != nil {
-				r.staleHits.Add(1)
-				return lg, true, nil
-			}
-			return nil, false, &circuitOpenError{suite: suite, retryIn: r.breakers.retryIn(key)}
-		}
-		e = &regEntry{ready: make(chan struct{})}
-		r.entries[suite] = e
+	st := r.served[suite]
+	if st != nil && !st.Profile().Degraded() {
 		r.mu.Unlock()
+		return st, false, nil
+	}
+	key := suiteKey(suite)
+	f, joined := r.inflight[suite]
+	if joined {
+		r.coalesced.Add(1)
+	} else if r.breakers.allow(key) {
+		f = &flight{done: make(chan struct{})}
+		r.inflight[suite] = f
 		// Detached: the build must survive this requester giving up,
 		// because coalesced waiters share its outcome.
 		//fgbs:allow goroutineleak detached by design; build outlives the requester so coalesced waiters share it
-		go r.build(suite, e)
-	} else {
-		lg := r.lastGood[suite]
-		r.mu.Unlock()
-		select {
-		case <-e.ready:
-		default:
-			r.coalesced.Add(1)
-			// A rebuild probe is in flight behind an open breaker:
-			// answer from the last good profile instead of making every
-			// request pay the rebuild's latency.
-			if lg != nil && r.breakers.isOpen(key) {
-				r.staleHits.Add(1)
-				return lg, true, nil
-			}
-		}
+		go r.build(suite, f)
+	}
+	r.mu.Unlock()
+	if st != nil && (f == nil || joined) {
+		// The breaker is open or another request's probe is running:
+		// answer from the served profile instead of waiting on it.
+		r.staleHits.Add(1)
+		return st, true, nil
+	}
+	if f == nil {
+		return nil, false, &circuitOpenError{suite: suite, retryIn: r.breakers.retryIn(key)}
 	}
 	select {
-	case <-e.ready:
+	case <-f.done:
 	case <-ctx.Done():
 		return nil, false, ctx.Err()
 	}
-	if e.err != nil {
-		r.mu.Lock()
-		lg := r.lastGood[suite]
-		r.mu.Unlock()
-		if lg != nil {
-			r.staleHits.Add(1)
-			return lg, true, nil
-		}
-		return nil, false, e.err
+	if f.err == nil {
+		st = f.st
+	} else if st == nil {
+		return nil, false, f.err
 	}
-	if e.degraded {
-		// Half-open: past the cooldown one request probes a rebuild,
-		// hoping the faults behind the markers were transient.
-		if r.breakers.allow(key) {
-			if ne := r.swapEntry(suite, e); ne != nil {
-				//fgbs:allow goroutineleak detached rebuild probe; its outcome is shared via the swapped entry
-				go r.build(suite, ne)
-				select {
-				case <-ne.ready:
-				case <-ctx.Done():
-					return nil, false, ctx.Err()
-				}
-				if ne.err == nil {
-					if ne.degraded {
-						r.staleHits.Add(1)
-					}
-					return ne.st, ne.degraded, nil
-				}
-			}
-		}
+	// st is the fresh build or, after a failed probe, the profile
+	// served before it.
+	stale := st.Profile().Degraded()
+	if stale {
 		r.staleHits.Add(1)
-		return e.st, true, nil
 	}
-	return e.st, false, nil
+	return st, stale, nil
 }
 
-// swapEntry atomically replaces e with a fresh build slot, or returns
-// nil if another probe already replaced it.
-func (r *registry) swapEntry(suite string, e *regEntry) *regEntry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.entries[suite] != e {
-		return nil
-	}
-	ne := &regEntry{ready: make(chan struct{})}
-	r.entries[suite] = ne
-	return ne
-}
-
-// build runs (or loads) the staged profile, publishes the outcome, and
-// drives the suite's breaker. On failure the entry is removed so a
-// later request can retry — a transient error (say, an unwritable
-// cache file) must not wedge the suite forever.
-func (r *registry) build(suite string, e *regEntry) {
+// build runs (or loads) the staged profile, drives the suite's
+// breaker, publishes a successful outcome to served and drops the
+// build slot, so the next request the breaker admits can retry — a
+// transient error must not wedge the suite forever.
+func (r *registry) build(suite string, f *flight) {
 	r.builds.Add(1)
-	r.building.Add(1)
-	defer r.building.Add(-1)
-	e.st, e.err = r.buildStaged(suite)
+	f.st, f.err = r.buildStaged(suite)
 	key := suiteKey(suite)
 	switch {
-	case e.err != nil:
+	case f.err != nil:
 		r.breakers.fail(key)
-		r.mu.Lock()
-		delete(r.entries, suite)
-		r.mu.Unlock()
-	case e.st.Profile().Degraded():
-		e.degraded = true
+	case f.st.Profile().Degraded():
 		r.breakers.trip(key)
-		r.tripDataBreakers(suite, e.st.Profile())
-		r.setLastGood(suite, e.st)
+		r.tripDataBreakers(suite, f.st.Profile())
 	default:
 		r.breakers.succeed(key)
 		r.breakers.succeed("ref:" + suite)
 		r.breakers.clearPrefix("target:" + suite + "/")
-		r.setLastGood(suite, e.st)
 	}
-	close(e.ready)
-}
-
-func (r *registry) setLastGood(suite string, st *pipeline.Staged) {
 	r.mu.Lock()
-	// A degraded profile never displaces a clean one: the retained
-	// profile is what open-circuit requests fall back on.
-	if cur := r.lastGood[suite]; cur == nil || cur.Profile().Degraded() || !st.Profile().Degraded() {
-		r.lastGood[suite] = st
+	if f.err == nil {
+		r.served[suite] = f.st
 	}
+	delete(r.inflight, suite)
 	r.mu.Unlock()
+	close(f.done)
 }
 
 // tripDataBreakers opens the fine-grained breakers behind a degraded
@@ -318,19 +253,21 @@ func (r *registry) buildStaged(suite string) (*pipeline.Staged, error) {
 	return st, nil
 }
 
-// Loaded lists the suites with a ready profile (for /v1/suites).
+// Loaded lists the suites with a served profile (for /v1/suites):
+// the profile requests are answered from, degraded or not.
 func (r *registry) Loaded() map[string]*pipeline.Profile {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]*pipeline.Profile)
-	for name, e := range r.entries {
-		select {
-		case <-e.ready:
-			if e.err == nil {
-				out[name] = e.st.Profile()
-			}
-		default:
-		}
+	out := make(map[string]*pipeline.Profile, len(r.served))
+	for name, st := range r.served {
+		out[name] = st.Profile()
 	}
 	return out
+}
+
+// inFlightBuilds counts the builds running now (for /metricz).
+func (r *registry) inFlightBuilds() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.inflight)
 }

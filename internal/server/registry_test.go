@@ -18,10 +18,11 @@ func TestRegistryPersistsProfiles(t *testing.T) {
 	dir := t.TempDir()
 	r := newTestRegistry(dir)
 	defer r.Close()
-	prof, _, err := r.Profile(context.Background(), "tiny")
+	st, _, err := r.Staged(context.Background(), "tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
+	prof := st.Profile()
 	// Profiles persist only under the key-qualified name, never the
 	// bare <suite>.prof.
 	keyed, err := filepath.Glob(filepath.Join(dir, "tiny-*.prof"))
@@ -36,10 +37,11 @@ func TestRegistryPersistsProfiles(t *testing.T) {
 	// rebuilding, and the loaded profile matches.
 	r2 := newTestRegistry(dir)
 	defer r2.Close()
-	prof2, _, err := r2.Profile(context.Background(), "tiny")
+	st2, _, err := r2.Staged(context.Background(), "tiny")
 	if err != nil {
 		t.Fatal(err)
 	}
+	prof2 := st2.Profile()
 	if r2.diskLoads.Load() != 1 {
 		t.Errorf("diskLoads = %d, want 1", r2.diskLoads.Load())
 	}
@@ -56,7 +58,7 @@ func TestRegistryPersistsProfiles(t *testing.T) {
 func TestRegistryRebuildsOnCorruptCache(t *testing.T) {
 	dir := t.TempDir()
 	r := newTestRegistry(dir)
-	if _, _, err := r.Profile(context.Background(), "tiny"); err != nil {
+	if _, _, err := r.Staged(context.Background(), "tiny"); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
@@ -70,12 +72,12 @@ func TestRegistryRebuildsOnCorruptCache(t *testing.T) {
 	}
 	r2 := newTestRegistry(dir)
 	defer r2.Close()
-	prof, _, err := r2.Profile(context.Background(), "tiny")
+	st, _, err := r2.Staged(context.Background(), "tiny")
 	if err != nil {
 		t.Fatalf("corrupt cache should trigger a rebuild, got %v", err)
 	}
-	if prof.N() == 0 || r2.diskLoads.Load() != 0 {
-		t.Errorf("N = %d, diskLoads = %d", prof.N(), r2.diskLoads.Load())
+	if st.Profile().N() == 0 || r2.diskLoads.Load() != 0 {
+		t.Errorf("N = %d, diskLoads = %d", st.Profile().N(), r2.diskLoads.Load())
 	}
 	if _, err := os.Stat(keyed[0] + ".corrupt"); err != nil {
 		t.Errorf("corrupt profile not quarantined: %v", err)
@@ -92,17 +94,17 @@ func TestRegistryRetriesAfterError(t *testing.T) {
 		return testPrograms("tiny")
 	}}, newBreakerSet(0, 0, nil))
 	defer r.Close()
-	if _, _, err := r.Profile(context.Background(), "tiny"); err == nil {
+	if _, _, err := r.Staged(context.Background(), "tiny"); err == nil {
 		t.Fatal("first call should fail")
 	}
 	// The failed entry must not wedge the suite: the next request
 	// retries and succeeds.
-	prof, _, err := r.Profile(context.Background(), "tiny")
+	st, _, err := r.Staged(context.Background(), "tiny")
 	if err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
-	if prof == nil || calls != 2 {
-		t.Errorf("prof=%v calls=%d", prof, calls)
+	if st == nil || calls != 2 {
+		t.Errorf("st=%v calls=%d", st, calls)
 	}
 	if r.builds.Load() != 2 {
 		t.Errorf("builds = %d, want 2", r.builds.Load())
@@ -119,13 +121,13 @@ func TestRegistryWaiterHonorsContext(t *testing.T) {
 	defer close(block)
 
 	// Kick off the build with a background waiter.
-	go r.Profile(context.Background(), "tiny")
+	go r.Staged(context.Background(), "tiny")
 
 	// A waiter with an expired context gives up without killing the
 	// build for everyone else.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := r.Profile(ctx, "tiny"); err != context.Canceled {
+	if _, _, err := r.Staged(ctx, "tiny"); err != context.Canceled {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -136,7 +138,7 @@ func TestRegistryLoaded(t *testing.T) {
 	if got := r.Loaded(); len(got) != 0 {
 		t.Fatalf("fresh registry reports %d loaded suites", len(got))
 	}
-	if _, _, err := r.Profile(context.Background(), "tiny"); err != nil {
+	if _, _, err := r.Staged(context.Background(), "tiny"); err != nil {
 		t.Fatal(err)
 	}
 	got := r.Loaded()

@@ -198,7 +198,7 @@ func (s *Server) validSuite(name string) bool {
 // returning the first error. The daemon calls this for -preload.
 func (s *Server) Warm(suiteNames []string) error {
 	for _, name := range suiteNames {
-		if _, _, err := s.registry.Profile(s.registry.ctx, name); err != nil {
+		if _, _, err := s.registry.Staged(s.registry.ctx, name); err != nil {
 			return err
 		}
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -75,18 +76,15 @@ func sharedProfile(t *testing.T) *pipeline.Profile {
 	return profVal
 }
 
-// seedSuite plants a prebuilt profile as the suite's ready registry
-// entry, adopted into the stage graph so staged queries resolve it.
+// seedSuite plants a prebuilt profile as the suite's served registry
+// profile, adopted into the stage graph so staged queries resolve it.
 func seedSuite(t *testing.T, s *Server, suite string, prof *pipeline.Profile) {
 	t.Helper()
 	progs, err := s.registry.programs(suite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := s.registry.engine.Adopt(progs, s.registry.stageOpts(suite), prof)
-	e := &regEntry{ready: make(chan struct{}), st: st}
-	close(e.ready)
-	s.registry.entries[suite] = e
+	s.registry.served[suite] = s.registry.engine.Adopt(progs, s.registry.stageOpts(suite), prof)
 }
 
 // newTestServer builds a server over the test suites with the "tiny"
@@ -451,5 +449,50 @@ func TestCoalescing(t *testing.T) {
 	}
 	if ep := m.Endpoints["/v1/select"]; ep.Requests != clients+1 || ep.Errors != 0 {
 		t.Errorf("select endpoint stats = %+v", ep)
+	}
+}
+
+// TestCanceledRequestsGet503 sends pre-canceled queries to a seeded
+// server: whether the cancel lands in the registry wait or in the
+// stage computes, the client is gone, and every answer is 503 — never
+// the 400 that blames the query.
+func TestCanceledRequestsGet503(t *testing.T) {
+	s := newTestServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 40; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/subset", strings.NewReader(`{"suite":"tiny","k":2}`)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("canceled request %d: status = %d, want 503 (body %s)", i, rec.Code, rec.Body)
+		}
+	}
+}
+
+// TestMetriczKeys pins the /metricz keys cmd/fgbsbench reads, so a
+// change that drops one fails here and not only in the benchmark
+// harness, whose nested module go test ./... never reaches.
+func TestMetriczKeys(t *testing.T) {
+	ts := httptest.NewServer(newTestServer(t).Handler())
+	defer ts.Close()
+	var m map[string]json.RawMessage
+	get(t, ts, "/metricz", &m)
+	want := map[string][]string{
+		"registry":    {"builds", "coalesced", "diskLoads", "peerLoads", "inFlightBuilds", "staleServes"},
+		"resultCache": {"hits", "misses", "size", "capacity"},
+		"stages":      {"total", "stages", "tiers"},
+	}
+	for section, keys := range want {
+		var got map[string]json.RawMessage
+		if err := json.Unmarshal(m[section], &got); err != nil {
+			t.Errorf("/metricz %s: %v", section, err)
+			continue
+		}
+		for _, k := range keys {
+			if _, ok := got[k]; !ok {
+				t.Errorf("/metricz lacks %s.%s", section, k)
+			}
+		}
 	}
 }
