@@ -2,12 +2,14 @@ package bench
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 
 	"fgbs/internal/analysis"
@@ -20,6 +22,7 @@ import (
 	"fgbs/internal/ir"
 	"fgbs/internal/pipeline"
 	"fgbs/internal/rng"
+	"fgbs/internal/server"
 	"fgbs/internal/sim"
 	"fgbs/internal/stage"
 	"fgbs/internal/stats"
@@ -630,6 +633,101 @@ func init() {
 			return &Instance{Op: op, Cleanup: func() { os.RemoveAll(dir) }}, nil
 		},
 	})
+
+	Register(Spec{
+		Name: "server/evaluate-miss",
+		Doc:  "all-targets /v1/evaluate through the fgbsd handler on the 40-codelet corpus: a result-cache miss whose every stage resolve hits",
+		Setup: func(ctx context.Context) (*Instance, error) {
+			progs, err := restartCorpus()
+			if err != nil {
+				return nil, err
+			}
+			// One result-cache entry and two alternating K values: every
+			// timed request misses the result cache, while the stage
+			// store holds both queries' artifacts.
+			srv := server.New(server.Config{
+				Seed:            restartSeed,
+				SuiteNames:      []string{"bench"},
+				Programs:        func(string) ([]*ir.Program, error) { return progs, nil },
+				ResultCacheSize: 1,
+			})
+			h := srv.Handler()
+			// Off the clock: the cold build, then every stage of both
+			// queries.
+			for _, k := range evaluateMissKs {
+				if err := serveEvaluate(ctx, h, k, ""); err != nil {
+					srv.Close()
+					return nil, err
+				}
+			}
+			hits0, computes0, err := serverCounters(h)
+			if err != nil {
+				srv.Close()
+				return nil, err
+			}
+			// The result cache holds the last warm-up query, so the first
+			// timed one is the other K.
+			n := 0
+			op := func() error {
+				k := evaluateMissKs[n%2]
+				n++
+				return serveEvaluate(ctx, h, k, "miss")
+			}
+			verify := func() error {
+				hits, computes, err := serverCounters(h)
+				if err != nil {
+					return err
+				}
+				if hits != hits0 {
+					return fmt.Errorf("result cache hit %d times, want every request to miss", hits-hits0)
+				}
+				if computes != computes0 {
+					return fmt.Errorf("%d stage computes, want every stage resolve to hit", computes-computes0)
+				}
+				return nil
+			}
+			return &Instance{Op: op, Verify: verify, Cleanup: srv.Close}, nil
+		},
+	})
+}
+
+// evaluateMissKs are the two cluster counts server/evaluate-miss
+// alternates between; with a one-entry result cache, each request
+// evicts the other's answer.
+var evaluateMissKs = [2]int{6, 7}
+
+// serveEvaluate sends one all-targets /v1/evaluate query for k
+// through h and checks that it was answered and how (X-Cache).
+func serveEvaluate(ctx context.Context, h http.Handler, k int, wantCache string) error {
+	body := strings.NewReader(fmt.Sprintf(`{"suite":"bench","k":%d}`, k))
+	req := httptest.NewRequest(http.MethodPost, "/v1/evaluate", body).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		return fmt.Errorf("evaluate k=%d: status %d: %s", k, rec.Code, rec.Body.Bytes())
+	}
+	if got := rec.Header().Get("X-Cache"); wantCache != "" && got != wantCache {
+		return fmt.Errorf("evaluate k=%d: X-Cache %q, want %q", k, got, wantCache)
+	}
+	sink.Add(uint64(rec.Body.Len()))
+	return nil
+}
+
+// serverCounters reads the result-cache hits and the stage computes
+// from h's /metricz.
+func serverCounters(h http.Handler) (resultHits, computes int64, err error) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metricz", nil))
+	var m struct {
+		ResultCache struct {
+			Hits int64 `json:"hits"`
+		} `json:"resultCache"`
+		Stages stage.Stats `json:"stages"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil {
+		return 0, 0, fmt.Errorf("decoding /metricz: %w", err)
+	}
+	return m.ResultCache.Hits, m.Stages.Total.Computes, nil
 }
 
 // restartSeed is the seed fgbsbench profiles and generates its corpus

@@ -21,6 +21,7 @@ func TestRegistryShape(t *testing.T) {
 		"features/normalize",
 		"pipeline/ksweep-cold",
 		"pipeline/ksweep-warm",
+		"server/evaluate-miss",
 		"sim/bottleneck",
 		"sim/measure-nas",
 		"stage/codec-roundtrip",
