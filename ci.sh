@@ -38,9 +38,13 @@ go build ./...
 # stay within 2x the clean-run error and every fault schedule must
 # converge or degrade loudly (stale markers, breaker state) — never
 # silently corrupt a result. -race is mandatory here: retry/backoff
-# and breaker probing are where the concurrency lives.
+# and breaker probing are where the concurrency lives. The second line
+# repeats the job-saturation test 100 times: its worker-to-test handoff
+# once dropped a signal under -race and hung until the binary's timeout,
+# and a single run rarely shows that.
 echo "== chaos =="
 go test -race -timeout 20m -run '^TestChaos' ./internal/pipeline ./internal/server
+go test -race -count=100 -timeout 5m -run '^TestChaosHealthzReportsJobSaturation$' ./internal/server
 
 # The corpus smoke gate: materialize a synthetic suite from the CLI
 # (flag validation + byte-identical generation) and drive the small

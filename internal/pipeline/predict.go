@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"fgbs/internal/arch"
 	"fgbs/internal/extract"
@@ -38,6 +39,23 @@ type Eval struct {
 	// GeoMeanRealSpeedup / GeoMeanPredictedSpeedup summarize Figure 6.
 	GeoMeanRealSpeedup      float64
 	GeoMeanPredictedSpeedup float64
+
+	// enc is the once-only encoding slot behind Encoded.
+	enc struct {
+		once sync.Once
+		b    []byte
+		err  error
+	}
+}
+
+// Encoded returns encode(ev), computed by the first call and returned
+// by every later one whatever encoder it passes: an Eval never changes
+// once built, so its encoding need not either, and it lives exactly as
+// long as the Eval (for a staged Eval, its predict artifact). Callers
+// share the bytes and must not modify them.
+func (ev *Eval) Encoded(encode func(*Eval) ([]byte, error)) ([]byte, error) {
+	ev.enc.once.Do(func() { ev.enc.b, ev.enc.err = encode(ev) })
+	return ev.enc.b, ev.enc.err
 }
 
 // AppEval is one application's measured and predicted times. Degraded

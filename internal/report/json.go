@@ -172,6 +172,16 @@ func NewEvalJSON(p *pipeline.Profile, ev *pipeline.Eval) *EvalJSON {
 	return ej
 }
 
+// EvalEncoder returns the encoder of p's evaluations,
+// json.Marshal(NewEvalJSON(p, ev)), for Eval.Encoded: every Eval
+// evaluated on p encodes at most once, and later callers share its
+// bytes.
+func EvalEncoder(p *pipeline.Profile) func(*pipeline.Eval) ([]byte, error) {
+	return func(ev *pipeline.Eval) ([]byte, error) {
+		return json.Marshal(NewEvalJSON(p, ev))
+	}
+}
+
 // NewSelectJSON ranks all targets from their evaluations (aligned
 // with p.Targets) and decides the per-application winners.
 func NewSelectJSON(p *pipeline.Profile, sub *pipeline.Subset, evals []*pipeline.Eval) *SelectJSON {

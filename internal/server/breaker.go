@@ -144,14 +144,6 @@ func (b *breakerSet) clearPrefix(prefix string) {
 	}
 }
 
-// isOpen reports whether key's circuit is currently open.
-func (b *breakerSet) isOpen(key string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	st := b.states[key]
-	return st != nil && st.open
-}
-
 // retryIn reports how long until an open circuit admits its next
 // probe (zero if closed or already due).
 func (b *breakerSet) retryIn(key string) time.Duration {

@@ -17,7 +17,7 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		b.fail(key)
 	}
-	if !b.isOpen(key) {
+	if b.retryIn(key) <= 0 {
 		t.Fatal("circuit not open after threshold failures")
 	}
 	clock.advance(time.Minute)

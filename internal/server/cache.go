@@ -9,8 +9,10 @@ import (
 // resultCache is the LRU cache for finished query results. Keys
 // identify a query exactly — suite, feature mask, cluster count,
 // target and seed — so a hit can replay the stored response bytes
-// verbatim. Values are immutable encoded JSON, which makes sharing
-// them across goroutines trivially safe.
+// verbatim. A value is a body's segments, written in order; segments
+// may be shared with stage artifacts (an Eval's encoding), so an entry
+// costs little beyond its references. Segments are immutable encoded
+// JSON, which makes sharing them across goroutines trivially safe.
 //
 // (internal/cache simulates hardware data caches; this one caches
 // answers. They share nothing but the name.)
@@ -26,7 +28,7 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key string
-	val []byte
+	val [][]byte
 }
 
 // newResultCache builds a cache holding at most capacity entries.
@@ -48,7 +50,7 @@ func resultKey(kind, suite, mask string, k int, target string, seed uint64) stri
 }
 
 // Get returns the cached value and marks it most recently used.
-func (c *resultCache) Get(key string) ([]byte, bool) {
+func (c *resultCache) Get(key string) ([][]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -63,7 +65,7 @@ func (c *resultCache) Get(key string) ([]byte, bool) {
 
 // Put inserts or refreshes a value, evicting the least recently used
 // entry when over capacity.
-func (c *resultCache) Put(key string, val []byte) {
+func (c *resultCache) Put(key string, val [][]byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {

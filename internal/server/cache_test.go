@@ -1,20 +1,34 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 )
 
+// segs splits a body into one segment per argument, the shape answer
+// caches.
+func segs(parts ...string) [][]byte {
+	out := make([][]byte, len(parts))
+	for i, p := range parts {
+		out[i] = []byte(p)
+	}
+	return out
+}
+
+// joined is the body a cached value writes.
+func joined(v [][]byte) string { return string(bytes.Join(v, nil)) }
+
 func TestResultCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
-	c.Put("a", []byte("1"))
-	c.Put("b", []byte("2"))
+	c.Put("a", segs("1"))
+	c.Put("b", segs("2", "0"))
 	// Touch a so b becomes the eviction victim.
-	if v, ok := c.Get("a"); !ok || string(v) != "1" {
+	if v, ok := c.Get("a"); !ok || joined(v) != "1" {
 		t.Fatalf("Get(a) = %q, %v", v, ok)
 	}
-	c.Put("c", []byte("3"))
+	c.Put("c", segs("3"))
 	if _, ok := c.Get("b"); ok {
 		t.Error("b survived eviction, want LRU drop")
 	}
@@ -31,19 +45,35 @@ func TestResultCacheLRUEviction(t *testing.T) {
 
 func TestResultCacheUpdateInPlace(t *testing.T) {
 	c := newResultCache(2)
-	c.Put("a", []byte("old"))
-	c.Put("a", []byte("new"))
+	c.Put("a", segs("old"))
+	c.Put("a", segs("n", "e", "w"))
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
-	if v, _ := c.Get("a"); string(v) != "new" {
+	if v, _ := c.Get("a"); joined(v) != "new" {
 		t.Errorf("Get(a) = %q, want new", v)
+	}
+}
+
+// TestResultCacheSharesSegments pins that an entry references the
+// segments it was given instead of copying them: a cached evaluate
+// body points at the Evals' own encodings.
+func TestResultCacheSharesSegments(t *testing.T) {
+	c := newResultCache(1)
+	shared := []byte(`{"target":"x"}`)
+	c.Put("a", [][]byte{[]byte("["), shared, []byte("]")})
+	v, ok := c.Get("a")
+	if !ok || len(v) != 3 {
+		t.Fatalf("Get(a) = %q, %v, want three segments", v, ok)
+	}
+	if &v[1][0] != &shared[0] {
+		t.Error("cached segment is a copy, want the bytes it was given")
 	}
 }
 
 func TestResultCacheStats(t *testing.T) {
 	c := newResultCache(4)
-	c.Put("a", []byte("1"))
+	c.Put("a", segs("1"))
 	c.Get("a")
 	c.Get("a")
 	c.Get("missing")
@@ -65,8 +95,8 @@ func TestResultCacheConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", i%16)
 				if i%3 == 0 {
-					c.Put(key, []byte(key))
-				} else if v, ok := c.Get(key); ok && string(v) != key {
+					c.Put(key, segs(key[:1], key[1:]))
+				} else if v, ok := c.Get(key); ok && joined(v) != key {
 					t.Errorf("Get(%s) = %q", key, v)
 					return
 				}

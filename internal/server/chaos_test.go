@@ -506,7 +506,9 @@ func TestChaosHealthzReportsJobSaturation(t *testing.T) {
 	defer ts.Close()
 
 	release := make(chan struct{})
-	running := make(chan struct{})
+	// Buffered: the worker may reach the send before the test blocks
+	// on <-running, and the signal must not be dropped then.
+	running := make(chan struct{}, 1)
 	blocker := func(ctx context.Context, pr *jobs.Progress) (any, error) {
 		select {
 		case running <- struct{}{}:

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,10 +52,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// writeRaw replays pre-encoded JSON, tagging whether it came from the
-// result cache (the header the cache-hit tests and curious operators
-// read) and whether it was computed from degraded or last-good data.
-func writeRaw(w http.ResponseWriter, body []byte, cached, stale bool) {
+// writeRaw writes a pre-encoded JSON body, segment by segment, tagging
+// whether it came from the result cache (the header the cache-hit
+// tests and curious operators read) and whether it was computed from
+// degraded or last-good data.
+func writeRaw(w http.ResponseWriter, body [][]byte, cached, stale bool) {
 	w.Header().Set("Content-Type", "application/json")
 	if cached {
 		w.Header().Set("X-Cache", "hit")
@@ -65,7 +67,22 @@ func writeRaw(w http.ResponseWriter, body []byte, cached, stale bool) {
 		w.Header().Set("X-Stale", "true")
 	}
 	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	for _, seg := range body {
+		w.Write(seg)
+	}
+}
+
+// errEncoding marks a compute error raised while encoding the answer:
+// a fault of the server (500), not of the query (400).
+var errEncoding = errors.New("encoding response")
+
+// encodeBody is the one-segment body of v.
+func encodeBody(v any) ([][]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errEncoding, err)
+	}
+	return [][]byte{b}, nil
 }
 
 // markStale decorates a JSON object body with "stale": true — the
@@ -145,7 +162,9 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (queryReque
 }
 
 // answer serves the query from the result cache or computes, caches
-// and serves it. compute returns the response value to encode.
+// and serves it. compute returns the encoded body as segments, which
+// the cache keeps as they are: segments shared with a stage artifact
+// (an Eval's encoding) are referenced, never copied.
 //
 // Graceful degradation: when the registry hands back a stale profile
 // (a degraded build, served while its circuit is open or its recovery
@@ -156,7 +175,7 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (queryReque
 // circuit is open and there is nothing to degrade onto, requests fail
 // fast with 503 and a Retry-After hint instead of hammering a build
 // that keeps failing.
-func (s *Server) answer(w http.ResponseWriter, r *http.Request, key string, compute func(*pipeline.Staged) (any, error), suite string) {
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, key string, compute func(*pipeline.Staged) ([][]byte, error), suite string) {
 	if body, ok := s.results.Get(key); ok {
 		writeRaw(w, body, true, false)
 		return
@@ -177,8 +196,12 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, key string, comp
 		writeError(w, http.StatusInternalServerError, "profiling %s: %v", suite, err)
 		return
 	}
-	v, err := compute(st)
+	body, err := compute(st)
 	if err != nil {
+		if errors.Is(err, errEncoding) {
+			writeError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
 		if r.Context().Err() != nil {
 			// A compute cut short by the client is no fault of the
 			// query: the same 503 as a canceled wait above.
@@ -188,13 +211,8 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, key string, comp
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
 	if stale {
-		writeRaw(w, markStale(body), false, true)
+		writeRaw(w, [][]byte{markStale(bytes.Join(body, nil))}, false, true)
 		return
 	}
 	s.results.Put(key, body)
@@ -207,23 +225,20 @@ func (s *Server) handleSubset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := resultKey("subset", req.Suite, mask.String(), req.K, "*", s.cfg.Seed)
-	s.answer(w, r, key, func(st *pipeline.Staged) (any, error) {
+	s.answer(w, r, key, func(st *pipeline.Staged) ([][]byte, error) {
 		sub, err := st.Subset(r.Context(), mask, req.K)
 		if err != nil {
 			return nil, err
 		}
 		sj := report.NewSubsetJSON(st.Profile(), sub)
 		sj.Suite = req.Suite
-		return sj, nil
+		return encodeBody(sj)
 	}, req.Suite)
 }
 
-// evaluateResponse wraps the per-target evaluations of one query.
-type evaluateResponse struct {
-	Suite string             `json:"suite"`
-	K     int                `json:"k"`
-	Evals []*report.EvalJSON `json:"evals"`
-}
+// evalEncoder is report.EvalEncoder, a variable so tests can count
+// and fail Eval encodes.
+var evalEncoder = report.EvalEncoder
 
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	req, mask, ok := s.decodeQuery(w, r)
@@ -235,7 +250,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		target = "*"
 	}
 	key := resultKey("evaluate", req.Suite, mask.String(), req.K, target, s.cfg.Seed)
-	s.answer(w, r, key, func(st *pipeline.Staged) (any, error) {
+	s.answer(w, r, key, func(st *pipeline.Staged) ([][]byte, error) {
 		prof := st.Profile()
 		sub, err := st.Subset(r.Context(), mask, req.K)
 		if err != nil {
@@ -257,17 +272,41 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			}
 			targets = append(targets, t)
 		}
-		resp := &evaluateResponse{Suite: req.Suite, K: sub.K()}
-		for _, t := range targets {
+		// The body {"suite":…,"k":…,"evals":[…]} is assembled around
+		// each Eval's own encoding, computed once per Eval and shared
+		// with every later answer (and result-cache entry) it is in.
+		suite, _ := json.Marshal(req.Suite) // a string always encodes
+		head := make([]byte, 0, len(suite)+48)
+		head = append(head, `{"suite":`...)
+		head = append(head, suite...)
+		head = append(head, `,"k":`...)
+		head = strconv.AppendInt(head, int64(sub.K()), 10)
+		body := make([][]byte, 1, 2*len(targets)+1)
+		body[0] = append(head, `,"evals":[`...)
+		encode := evalEncoder(prof)
+		for i, t := range targets {
 			_, ev, err := st.Evaluate(r.Context(), mask, req.K, t)
 			if err != nil {
 				return nil, err
 			}
-			resp.Evals = append(resp.Evals, report.NewEvalJSON(prof, ev))
+			b, err := ev.Encoded(encode)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %w", errEncoding, err)
+			}
+			if i > 0 {
+				body = append(body, comma)
+			}
+			body = append(body, b)
 		}
-		return resp, nil
+		return append(body, closeEvals), nil
 	}, req.Suite)
 }
+
+// comma and closeEvals are the evaluate body's fixed segments.
+var (
+	comma      = []byte(",")
+	closeEvals = []byte("]}")
+)
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	req, mask, ok := s.decodeQuery(w, r)
@@ -275,7 +314,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := resultKey("select", req.Suite, mask.String(), req.K, "*", s.cfg.Seed)
-	s.answer(w, r, key, func(st *pipeline.Staged) (any, error) {
+	s.answer(w, r, key, func(st *pipeline.Staged) ([][]byte, error) {
 		prof := st.Profile()
 		sub, err := st.Subset(r.Context(), mask, req.K)
 		if err != nil {
@@ -291,7 +330,7 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 		}
 		sj := report.NewSelectJSON(prof, sub, evals)
 		sj.Suite = req.Suite
-		return sj, nil
+		return encodeBody(sj)
 	}, req.Suite)
 }
 
