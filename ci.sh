@@ -117,12 +117,22 @@ echo "== profile fuzz =="
 go test -run '^$' -fuzz '^FuzzDecodeProfile$' -fuzztime 10s ./internal/pipeline
 
 # The integrity frame is checked on bytes from disk and from peers, so
-# unframe must accept exactly one spelling of every artifact: any input
+# Unframe must accept exactly one spelling of every artifact: any input
 # it accepts must equal Frame of the payload it returns. The seed corpus
 # (frames of an empty, a short and a 9 KB payload, plus truncations)
 # runs in the plain go test above; this step searches past it.
 echo "== frame fuzz =="
 go test -run '^$' -fuzz '^FuzzUnframe$' -fuzztime 10s ./internal/stage
+
+# Job-journal records are read back from disk on every restart, so
+# recovery over one framed record with any JSON payload must never
+# panic, must resume the ID counter past the record's filename, must
+# adopt a record only under that filename's ID, and must either
+# rehydrate an interrupted record or fail it with ErrNotResumable. The
+# seed corpus (the records the journal tests build) runs in the plain
+# go test above; this step searches past it.
+echo "== journal fuzz =="
+go test -run '^$' -fuzz '^FuzzJournalRecord$' -fuzztime 10s ./internal/jobs
 
 # decodeBody is the one decoder for every /v1/* request body: a body it
 # accepts into a query or a job request, re-encoded with json.Marshal,

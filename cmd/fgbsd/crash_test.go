@@ -23,10 +23,10 @@ import (
 // named crashpoint while a sweep job is in flight, restarts it against
 // the same directories, and asserts the durability contract — the
 // interrupted job re-runs to completion with results byte-identical to
-// an uninterrupted run, every surviving artifact verifies its
-// integrity frame, a deliberately corrupted artifact is quarantined
-// (kept as *.corrupt, never served), and /metricz reports the resumed
-// and quarantined counters.
+// an uninterrupted run, every surviving artifact and job record
+// verifies its integrity frame, a deliberately corrupted artifact is
+// quarantined (kept as *.corrupt, never served), and /metricz reports
+// the resumed and quarantined counters.
 func TestCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and repeatedly restarts the daemon")
@@ -346,8 +346,8 @@ func (d *daemon) metricInt(t *testing.T, path ...string) int64 {
 	return int64(f)
 }
 
-// verifyArtifacts checks that every surviving stage artifact passes
-// its integrity frame.
+// verifyArtifacts checks that every surviving stage artifact and every
+// surviving job record passes its integrity frame.
 func verifyArtifacts(t *testing.T, dir string) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -363,13 +363,29 @@ func verifyArtifacts(t *testing.T, dir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := stage.VerifyFrame(data); err != nil {
+		if _, err := stage.Unframe(data); err != nil {
 			t.Errorf("artifact %s fails verification: %v", e.Name(), err)
 		}
 		checked++
 	}
 	if checked == 0 {
 		t.Errorf("no artifacts survived in %s", dir)
+	}
+	records, err := filepath.Glob(filepath.Join(dir, "jobs", "job-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) == 0 {
+		t.Errorf("no job records survived in %s", filepath.Join(dir, "jobs"))
+	}
+	for _, path := range records {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := stage.Unframe(data); err != nil {
+			t.Errorf("job record %s fails verification: %v", filepath.Base(path), err)
+		}
 	}
 }
 
@@ -389,7 +405,7 @@ func corruptOneArtifact(t *testing.T, dir string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stage.VerifyFrame(data) != nil {
+		if _, err := stage.Unframe(data); err != nil {
 			continue
 		}
 		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
@@ -400,8 +416,9 @@ func corruptOneArtifact(t *testing.T, dir string) {
 	t.Fatal("no framed artifact to corrupt")
 }
 
-// rewindJobRecord rewrites a done job's journal record to running —
-// the state a crash mid-job leaves behind — so a restart resumes it.
+// rewindJobRecord rewrites a done job's framed journal record to
+// running — the state a crash mid-job leaves behind — so a restart
+// resumes it.
 func rewindJobRecord(t *testing.T, dir, id string) {
 	t.Helper()
 	path := filepath.Join(dir, "jobs", id+".json")
@@ -409,8 +426,12 @@ func rewindJobRecord(t *testing.T, dir, id string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	payload, err := stage.Unframe(data)
+	if err != nil {
+		t.Fatalf("job record %s: %v", id, err)
+	}
 	var rec map[string]any
-	if err := json.Unmarshal(data, &rec); err != nil {
+	if err := json.Unmarshal(payload, &rec); err != nil {
 		t.Fatal(err)
 	}
 	rec["state"] = "running"
@@ -419,7 +440,7 @@ func rewindJobRecord(t *testing.T, dir, id string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
+	if err := os.WriteFile(path, stage.Frame(out), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

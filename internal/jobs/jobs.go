@@ -564,25 +564,6 @@ func (m *Manager) run(j *Job) {
 	close(j.done)
 }
 
-// writeFileSync writes data and fsyncs before closing, so the
-// subsequent rename never publishes a file whose bytes are still only
-// in the page cache.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // gcLocked drops terminal jobs past the retention window, then the
 // oldest beyond MaxRetained. Callers hold m.mu.
 func (m *Manager) gcLocked() {

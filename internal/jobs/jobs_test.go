@@ -282,14 +282,7 @@ func TestPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	wait(t, j)
-	data, err := os.ReadFile(filepath.Join(dir, j.ID()+".json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pj persistedJob
-	if err := json.Unmarshal(data, &pj); err != nil {
-		t.Fatal(err)
-	}
+	pj := readRecordFile(t, dir, j.ID())
 	if pj.ID != j.ID() || pj.Kind != "persisted" {
 		t.Errorf("persisted identity = %q/%q", pj.ID, pj.Kind)
 	}

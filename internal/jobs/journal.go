@@ -10,11 +10,13 @@ import (
 	"time"
 
 	"fgbs/internal/fault"
+	"fgbs/internal/stage"
 )
 
-// The jobs journal: one <Dir>/<id>.json record per job, rewritten
-// durably (fsync file, then parent directory) at every state
-// transition of a durable job — submit (pending), each run start
+// The jobs journal: one <Dir>/<id>.json record per job, wrapped in the
+// artifact integrity frame (stage.Frame) and rewritten through the
+// artifact store's one durable write path (stage.Publish) at every
+// state transition of a durable job — submit (pending), each run start
 // (running, attempts bumped), and the terminal states. A crash
 // therefore leaves every job's last durable state on disk, and
 // NewManager's recovery scan turns that state back into live jobs:
@@ -25,7 +27,10 @@ import (
 // tombstoned so they stay dead. The scan also resumes the job-%08d
 // counter past the largest persisted ID — including tombstones and
 // unreadable records — so a restarted manager can never hand out an ID
-// that already names a file.
+// that already names a file. A record that fails its frame (a flipped
+// byte, a torn write, an unframed record from an older build) is
+// logged and skipped in place, never replayed; it is not renamed
+// aside, because only its job-*.json name reserves its ID.
 
 // jobSchemaVersion is the journal record layout version. Records from
 // other versions (including the version-less result files earlier
@@ -105,33 +110,16 @@ func (m *Manager) tombstone(id string) {
 	m.writeRecord(persistedJob{SchemaVersion: jobSchemaVersion, ID: id, Tombstone: true})
 }
 
-// writeRecord durably writes one journal record via tmp + fsync +
-// rename + parent fsync, so a crash at any instant leaves either the
-// old record or the new one, never a torn file.
+// writeRecord durably writes one framed journal record, so a crash at
+// any instant leaves either the old record or the new one, never a
+// torn file. A failed write is dropped, as journal explains. It fires
+// no artifact crashpoints: those sites belong to the stage store.
 func (m *Manager) writeRecord(pj persistedJob) {
-	if err := os.MkdirAll(m.cfg.Dir, 0o755); err != nil {
-		return
-	}
 	data, err := json.Marshal(pj)
 	if err != nil {
 		return
 	}
-	path := filepath.Join(m.cfg.Dir, pj.ID+".json")
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, data); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	// The rename is only durable once the directory entry is; fsync the
-	// parent so a crash after the journal write cannot roll it back.
-	if d, err := os.Open(m.cfg.Dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
+	stage.Publish(m.cfg.Dir, pj.ID+".json", stage.Frame(data), "", "")
 }
 
 // discardRecord removes a job's record outright — only for jobs that
@@ -168,7 +156,9 @@ func parseJobID(name string) (uint64, bool) {
 // job can race the scan. Every parsable filename advances the ID
 // counter — even records too corrupt to decode — because ID reuse
 // against a surviving file is how restarts used to silently cross-wire
-// old results onto new jobs.
+// old results onto new jobs. A record is adopted only when its frame
+// verifies, its JSON decodes at this build's schema version, and it
+// names the job its filename does.
 func (m *Manager) recover() {
 	if m.cfg.Dir == "" {
 		return
@@ -197,12 +187,20 @@ func (m *Manager) recover() {
 			continue
 		}
 		var pj persistedJob
-		if err := json.Unmarshal(data, &pj); err != nil {
+		payload, err := stage.Unframe(data)
+		if err == nil {
+			err = json.Unmarshal(payload, &pj)
+		}
+		if err != nil {
 			m.cfg.Logf("jobs: %s: corrupt job record (%v) — delete or regenerate it", path, err)
 			continue
 		}
 		if pj.SchemaVersion != jobSchemaVersion {
 			m.cfg.Logf("jobs: %s has journal version %d, this build reads version %d — delete or regenerate it", path, pj.SchemaVersion, jobSchemaVersion)
+			continue
+		}
+		if pj.ID+".json" != e.Name() {
+			m.cfg.Logf("jobs: %s: job record names job %q — delete or regenerate it", path, pj.ID)
 			continue
 		}
 		if pj.Tombstone {

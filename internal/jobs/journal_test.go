@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"fgbs/internal/stage"
 )
 
 // echoRehydrate rebuilds a job that returns its own spec, so resumed
@@ -196,10 +198,12 @@ func TestRecoveryTombstone(t *testing.T) {
 	}
 }
 
-// TestRecoverySkipsBadRecords covers the schema-version gate and
-// truncated JSON: both are skipped with a log line naming the file and
-// saying "delete or regenerate", and both still advance the ID
-// counter so a fresh submit cannot collide with the surviving file.
+// TestRecoverySkipsBadRecords covers the schema-version gate, a torn
+// write, a done record whose result lost its integrity, an unframed
+// record, and a record naming another job than its file: each is
+// skipped with a log line naming the file and saying "delete or
+// regenerate", never replayed, and each still advances the ID counter
+// so a fresh submit cannot collide with the surviving file.
 func TestRecoverySkipsBadRecords(t *testing.T) {
 	dir := t.TempDir()
 	// A record from a future (or past) schema version.
@@ -213,6 +217,47 @@ func TestRecoverySkipsBadRecords(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "job-00000009.json"), []byte(`{"schemaVersion":1,"id":"job-0000`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// A done record written by the journal itself, then damaged on disk
+	// so that it still parses: one digit of its result changed.
+	done := persistedJob{
+		SchemaVersion: jobSchemaVersion,
+		ID:            "job-00000004",
+		Kind:          "echo",
+		State:         StateDone,
+		Result:        json.RawMessage(`{"answer":42}`),
+	}
+	(&Manager{cfg: Config{Dir: dir}}).writeRecord(done)
+	flipped := filepath.Join(dir, "job-00000004.json")
+	data, err := os.ReadFile(flipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"answer":42`)) {
+		t.Fatalf("journal record does not hold its result: %q", data)
+	}
+	if err := os.WriteFile(flipped, bytes.Replace(data, []byte(`"answer":42`), []byte(`"answer":43`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A well-formed record without the integrity frame, as builds
+	// before the framed journal wrote it.
+	done.ID = "job-00000006"
+	unframed, err := json.Marshal(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-00000006.json"), unframed, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A valid record filed under another job's name: adopting it would
+	// hand its ID to a later submit.
+	done.ID = "job-00000002"
+	misfiled, err := json.Marshal(done)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-00000008.json"), stage.Frame(misfiled), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	var logs []string
 	m := NewManager(Config{
@@ -221,7 +266,7 @@ func TestRecoverySkipsBadRecords(t *testing.T) {
 	})
 	defer m.Close()
 
-	for _, id := range []string{"job-00000003", "job-00000009"} {
+	for _, id := range []string{"job-00000002", "job-00000003", "job-00000004", "job-00000006", "job-00000008", "job-00000009"} {
 		if _, err := m.Get(id); !errors.Is(err, ErrNotFound) {
 			t.Errorf("bad record %s was adopted: err = %v", id, err)
 		}
@@ -230,8 +275,13 @@ func TestRecoverySkipsBadRecords(t *testing.T) {
 	if !strings.Contains(joined, "job-00000003.json") || !strings.Contains(joined, fmt.Sprintf("journal version %d, this build reads version %d", jobSchemaVersion+1, jobSchemaVersion)) {
 		t.Errorf("version mismatch not logged with file name: %q", joined)
 	}
-	if !strings.Contains(joined, "job-00000009.json") || !strings.Contains(joined, "corrupt job record") {
-		t.Errorf("truncated record not logged with file name: %q", joined)
+	for _, name := range []string{"job-00000004.json", "job-00000006.json", "job-00000009.json"} {
+		if !strings.Contains(joined, name+": corrupt job record") {
+			t.Errorf("corrupt record %s not logged with its file name: %q", name, joined)
+		}
+	}
+	if !strings.Contains(joined, `job-00000008.json: job record names job "job-00000002"`) {
+		t.Errorf("misfiled record not logged with its file name: %q", joined)
 	}
 	if !strings.Contains(joined, "delete or regenerate") {
 		t.Errorf("logs missing the remediation hint: %q", joined)
@@ -242,7 +292,7 @@ func TestRecoverySkipsBadRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	if j.ID() != "job-00000010" {
-		t.Errorf("ID after skipped records 3 and 9 = %s, want job-00000010", j.ID())
+		t.Errorf("ID after skipped records 3, 4, 6, 8 and 9 = %s, want job-00000010", j.ID())
 	}
 }
 
@@ -294,29 +344,111 @@ func TestCancelDurableStaysCanceled(t *testing.T) {
 	}
 }
 
-// writeRecordFile plants a journal record as a crashed process would
-// have left it.
+// writeRecordFile plants a framed journal record as a crashed process
+// would have left it.
 func writeRecordFile(t *testing.T, dir string, pj persistedJob) {
 	t.Helper()
 	data, err := json.Marshal(pj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, pj.ID+".json"), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, pj.ID+".json"), stage.Frame(data), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// readRecordFile decodes one journal record.
+// readRecordFile verifies and decodes one journal record.
 func readRecordFile(t *testing.T, dir, id string) persistedJob {
 	t.Helper()
 	data, err := os.ReadFile(filepath.Join(dir, id+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	payload, err := stage.Unframe(data)
+	if err != nil {
+		t.Fatalf("journal record %s: %v", id, err)
+	}
 	var pj persistedJob
-	if err := json.Unmarshal(data, &pj); err != nil {
+	if err := json.Unmarshal(payload, &pj); err != nil {
 		t.Fatal(err)
 	}
 	return pj
+}
+
+// FuzzJournalRecord runs recovery over one framed record with a
+// fuzzed JSON payload under a job-*.json name. Recovery must never
+// panic, the ID counter must pass the filename's ID whatever the
+// record says, a record is adopted only under its filename's ID, and
+// an adopted non-terminal record either rehydrates (and runs to done)
+// or fails loudly with ErrNotResumable. The seeds are the records the
+// journal tests above build.
+func FuzzJournalRecord(f *testing.F) {
+	for _, pj := range []persistedJob{
+		{SchemaVersion: jobSchemaVersion, ID: "job-00000001", Kind: "echo", State: StateRunning, Attempts: 1, Spec: json.RawMessage(`{"answer":7}`)},
+		{SchemaVersion: jobSchemaVersion, ID: "job-00000001", Kind: "echo", State: StatePending, Spec: json.RawMessage(`{"answer":1}`)},
+		{SchemaVersion: jobSchemaVersion, ID: "job-00000004", Kind: "echo", State: StateDone, Result: json.RawMessage(`{"answer":42}`)},
+		{SchemaVersion: jobSchemaVersion, ID: "job-00000005", Tombstone: true},
+		{SchemaVersion: jobSchemaVersion + 1, ID: "job-00000003", Kind: "echo", State: StateDone},
+	} {
+		data, err := json.Marshal(pj)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		// The same record under the fuzzed file's own name, so the
+		// seeds reach adoption and not only the ID check.
+		f.Add(bytes.Replace(data, []byte(pj.ID), []byte("job-00000007"), 1))
+	}
+	f.Add([]byte(`{"schemaVersion":1,"id":"job-0000`))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		const id = "job-00000007"
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, id+".json"), stage.Frame(payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m := NewManager(Config{
+			Workers: 1, Dir: dir,
+			Rehydrate: func(kind string, spec json.RawMessage) (Fn, error) {
+				if kind != "echo" {
+					return nil, fmt.Errorf("unknown kind %q", kind)
+				}
+				return func(ctx context.Context, pr *Progress) (any, error) { return "resumed", nil }, nil
+			},
+			Logf: func(string, ...any) {},
+		})
+		defer m.Close()
+		m.mu.Lock()
+		for other := range m.jobs {
+			if other != id {
+				t.Errorf("record in %s.json adopted as %s", id, other)
+			}
+		}
+		m.mu.Unlock()
+		if j, err := m.Get(id); err == nil {
+			var pj persistedJob
+			if err := json.Unmarshal(payload, &pj); err != nil || pj.ID != id {
+				t.Fatalf("adopted record %q (decode err %v)", payload, err)
+			}
+			s := wait(t, j)
+			switch {
+			case pj.State.Terminal():
+				if s.State != pj.State {
+					t.Errorf("terminal record %s re-adopted as %s", pj.State, s.State)
+				}
+			case s.State == StateDone:
+				if !s.Interrupted {
+					t.Errorf("resumed job not marked interrupted: %+v", s)
+				}
+			case s.State != StateFailed || !strings.Contains(s.Err, ErrNotResumable.Error()):
+				t.Errorf("interrupted record ended %s (%q), want done or failed with ErrNotResumable", s.State, s.Err)
+			}
+		}
+		fresh, err := m.Submit("fresh", func(ctx context.Context, pr *Progress) (any, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh.ID() <= id {
+			t.Errorf("fresh ID %s does not pass the record's file %s", fresh.ID(), id)
+		}
+	})
 }

@@ -51,7 +51,7 @@ func TestArtifactEndpoint(t *testing.T) {
 		if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 			t.Errorf("artifact %s content type = %q", key, ct)
 		}
-		if err := stage.VerifyFrame(data); err != nil {
+		if _, err := stage.Unframe(data); err != nil {
 			t.Errorf("artifact %s fails verification: %v", key, err)
 		}
 	}

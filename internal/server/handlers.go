@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -87,19 +86,15 @@ func encodeBody(v any) ([][]byte, error) {
 
 // markStale decorates a JSON object body with "stale": true — the
 // in-band signal (alongside the X-Stale header) that the answer was
-// computed from a degraded or retained last-good profile. A body that
-// is not a JSON object passes through unchanged.
-func markStale(body []byte) []byte {
-	var m map[string]any
-	if err := json.Unmarshal(body, &m); err != nil {
-		return body
-	}
-	m["stale"] = true
-	out, err := json.Marshal(m)
-	if err != nil {
-		return body
-	}
-	return out
+// computed from a degraded or retained last-good profile. The field is
+// spliced in before the object's closing brace, so a stale body is the
+// fresh body's bytes plus `,"stale":true` and its segments, which may
+// be shared with Evals and the result cache, are never written to.
+// Every body the handlers compute is a non-empty JSON object.
+func markStale(body [][]byte) [][]byte {
+	n := len(body) - 1
+	last := body[n]
+	return append(body[:n:n], last[:len(last)-1], staleClose)
 }
 
 // parseFeatureMask resolves the request's "features" field: a named
@@ -212,7 +207,7 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, key string, comp
 		return
 	}
 	if stale {
-		writeRaw(w, [][]byte{markStale(bytes.Join(body, nil))}, false, true)
+		writeRaw(w, markStale(body), false, true)
 		return
 	}
 	s.results.Put(key, body)
@@ -302,10 +297,12 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}, req.Suite)
 }
 
-// comma and closeEvals are the evaluate body's fixed segments.
+// comma and closeEvals are the evaluate body's fixed segments;
+// staleClose closes a body markStale decorates.
 var (
 	comma      = []byte(",")
 	closeEvals = []byte("]}")
+	staleClose = []byte(`,"stale":true}`)
 )
 
 func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {

@@ -12,8 +12,7 @@ import (
 )
 
 // diskDevice is the durable byte device: one file per artifact under
-// a shared directory, written via tmp + fsync + rename + parent-dir
-// fsync so a published name never points at torn bytes.
+// a shared directory, each published by Publish.
 type diskDevice struct {
 	dir string
 }
@@ -33,36 +32,51 @@ func (d *diskDevice) get(ctx context.Context, ref Ref) ([]byte, error) {
 }
 
 // put writes data under ref.Name durably: encode-before-open already
-// happened upstream, so a failed write never publishes anything — the
-// tmp file is removed and the error feeds the breaker.
+// happened upstream, so a failed write never publishes anything and
+// the error feeds the breaker.
 func (d *diskDevice) put(ctx context.Context, ref Ref, data []byte) (bool, error) {
-	if err := os.MkdirAll(d.dir, 0o755); err != nil {
+	if err := Publish(d.dir, ref.Name, data, fault.CrashMidArtifactWrite, fault.CrashBeforeRename); err != nil {
 		return false, err
+	}
+	return true, nil
+}
+
+// Publish durably writes data as dir/name — the one durable write path
+// for every file the project keeps (artifacts and job records): a
+// uniquely named tmp file in dir, fsync, rename over name, then fsync
+// of dir. A crash at any instant leaves either the old file or the new
+// one under name, never torn bytes; a failed write removes its tmp
+// file and publishes nothing. midWrite and beforeRename name the
+// crashpoints (fault.Crashpoint) fired halfway through the bytes and
+// just before the rename; "" fires none.
+func Publish(dir, name string, data []byte, midWrite, beforeRename string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
 	// The tmp name must be unique per writer: the documented workflows
 	// share one directory between processes (fgbs -stagedir and fgbsd
 	// -profiledir), and a fixed tmp path would let two concurrent
-	// persists of the same filename interleave writes and rename a
-	// corrupt artifact.
-	f, err := os.CreateTemp(d.dir, ref.Name+".tmp*")
+	// writers of the same name interleave their bytes and rename a
+	// corrupt file.
+	f, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
-		return false, err
+		return err
 	}
 	tmp := f.Name()
-	fail := func(err error) (bool, error) {
+	fail := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
-		return false, err
+		return err
 	}
 	// The bytes are written in two halves around the mid-write
-	// crashpoint: a crash here leaves a torn tmp file the published
+	// crashpoint: a crash there leaves a torn tmp file the published
 	// name never points at, which is exactly what the frame (and the
 	// recovery harness) must tolerate.
 	half := len(data) / 2
 	if _, err := f.Write(data[:half]); err != nil {
 		return fail(err)
 	}
-	fault.Crashpoint(fault.CrashMidArtifactWrite)
+	fault.Crashpoint(midWrite)
 	if _, err := f.Write(data[half:]); err != nil {
 		return fail(err)
 	}
@@ -73,19 +87,19 @@ func (d *diskDevice) put(ctx context.Context, ref Ref, data []byte) (bool, error
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return false, err
+		return err
 	}
-	fault.Crashpoint(fault.CrashBeforeRename)
-	if err := os.Rename(tmp, filepath.Join(d.dir, ref.Name)); err != nil {
+	fault.Crashpoint(beforeRename)
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
 		os.Remove(tmp)
-		return false, err
+		return err
 	}
 	// The rename is only durable once the directory entry is.
-	if dir, err := os.Open(d.dir); err == nil {
-		dir.Sync()
-		dir.Close()
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
 	}
-	return true, nil
+	return nil
 }
 
 // quarantine moves the corrupt artifact aside as <path>.corrupt — kept

@@ -30,19 +30,10 @@ const frameMagic = "fgbs-artifact"
 // than guessed at.
 const frameVersion = 1
 
-// VerifyFrame checks one artifact's bytes against their integrity
-// frame; a non-nil error means the bytes are missing the frame or fail
-// verification. Harnesses (the crash-recovery e2e) use it to assert
-// every surviving artifact verifies after a kill.
-func VerifyFrame(data []byte) error {
-	_, err := unframe(data)
-	return err
-}
-
 // Frame returns payload prefixed with its integrity frame — the at-
 // rest and on-the-wire form of every artifact. Harnesses use it to
 // stage artifacts a peer endpoint would serve; every tier uses it on
-// every put.
+// every put, and the jobs journal on every record.
 func Frame(payload []byte) []byte {
 	h := frameHeader(payload)
 	out := make([]byte, 0, len(h)+len(payload))
@@ -56,14 +47,16 @@ func frameHeader(payload []byte) string {
 	return fmt.Sprintf("%s v%d sha256:%s len:%d\n", frameMagic, frameVersion, hex.EncodeToString(sum[:]), len(payload))
 }
 
-// unframe validates data's frame and returns the payload. A frame is
-// accepted only when its header line is byte for byte the one Frame
-// writes for the payload that follows, so there is exactly one
-// accepted spelling of every artifact. A non-nil error means the bytes
-// fail verification: no frame at all, a truncated header, or a header
-// that does not match the payload (another frame version, a length or
-// checksum mismatch, a non-canonical spelling).
-func unframe(data []byte) ([]byte, error) {
+// Unframe validates data's frame and returns the payload — the one
+// read check for every file Publish writes (artifacts and job records)
+// and every artifact a peer serves. A frame is accepted only when its
+// header line is byte for byte the one Frame writes for the payload
+// that follows, so there is exactly one accepted spelling of every
+// artifact. A non-nil error means the bytes fail verification: no
+// frame at all, a truncated header, or a header that does not match
+// the payload (another frame version, a length or checksum mismatch,
+// a non-canonical spelling).
+func Unframe(data []byte) ([]byte, error) {
 	if !bytes.HasPrefix(data, []byte(frameMagic+" ")) {
 		return nil, errors.New("stage: artifact has no integrity frame")
 	}

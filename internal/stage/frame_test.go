@@ -13,9 +13,9 @@ import (
 func TestFrameRoundtrip(t *testing.T) {
 	for _, payload := range []string{"", "x", strings.Repeat("artifact|", 1000)} {
 		data := []byte(frameHeader([]byte(payload)) + payload)
-		got, err := unframe(data)
+		got, err := Unframe(data)
 		if err != nil {
-			t.Fatalf("unframe(%d bytes): %v", len(payload), err)
+			t.Fatalf("Unframe(%d bytes): %v", len(payload), err)
 		}
 		if string(got) != payload {
 			t.Errorf("payload of %d bytes did not round-trip", len(payload))
@@ -50,13 +50,13 @@ func TestUnframeRejectsCorruption(t *testing.T) {
 		if data == good {
 			t.Fatalf("%s: the case does not alter the frame", name)
 		}
-		if _, err := unframe([]byte(data)); err == nil {
-			t.Errorf("%s: unframe accepted corrupt data", name)
+		if _, err := Unframe([]byte(data)); err == nil {
+			t.Errorf("%s: Unframe accepted corrupt data", name)
 		}
 	}
 }
 
-// FuzzUnframe feeds unframe arbitrary bytes: it must never panic, and
+// FuzzUnframe feeds Unframe arbitrary bytes: it must never panic, and
 // every input it accepts must be exactly the frame Frame writes for
 // the payload it returned — one spelling per artifact.
 func FuzzUnframe(f *testing.F) {
@@ -69,12 +69,12 @@ func FuzzUnframe(f *testing.F) {
 		f.Add(framed[:nl])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		payload, err := unframe(data)
+		payload, err := Unframe(data)
 		if err != nil {
 			return
 		}
 		if !bytes.Equal(Frame(payload), data) {
-			t.Fatalf("unframe accepted %q, which is not Frame of its %d-byte payload", data, len(payload))
+			t.Fatalf("Unframe accepted %q, which is not Frame of its %d-byte payload", data, len(payload))
 		}
 	})
 }
@@ -158,7 +158,11 @@ func TestUnframedDiskArtifactQuarantined(t *testing.T) {
 	if q := s.Stats().Tiers[TierDisk].Quarantined; q != 1 {
 		t.Errorf("disk tier quarantined = %d, want 1", q)
 	}
-	if data, err := os.ReadFile(path); err != nil || VerifyFrame(data) != nil {
+	data, err := os.ReadFile(path)
+	if err == nil {
+		_, err = Unframe(data)
+	}
+	if err != nil {
 		t.Errorf("recompute did not republish a framed artifact: %v", err)
 	}
 }

@@ -466,7 +466,7 @@ func TestSaveDiskBytesIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := unframe(onDisk)
+	got, err := Unframe(onDisk)
 	if err != nil {
 		t.Fatalf("persisted artifact not framed: %v", err)
 	}

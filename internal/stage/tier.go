@@ -132,7 +132,7 @@ func (t *tier) get(ctx context.Context, ref Ref) (framed, payload []byte, err er
 		return nil, nil, err
 	}
 	t.ok()
-	if payload, err = unframe(data); err != nil {
+	if payload, err = Unframe(data); err != nil {
 		t.quarantine(ref)
 		return nil, nil, fmt.Errorf("stage: corrupt artifact in %s tier: %w", t.name, err)
 	}

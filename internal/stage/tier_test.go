@@ -136,7 +136,7 @@ func TestTierPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("peer hit not promoted to disk: %v", err)
 	}
-	if err := VerifyFrame(data); err != nil {
+	if _, err := Unframe(data); err != nil {
 		t.Errorf("promoted file fails verification: %v", err)
 	}
 
@@ -244,10 +244,10 @@ func TestFetchFramed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyFrame(data); err != nil {
+	payload, err := Unframe(data)
+	if err != nil {
 		t.Fatalf("fetched artifact fails verification: %v", err)
 	}
-	payload, _ := unframe(data)
 	if v, err := codec.Decode(payload); err != nil || v != "served" {
 		t.Errorf("fetched payload decodes to %v, %v", v, err)
 	}
@@ -292,7 +292,7 @@ func TestPeerUnframedBodyQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if payload, err := unframe(data); err != nil || string(payload) != "computed" {
+	if payload, err := Unframe(data); err != nil || string(payload) != "computed" {
 		t.Errorf("FetchFramed payload = %q, %v; want the computed artifact", payload, err)
 	}
 }
@@ -313,7 +313,11 @@ func TestFetchFramedSkipsRemoteTiers(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if data, err := s.FetchFramed(ctx, testKey(1)); err != nil || VerifyFrame(data) != nil {
+	data, err := s.FetchFramed(ctx, testKey(1))
+	if err == nil {
+		_, err = Unframe(data)
+	}
+	if err != nil {
 		t.Fatalf("FetchFramed of the promoted artifact = %v, want verified disk bytes", err)
 	}
 	// With the disk copy gone, only the peer holds the artifact — and
