@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"fgbs/internal/features"
@@ -173,5 +174,25 @@ func TestRunContextCanceled(t *testing.T) {
 	}
 	if gens < 3 || gens >= opts.Generations {
 		t.Errorf("observed %d generations before abort, want a handful", gens)
+	}
+}
+
+// TestWorkersIdentical: fitness calls fan out over Options.Workers, but
+// each score lands on its own individual, so a pure fitness gives the
+// same Result at any worker count.
+func TestWorkersIdentical(t *testing.T) {
+	target := features.MaskOf(4, 18, 27, 50)
+	opts := Options{Population: 40, Generations: 12, MutationProb: 0.02, Seed: 11, Workers: 1}
+	want, err := Run(targetFitness(target), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Workers = 8
+	got, err := Run(targetFitness(target), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("workers=8 result %+v != workers=1 result %+v", got, want)
 	}
 }
