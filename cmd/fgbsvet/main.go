@@ -123,7 +123,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		report.Checks = append(report.Checks, jsonTiming{Check: check, ElapsedMS: ms(elapsed)})
 	}
 
-	mod, err := analysis.LoadModuleParallel(".", workers)
+	mod, err := analysis.LoadModule(".", workers)
 	if err != nil {
 		fmt.Fprintln(stderr, "fgbsvet:", err)
 		return 2

@@ -17,6 +17,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -24,6 +25,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"fgbs/internal/fanout"
 )
 
 // A Diagnostic is one finding at a resolved source position.
@@ -167,7 +170,8 @@ func Run(pkgs []*Package, opts Options) ([]Diagnostic, error) {
 	perPkg := make([][]Diagnostic, len(pkgs))
 	var timingMu sync.Mutex
 	timings := make(map[string]time.Duration)
-	runPkg := func(i int) {
+	// The context is never done and no unit fails, so Run returns nil.
+	_ = fanout.Run(context.Background(), len(pkgs), opts.Workers, func(i int) error {
 		pkg := pkgs[i]
 		var diags []Diagnostic
 		for _, c := range selected {
@@ -184,32 +188,9 @@ func Run(pkgs []*Package, opts Options) ([]Diagnostic, error) {
 				timingMu.Unlock()
 			}
 		}
-		diags = append(diags, pkg.badAllows...)
-		perPkg[i] = diags
-	}
-
-	if opts.Workers > 1 {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < opts.Workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runPkg(i)
-				}
-			}()
-		}
-		for i := range pkgs {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	} else {
-		for i := range pkgs {
-			runPkg(i)
-		}
-	}
+		perPkg[i] = append(diags, pkg.badAllows...)
+		return nil
+	})
 
 	var diags []Diagnostic
 	for _, d := range perPkg {

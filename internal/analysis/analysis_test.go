@@ -18,7 +18,7 @@ import (
 // stdlib source-import is the expensive part and is identical across
 // callers.
 var realTreeOnce = sync.OnceValues(func() (*Module, error) {
-	return LoadModule("../..")
+	return LoadModule("../..", 1)
 })
 
 func loadRealTree(t *testing.T) *Module {
@@ -362,15 +362,15 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestLoadModuleParallelMatchesSerial: the wave-scheduled loader must
-// be observationally identical to the serial one — same packages in
-// the same order, and identical analysis output on top.
-func TestLoadModuleParallelMatchesSerial(t *testing.T) {
+// TestLoadModuleWorkersMatch: the wave-scheduled loader at 8 workers
+// must be observationally identical to its 1-worker run — same
+// packages in the same order, and identical analysis output on top.
+func TestLoadModuleWorkersMatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the module a second time")
 	}
 	serialMod := loadRealTree(t)
-	parMod, err := LoadModuleParallel("../..", 8)
+	parMod, err := LoadModule("../..", 8)
 	if err != nil {
 		t.Fatal(err)
 	}

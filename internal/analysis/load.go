@@ -9,6 +9,7 @@
 package analysis
 
 import (
+	"context"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -20,6 +21,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"fgbs/internal/fanout"
 )
 
 // A Package is one loaded, type-checked module package.
@@ -61,64 +64,17 @@ type Module struct {
 }
 
 // LoadModule loads and type-checks every package of the module that
-// contains dir. Test files (*_test.go) are skipped: the invariants
-// fgbsvet guards apply to shipped code, and several checks explicitly
-// exempt tests. Type errors fail the load — the analyzers need sound
-// type information.
-func LoadModule(dir string) (*Module, error) {
-	root, modPath, err := findModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	dirs, err := packageDirs(root)
-	if err != nil {
-		return nil, err
-	}
-
-	fset := token.NewFileSet()
-	byPath := make(map[string]*parsedPkg, len(dirs))
-	for _, d := range dirs {
-		importPath := modPath
-		if rel, _ := filepath.Rel(root, d); rel != "." {
-			importPath = modPath + "/" + filepath.ToSlash(rel)
-		}
-		pp, err := parseDir(fset, d, importPath)
-		if err != nil {
-			return nil, err
-		}
-		if pp != nil {
-			byPath[importPath] = pp
-		}
-	}
-
-	order, err := topoSort(byPath, modPath)
-	if err != nil {
-		return nil, err
-	}
-
-	m := &Module{Path: modPath, Dir: root, Fset: fset}
-	checker := newTypeChecker(fset)
-	for _, pp := range order {
-		pkg, err := checker.check(pp)
-		if err != nil {
-			return nil, err
-		}
-		m.Pkgs = append(m.Pkgs, pkg)
-	}
-	return m, nil
-}
-
-// LoadModuleParallel is LoadModule with bounded parallelism: files are
-// parsed concurrently, and type-checking proceeds in topological waves
-// (every package whose local dependencies are already checked is in
-// the current wave, and a wave's packages check concurrently). The
-// resulting Module is equivalent to LoadModule's — same package order,
-// same type facts — so analysis output is byte-identical; only wall
-// time differs. workers <= 1 falls back to the serial loader.
-func LoadModuleParallel(dir string, workers int) (*Module, error) {
-	if workers <= 1 {
-		return LoadModule(dir)
-	}
+// contains dir on up to workers goroutines (workers <= 1 loads
+// serially). Files are parsed concurrently, and type-checking proceeds
+// in topological waves: every package whose local dependencies are
+// already checked is in the current wave, and a wave's packages check
+// concurrently. The package order and type facts do not depend on
+// workers, so analysis output is byte-identical at any worker count.
+// Test files (*_test.go) are skipped: the invariants fgbsvet guards
+// apply to shipped code, and several checks explicitly exempt tests.
+// Type errors fail the load — the analyzers need sound type
+// information.
+func LoadModule(dir string, workers int) (*Module, error) {
 	root, modPath, err := findModule(dir)
 	if err != nil {
 		return nil, err
@@ -132,20 +88,19 @@ func LoadModuleParallel(dir string, workers int) (*Module, error) {
 	// use with distinct files.
 	fset := token.NewFileSet()
 	parsed := make([]*parsedPkg, len(dirs))
-	parseErrs := make([]error, len(dirs))
-	runBounded(len(dirs), workers, func(i int) {
-		d := dirs[i]
+	err = fanout.Run(context.Background(), len(dirs), workers, func(i int) (err error) {
 		importPath := modPath
-		if rel, _ := filepath.Rel(root, d); rel != "." {
+		if rel, _ := filepath.Rel(root, dirs[i]); rel != "." {
 			importPath = modPath + "/" + filepath.ToSlash(rel)
 		}
-		parsed[i], parseErrs[i] = parseDir(fset, d, importPath)
+		parsed[i], err = parseDir(fset, dirs[i], importPath)
+		return err
 	})
+	if err != nil {
+		return nil, err
+	}
 	byPath := make(map[string]*parsedPkg, len(dirs))
-	for i, pp := range parsed {
-		if parseErrs[i] != nil {
-			return nil, parseErrs[i]
-		}
+	for _, pp := range parsed {
 		if pp != nil {
 			byPath[pp.path] = pp
 		}
@@ -186,15 +141,15 @@ func LoadModuleParallel(dir string, workers int) (*Module, error) {
 			}
 		}
 		pkgs := make([]*Package, len(batch))
-		errs := make([]error, len(batch))
-		runBounded(len(batch), workers, func(i int) {
-			pkgs[i], errs[i] = checker.check(batch[i])
+		err := fanout.Run(context.Background(), len(batch), workers, func(i int) (err error) {
+			pkgs[i], err = checker.check(batch[i])
+			return err
 		})
-		for i, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-			checked[batch[i].path] = pkgs[i]
+		if err != nil {
+			return nil, err
+		}
+		for i, pp := range batch {
+			checked[pp.path] = pkgs[i]
 		}
 	}
 
@@ -203,30 +158,6 @@ func LoadModuleParallel(dir string, workers int) (*Module, error) {
 		m.Pkgs = append(m.Pkgs, checked[pp.path])
 	}
 	return m, nil
-}
-
-// runBounded invokes fn(0..n-1) across at most workers goroutines and
-// waits for all of them.
-func runBounded(n, workers int, fn func(int)) {
-	if workers > n {
-		workers = n
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 }
 
 // LoadDir loads a single directory as one standalone package under the

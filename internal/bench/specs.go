@@ -421,7 +421,7 @@ func init() {
 		Doc:  "flow-sensitive fgbsvet analysis (all nine checks) over the repository's own packages, parallel workers",
 		Setup: func(ctx context.Context) (*Instance, error) {
 			workers := runtime.GOMAXPROCS(0)
-			mod, err := analysis.LoadModuleParallel(".", workers)
+			mod, err := analysis.LoadModule(".", workers)
 			if err != nil {
 				return nil, err
 			}

@@ -24,13 +24,14 @@
 package corpus
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
+	"fgbs/internal/fanout"
 	"fgbs/internal/ir"
 	"fgbs/internal/rng"
 )
@@ -398,23 +399,12 @@ func fanOut(n, workers int, gen func(i int) (*ir.Program, error)) ([]*ir.Program
 		workers = runtime.GOMAXPROCS(0)
 	}
 	progs := make([]*ir.Program, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			progs[i], errs[i] = gen(i)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := fanout.Run(context.Background(), n, workers, func(i int) (err error) {
+		progs[i], err = gen(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return progs, nil
 }

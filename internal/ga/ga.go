@@ -15,8 +15,8 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 
+	"fgbs/internal/fanout"
 	"fgbs/internal/features"
 	"fgbs/internal/rng"
 )
@@ -110,37 +110,21 @@ func RunContext(ctx context.Context, fitness Fitness, opts Options) (*Result, er
 	}
 
 	res := &Result{BestFitness: math.Inf(1)}
-	evaluate := func(gen []scored) {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, opts.Workers)
-		for i := range gen {
-			if ctx.Err() != nil {
-				break
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(s *scored) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				if s.mask.Count() == 0 {
-					s.fit = math.Inf(1)
-					return
-				}
-				s.fit = fitness(s.mask)
-			}(&gen[i])
-		}
-		wg.Wait()
-		res.Evaluations += len(gen)
-	}
-
 	for gen := 0; gen < opts.Generations; gen++ {
-		evaluate(pop)
 		// A cancellation during the fan-out leaves unevaluated
 		// zero-fitness individuals; discard the generation rather than
 		// let them win the sort.
-		if err := ctx.Err(); err != nil {
+		if err := fanout.Run(ctx, len(pop), opts.Workers, func(i int) error {
+			if s := &pop[i]; s.mask.Count() == 0 {
+				s.fit = math.Inf(1)
+			} else {
+				s.fit = fitness(s.mask)
+			}
+			return nil
+		}); err != nil {
 			return nil, err
 		}
+		res.Evaluations += len(pop)
 		sort.SliceStable(pop, func(i, j int) bool { return pop[i].fit < pop[j].fit })
 		if pop[0].fit < res.BestFitness {
 			res.BestFitness = pop[0].fit

@@ -77,17 +77,12 @@ type RandomClusteringStats struct {
 }
 
 // RandomClusterings compares the mask-guided Ward clustering against
-// `trials` uniformly random partitions into K clusters (Figure 7).
+// `trials` uniformly random partitions into K clusters (Figure 7). It
+// is the serial oracle for Staged.RandomClusterings: every trial draws
+// from its own generator seeded by trialSeeds, so trial i's partition
+// depends only on (seed, i), and the staged per-trial fan-out is
+// byte-identical to this loop.
 func (p *Profile) RandomClusterings(mask features.Mask, k, trials int, t int, seed uint64) (RandomClusteringStats, error) {
-	return p.RandomClusteringsContext(context.Background(), mask, k, trials, t, seed)
-}
-
-// RandomClusteringsContext is RandomClusterings with cancellation,
-// checked between trials. Every trial draws from its own generator
-// seeded by trialSeeds, so trial i's partition depends only on (seed,
-// i) — the property that makes Staged.RandomClusterings' per-chunk
-// fan-out byte-identical to this serial loop.
-func (p *Profile) RandomClusteringsContext(ctx context.Context, mask features.Mask, k, trials int, t int, seed uint64) (RandomClusteringStats, error) {
 	res, err := p.guidedStats(mask, k, t)
 	if err != nil {
 		return RandomClusteringStats{}, err
@@ -95,9 +90,6 @@ func (p *Profile) RandomClusteringsContext(ctx context.Context, mask features.Ma
 	seeds := trialSeeds(seed, trials)
 	errs := make([]float64, trials)
 	for trial := 0; trial < trials; trial++ {
-		if err := ctx.Err(); err != nil {
-			return RandomClusteringStats{}, err
-		}
 		errs[trial], err = p.randomTrial(mask, seeds[trial], k, t)
 		if err != nil {
 			return RandomClusteringStats{}, err

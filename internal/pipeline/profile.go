@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"fgbs/internal/arch"
 	"fgbs/internal/extract"
+	"fgbs/internal/fanout"
 	"fgbs/internal/features"
 	"fgbs/internal/ir"
 	"fgbs/internal/maqao"
@@ -160,84 +160,62 @@ func newProfileDetected(ctx context.Context, ps []*ir.Program, cs []*ir.Codelet,
 		}
 	}
 
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, opts.Workers)
-	for i := 0; i < n && ctx.Err() == nil; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				return
+	err := fanout.Run(ctx, n, opts.Workers, func(i int) error {
+		refIn, err := measure(i, pr.Ref, sim.ModeInApp)
+		if err != nil {
+			if escalate && ctx.Err() == nil {
+				// The reference in-app time anchors everything
+				// derived for this codelet (features, the model's
+				// matrix row, screening); without it the codelet is
+				// screened out entirely.
+				pr.RefFailed[i] = true
+				pr.IllBehaved[i] = true
+				pr.Discarded[i] = true
+				pr.Features[i] = make([]float64, features.NumFeatures)
+				return nil
 			}
-			refIn, err := measure(i, pr.Ref, sim.ModeInApp)
-			if err != nil {
-				if escalate && ctx.Err() == nil {
-					// The reference in-app time anchors everything
-					// derived for this codelet (features, the model's
-					// matrix row, screening); without it the codelet
-					// is screened out entirely.
-					pr.RefFailed[i] = true
-					pr.IllBehaved[i] = true
-					pr.Discarded[i] = true
-					pr.Features[i] = make([]float64, features.NumFeatures)
-				} else {
-					errs[i] = err
-				}
-				return
+			return err
+		}
+		pr.RefInApp[i] = refIn.Seconds
+		pr.Discarded[i] = refIn.Counters.Cycles < MinMeasurableCycles
+
+		st := maqao.Analyze(ps[i], cs[i], pr.Ref)
+		pr.Features[i] = features.Assemble(ps[i], cs[i], refIn, st)
+
+		refSa, err := measure(i, pr.Ref, sim.ModeStandalone)
+		if err != nil {
+			if !escalate || ctx.Err() != nil {
+				return err
 			}
-			pr.RefInApp[i] = refIn.Seconds
-			pr.Discarded[i] = refIn.Counters.Cycles < MinMeasurableCycles
+			// Standalone extraction failed: mark ill-behaved so
+			// represent.Select never picks this codelet, but keep the
+			// in-app anchor and features.
+			pr.RefFailed[i] = true
+			pr.IllBehaved[i] = true
+		} else {
+			pr.RefStandalone[i] = refSa.Seconds
+			pr.IllBehaved[i] = extract.IllBehaved(refSa.Seconds, refIn.Seconds)
+		}
 
-			st := maqao.Analyze(ps[i], cs[i], pr.Ref)
-			pr.Features[i] = features.Assemble(ps[i], cs[i], refIn, st)
-
-			refSa, err := measure(i, pr.Ref, sim.ModeStandalone)
-			if err != nil {
-				if escalate && ctx.Err() == nil {
-					// Standalone extraction failed: mark ill-behaved
-					// so represent.Select never picks this codelet,
-					// but keep the in-app anchor and features.
-					pr.RefFailed[i] = true
-					pr.IllBehaved[i] = true
-				} else {
-					errs[i] = err
-					return
-				}
-			} else {
-				pr.RefStandalone[i] = refSa.Seconds
-				pr.IllBehaved[i] = extract.IllBehaved(refSa.Seconds, refIn.Seconds)
-			}
-
-			for t, m := range pr.Targets {
-				tin, err := measure(i, m, sim.ModeInApp)
-				if err == nil {
-					var tsa *sim.Measurement
-					if tsa, err = measure(i, m, sim.ModeStandalone); err == nil {
-						pr.TargetInApp[t][i] = tin.Seconds
-						pr.TargetStandalone[t][i] = tsa.Seconds
-						continue
-					}
-				}
-				if escalate && ctx.Err() == nil {
-					pr.TargetFailed[t][i] = true
+		for t, m := range pr.Targets {
+			tin, err := measure(i, m, sim.ModeInApp)
+			if err == nil {
+				var tsa *sim.Measurement
+				if tsa, err = measure(i, m, sim.ModeStandalone); err == nil {
+					pr.TargetInApp[t][i] = tin.Seconds
+					pr.TargetStandalone[t][i] = tsa.Seconds
 					continue
 				}
-				errs[i] = err
-				return
 			}
-		}(i)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
+			if !escalate || ctx.Err() != nil {
+				return err
+			}
+			pr.TargetFailed[t][i] = true
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	pr.trimFailureMarkers()
 	return pr, nil
