@@ -296,6 +296,49 @@ func TestRecoverySkipsBadRecords(t *testing.T) {
 	}
 }
 
+// TestRecoveryRemovesTornTmp: a crash in the middle of a record write
+// leaves stage.Publish's tmp file beside the records. Recovery removes
+// and logs it, adopts the intact record, and does not let the tmp
+// file's name reserve an ID.
+func TestRecoveryRemovesTornTmp(t *testing.T) {
+	dir := t.TempDir()
+	(&Manager{cfg: Config{Dir: dir}}).writeRecord(persistedJob{
+		SchemaVersion: jobSchemaVersion,
+		ID:            "job-00000002",
+		Kind:          "echo",
+		State:         StateDone,
+		Result:        json.RawMessage(`{"answer":42}`),
+	})
+	torn := filepath.Join(dir, "job-00000003.json.tmp42")
+	if err := os.WriteFile(torn, []byte("fgbs-artifact v1 sha256:"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs []string
+	m := NewManager(Config{
+		Workers: 1, Dir: dir,
+		Logf: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
+	})
+	defer m.Close()
+
+	if _, err := os.Stat(torn); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("torn tmp file survived recovery: stat err = %v", err)
+	}
+	if joined := strings.Join(logs, "\n"); !strings.Contains(joined, "job-00000003.json.tmp42: removed torn job-record write") {
+		t.Errorf("removal not logged with the file name: %q", joined)
+	}
+	if j, err := m.Get("job-00000002"); err != nil || j.Snapshot().State != StateDone {
+		t.Errorf("intact record not adopted: err = %v", err)
+	}
+	j, err := m.Submit("fresh", func(ctx context.Context, pr *Progress) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID() != "job-00000003" {
+		t.Errorf("ID after record 2 and a torn tmp of 3 = %s, want job-00000003", j.ID())
+	}
+}
+
 // TestCancelDurableStaysCanceled pins the cancel-vs-crash distinction:
 // an explicit Cancel is journaled, so the job stays canceled after a
 // restart instead of resuming.
