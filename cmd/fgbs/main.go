@@ -284,12 +284,11 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		prof := st.Profile()
-		elbow, err := prof.Elbow(mask)
+		elbowSub, err := st.Subset(ctx, mask, 0)
 		if err != nil {
 			return err
 		}
-		return report.Table4(os.Stdout, prof, mask, []int{14, elbow}, []string{"Atom", "Sandy Bridge"})
+		return report.Table4(os.Stdout, st.Profile(), mask, []int{14, elbowSub.RequestedK}, []string{"Atom", "Sandy Bridge"})
 	case "t5":
 		st, err := profile(ctx, cfg, "nas")
 		if err != nil {
@@ -310,11 +309,13 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		elbow, err := prof.Elbow(mask)
+		// The sweep resolved the normalize and cluster stages; the
+		// elbow cut reuses them.
+		elbowSub, err := st.Subset(ctx, mask, 0)
 		if err != nil {
 			return err
 		}
-		return report.Figure3(os.Stdout, prof, pts, elbow)
+		return report.Figure3(os.Stdout, prof, pts, elbowSub.RequestedK)
 	case "f4":
 		st, err := profile(ctx, cfg, "nas")
 		if err != nil {

@@ -30,7 +30,9 @@ func (p *Profile) NormalizedPoints(mask features.Mask) [][]float64 {
 // cluster count.
 type Subset struct {
 	Mask features.Mask
-	// RequestedK is the dendrogram cut (0 means the elbow rule chose).
+	// RequestedK is the dendrogram cut: the K asked for, or the elbow
+	// rule's K when the caller passed K <= 0. SubsetFromLabels cuts no
+	// dendrogram and stores 0.
 	RequestedK int
 	Dendro     *cluster.Dendrogram
 	Points     [][]float64

@@ -187,6 +187,17 @@ func TestStagedMatchesMonolith(t *testing.T) {
 		if monoSub.RequestedK != stagedSub.RequestedK {
 			t.Errorf("k=%d: RequestedK %d vs %d", k, stagedSub.RequestedK, monoSub.RequestedK)
 		}
+		if k == 0 {
+			// The elbow cut's K is the monolith's Elbow: cmd/fgbs reads
+			// it from the staged subset instead of re-clustering.
+			elbow, err := prof.Elbow(tinyMask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stagedSub.RequestedK != elbow {
+				t.Errorf("staged elbow cut RequestedK = %d, Profile.Elbow = %d", stagedSub.RequestedK, elbow)
+			}
+		}
 		for tt := range prof.Targets {
 			monoEv, err := prof.Evaluate(monoSub, tt)
 			if err != nil {
