@@ -46,11 +46,6 @@ echo "== chaos =="
 go test -race -timeout 20m -run '^TestChaos' ./internal/pipeline ./internal/server
 go test -race -count=100 -timeout 5m -run '^TestChaosHealthzReportsJobSaturation$' ./internal/server
 
-# The corpus smoke gate: materialize a synthetic suite from the CLI
-# (flag validation + byte-identical generation) and drive the small
-# registered suite through the full Subset→Evaluate pipeline under
-# -race with stable cluster membership. Generation fans out across
-# workers, so the race detector is load-bearing here.
 # The crash-recovery gate kills a real fgbsd mid-job at each armed
 # crashpoint (journal write, artifact write, pre-rename), restarts it,
 # and requires the resumed job to finish with byte-identical results on
@@ -69,6 +64,11 @@ go test -race -timeout 10m -run '^TestCrashRecovery$' ./cmd/fgbsd
 echo "== artifact plane =="
 go test -race -timeout 10m -run '^TestPeerArtifactPlane$' ./cmd/fgbsd
 
+# The corpus smoke gate: materialize a synthetic suite from the CLI
+# (flag validation + byte-identical generation) and drive the small
+# registered suite through the full Subset→Evaluate pipeline under
+# -race with stable cluster membership. Generation fans out across
+# workers, so the race detector is load-bearing here.
 echo "== corpus smoke =="
 go run ./cmd/fgbs corpus -family stencil2d -n 8 -seed 42 > /dev/null
 go test -race -timeout 10m -run '^TestCorpusSmokeSubsetEvaluate$' ./internal/corpus
@@ -78,6 +78,13 @@ go test -race -timeout 10m -run '^TestCorpusSmokeSubsetEvaluate$' ./internal/cor
 # concurrency-bearing code runs with the detector on.
 echo "== go test -race =="
 go test -race -timeout 25m ./...
+
+# fanout.Run is the one worker pool behind every parallel loop, and
+# its error precedence (the lowest-indexed failing unit wins, a done
+# ctx wins over both) depends on the interleaving, so its tests repeat
+# under the race detector to see many schedules.
+echo "== fanout =="
+go test -race -count=50 -run . ./internal/fanout
 
 # The cache simulator's differential fuzz: seeded address/write
 # streams, flushes, counter resets and preloads go through the packed
