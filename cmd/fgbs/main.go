@@ -584,7 +584,7 @@ func cmdGA(ctx context.Context, cfg config) error {
 	if err != nil {
 		return err
 	}
-	fitness, err := st.Profile().FeatureFitnessContext(ctx, "Atom", "Sandy Bridge")
+	fitness, err := st.Profile().FeatureFitness("Atom", "Sandy Bridge")
 	if err != nil {
 		return err
 	}

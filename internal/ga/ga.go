@@ -90,11 +90,11 @@ func Run(fitness Fitness, opts Options) (*Result, error) {
 }
 
 // RunContext is Run with cancellation: the loop aborts between
-// generations and between fitness fan-outs, returning the context's
+// generations and between fitness evaluations, returning the context's
 // error. A GA run is minutes of pipeline evaluations at the paper's
 // population size, so a canceled job must stop dispatching work
-// promptly (pair with pipeline.FeatureFitnessContext so in-flight
-// evaluations degrade to +Inf as well).
+// promptly: each generation's fan-out claims no further evaluation
+// once ctx is done, and only the evaluations already in flight finish.
 func RunContext(ctx context.Context, fitness Fitness, opts Options) (*Result, error) {
 	if fitness == nil {
 		return nil, fmt.Errorf("ga: nil fitness")

@@ -271,17 +271,9 @@ func sortedKeys(m map[string][]int) []string {
 // FeatureFitness builds the §4.2 GA fitness over this (training)
 // profile: max of the two targets' average prediction errors times
 // the elbow-selected cluster count. Lower is better. The returned
-// function is safe for concurrent use.
+// function is safe for concurrent use. Cancellation is ga.RunContext's:
+// its fan-out claims no further evaluation once ctx is done.
 func (p *Profile) FeatureFitness(targetNames ...string) (ga.Fitness, error) {
-	return p.FeatureFitnessContext(context.Background(), targetNames...)
-}
-
-// FeatureFitnessContext is FeatureFitness with cancellation: once ctx
-// is canceled the fitness short-circuits to +Inf, so an in-flight GA
-// generation stops burning simulation time on results nobody will
-// read (pair it with ga.RunContext, which aborts between
-// evaluations).
-func (p *Profile) FeatureFitnessContext(ctx context.Context, targetNames ...string) (ga.Fitness, error) {
 	var targets []int
 	for _, name := range targetNames {
 		t, err := p.TargetIndex(name)
@@ -294,7 +286,7 @@ func (p *Profile) FeatureFitnessContext(ctx context.Context, targetNames ...stri
 		return nil, fmt.Errorf("pipeline: fitness needs at least one target")
 	}
 	return func(mask features.Mask) float64 {
-		if ctx.Err() != nil || mask.Count() == 0 {
+		if mask.Count() == 0 {
 			return math.Inf(1)
 		}
 		sub, err := p.Subset(mask, 0) // elbow-selected K

@@ -136,24 +136,6 @@ func TestParallelCancellation(t *testing.T) {
 	}
 }
 
-// TestFeatureFitnessContextCanceled: a canceled fitness degrades to
-// +Inf instead of running the pipeline.
-func TestFeatureFitnessContextCanceled(t *testing.T) {
-	prof := tinyProfile(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	fitness, err := prof.FeatureFitnessContext(ctx, "Atom")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := fitness(tinyMask); !isInf(f) && f <= 0 {
-		t.Errorf("live fitness = %g", f)
-	}
-	cancel()
-	if f := fitness(tinyMask); !isInf(f) {
-		t.Errorf("canceled fitness = %g, want +Inf", f)
-	}
-}
-
 // TestProfileWorkersByteIdentical: profiling fans codelets out over
 // Options.Workers, and every measurement lands in its codelet's slot,
 // so the encoded profile must not depend on the worker count — neither

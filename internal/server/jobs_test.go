@@ -142,67 +142,81 @@ func TestJobsSweepLifecycle(t *testing.T) {
 	}
 }
 
-// TestJobsCancelRunning is the acceptance scenario's abort leg: a
-// long randbaseline job is observed making progress mid-run, its
-// result endpoint reports not-ready, and DELETE aborts it promptly.
+// TestJobsCancelRunning is the acceptance scenario's abort leg: a long
+// job is observed making progress mid-run, its result endpoint reports
+// not-ready, and DELETE aborts it promptly. The randbaseline case stops
+// between trials; the ga case stops inside a generation, whose fan-out
+// claims no further fitness evaluation once the job's context is done.
 func TestJobsCancelRunning(t *testing.T) {
-	ts := jobsTestServer(t)
-	// 2M serial trials: minutes of work, canceled after the first
-	// progress report (a few hundred trials in).
-	jj := submitJob(t, ts, `{"kind":"randbaseline","suite":"tiny","ks":[2],"trials":2000000,"parallelism":1}`)
+	for _, c := range []struct {
+		name, body string
+		total      int64
+	}{
+		// 2M serial trials: minutes of work, canceled after the first
+		// progress report (a few hundred trials in).
+		{"randbaseline", `{"kind":"randbaseline","suite":"tiny","ks":[2],"trials":2000000,"parallelism":1}`, 2000000},
+		// 1000 generations of 2000 serial evaluations: canceled after
+		// the first generation completes.
+		{"ga", `{"kind":"ga","suite":"tiny","population":2000,"generations":1000,"parallelism":1}`, 1000},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts := jobsTestServer(t)
+			jj := submitJob(t, ts, c.body)
 
-	running := pollJob(t, ts, jj.ID, "running with progress", func(j report.JobJSON) bool {
-		if terminal(j) {
-			t.Fatalf("job finished before it could be canceled: %+v", j)
-		}
-		return j.State == "running" && j.Done > 0
-	})
-	if running.Total != 2000000 {
-		t.Errorf("total = %d, want 2000000", running.Total)
-	}
+			running := pollJob(t, ts, jj.ID, "running with progress", func(j report.JobJSON) bool {
+				if terminal(j) {
+					t.Fatalf("job finished before it could be canceled: %+v", j)
+				}
+				return j.State == "running" && j.Done > 0
+			})
+			if running.Total != c.total {
+				t.Errorf("total = %d, want %d", running.Total, c.total)
+			}
 
-	// The result is not ready: 202 with the job snapshot.
-	resp := get(t, ts, "/v1/jobs/"+jj.ID+"/result", nil)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Errorf("mid-run result status = %d, want 202", resp.StatusCode)
-	}
+			// The result is not ready: 202 with the job snapshot.
+			resp := get(t, ts, "/v1/jobs/"+jj.ID+"/result", nil)
+			if resp.StatusCode != http.StatusAccepted {
+				t.Errorf("mid-run result status = %d, want 202", resp.StatusCode)
+			}
 
-	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+jj.ID, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dresp.Body.Close()
-	if dresp.StatusCode != http.StatusOK {
-		t.Fatalf("cancel status = %d", dresp.StatusCode)
-	}
+			req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+jj.ID, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dresp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dresp.Body.Close()
+			if dresp.StatusCode != http.StatusOK {
+				t.Fatalf("cancel status = %d", dresp.StatusCode)
+			}
 
-	canceled := pollJob(t, ts, jj.ID, "terminal", terminal)
-	if canceled.State != "canceled" {
-		t.Errorf("state after cancel = %s, want canceled", canceled.State)
-	}
-	if canceled.Done >= canceled.Total {
-		t.Errorf("canceled job claims full progress %d/%d", canceled.Done, canceled.Total)
-	}
+			canceled := pollJob(t, ts, jj.ID, "terminal", terminal)
+			if canceled.State != "canceled" {
+				t.Errorf("state after cancel = %s, want canceled", canceled.State)
+			}
+			if canceled.Done >= canceled.Total {
+				t.Errorf("canceled job claims full progress %d/%d", canceled.Done, canceled.Total)
+			}
 
-	// Canceled jobs have no result.
-	resp = get(t, ts, "/v1/jobs/"+jj.ID+"/result", nil)
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("canceled result status = %d, want 409", resp.StatusCode)
-	}
+			// Canceled jobs have no result.
+			resp = get(t, ts, "/v1/jobs/"+jj.ID+"/result", nil)
+			if resp.StatusCode != http.StatusConflict {
+				t.Errorf("canceled result status = %d, want 409", resp.StatusCode)
+			}
 
-	var m struct {
-		Jobs struct {
-			Canceled int64 `json:"canceled"`
-			Running  int64 `json:"running"`
-		} `json:"jobs"`
-	}
-	get(t, ts, "/metricz", &m)
-	if m.Jobs.Canceled < 1 {
-		t.Errorf("metricz jobs.canceled = %d, want >= 1", m.Jobs.Canceled)
+			var m struct {
+				Jobs struct {
+					Canceled int64 `json:"canceled"`
+					Running  int64 `json:"running"`
+				} `json:"jobs"`
+			}
+			get(t, ts, "/metricz", &m)
+			if m.Jobs.Canceled < 1 {
+				t.Errorf("metricz jobs.canceled = %d, want >= 1", m.Jobs.Canceled)
+			}
+		})
 	}
 }
 
