@@ -5,14 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"fgbs/internal/fault"
 )
 
 // wait blocks until the job is terminal or the test deadline hits.
@@ -29,7 +24,7 @@ func wait(t *testing.T, j *Job) Snapshot {
 func TestLifecycleDone(t *testing.T) {
 	m := NewManager(Config{Workers: 2})
 	defer m.Close()
-	j, err := m.Submit("sum", func(ctx context.Context, pr *Progress) (any, error) {
+	j, err := m.Submit("sum", nil, func(ctx context.Context, pr *Progress) (any, error) {
 		pr.SetTotal(10)
 		total := 0
 		for i := 0; i < 10; i++ {
@@ -64,7 +59,7 @@ func TestLifecycleFailed(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	defer m.Close()
 	boom := errors.New("boom")
-	j, err := m.Submit("bad", func(ctx context.Context, pr *Progress) (any, error) {
+	j, err := m.Submit("bad", nil, func(ctx context.Context, pr *Progress) (any, error) {
 		return nil, boom
 	})
 	if err != nil {
@@ -86,7 +81,7 @@ func TestCancelRunning(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	defer m.Close()
 	started := make(chan struct{})
-	j, err := m.Submit("spin", func(ctx context.Context, pr *Progress) (any, error) {
+	j, err := m.Submit("spin", nil, func(ctx context.Context, pr *Progress) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -112,7 +107,7 @@ func TestCancelPending(t *testing.T) {
 	defer m.Close()
 	block := make(chan struct{})
 	started := make(chan struct{})
-	if _, err := m.Submit("hog", func(ctx context.Context, pr *Progress) (any, error) {
+	if _, err := m.Submit("hog", nil, func(ctx context.Context, pr *Progress) (any, error) {
 		close(started)
 		select {
 		case <-block:
@@ -123,7 +118,7 @@ func TestCancelPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started // the single worker is now occupied
-	j, err := m.Submit("starved", func(ctx context.Context, pr *Progress) (any, error) {
+	j, err := m.Submit("starved", nil, func(ctx context.Context, pr *Progress) (any, error) {
 		return nil, nil
 	})
 	if err != nil {
@@ -148,7 +143,7 @@ func TestCancelUnknownAndTerminalIdempotent(t *testing.T) {
 	if _, err := m.Cancel("job-nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("cancel unknown = %v, want ErrNotFound", err)
 	}
-	j, _ := m.Submit("ok", func(ctx context.Context, pr *Progress) (any, error) { return 1, nil })
+	j, _ := m.Submit("ok", nil, func(ctx context.Context, pr *Progress) (any, error) { return 1, nil })
 	wait(t, j)
 	if _, err := m.Cancel(j.ID()); err != nil {
 		t.Errorf("cancel of done job errored: %v", err)
@@ -174,14 +169,14 @@ func TestQueueFull(t *testing.T) {
 		}
 		return nil, nil
 	}
-	if _, err := m.Submit("a", hog); err != nil {
+	if _, err := m.Submit("a", nil, hog); err != nil {
 		t.Fatal(err)
 	}
 	<-started // worker busy; the queue slot is free again
-	if _, err := m.Submit("b", hog); err != nil {
+	if _, err := m.Submit("b", nil, hog); err != nil {
 		t.Fatal(err) // fills the single queue slot
 	}
-	if _, err := m.Submit("c", hog); !errors.Is(err, ErrQueueFull) {
+	if _, err := m.Submit("c", nil, hog); !errors.Is(err, ErrQueueFull) {
 		t.Errorf("third submit = %v, want ErrQueueFull", err)
 	}
 	// The rejected job must not linger in listings.
@@ -196,7 +191,7 @@ func TestListNewestFirstAndStableIDs(t *testing.T) {
 	defer m.Close()
 	var jobs []*Job
 	for i := 0; i < 3; i++ {
-		j, err := m.Submit("n", func(ctx context.Context, pr *Progress) (any, error) { return nil, nil })
+		j, err := m.Submit("n", nil, func(ctx context.Context, pr *Progress) (any, error) { return nil, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +228,7 @@ func TestRetentionGC(t *testing.T) {
 	}
 	m := NewManager(Config{Workers: 1, Retention: time.Minute, now: now})
 	defer m.Close()
-	j, _ := m.Submit("old", func(ctx context.Context, pr *Progress) (any, error) { return nil, nil })
+	j, _ := m.Submit("old", nil, func(ctx context.Context, pr *Progress) (any, error) { return nil, nil })
 	wait(t, j)
 	clockMu.Lock()
 	clock = clock.Add(2 * time.Minute)
@@ -247,11 +242,11 @@ func TestRetentionGC(t *testing.T) {
 }
 
 func TestMaxRetainedGC(t *testing.T) {
-	m := NewManager(Config{Workers: 1, MaxRetained: 2})
+	m := NewManager(Config{Workers: 1})
 	defer m.Close()
 	var last *Job
-	for i := 0; i < 5; i++ {
-		j, err := m.Submit("n", func(ctx context.Context, pr *Progress) (any, error) { return nil, nil })
+	for i := 0; i < maxRetained+3; i++ {
+		j, err := m.Submit("n", nil, func(ctx context.Context, pr *Progress) (any, error) { return nil, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,8 +254,8 @@ func TestMaxRetainedGC(t *testing.T) {
 		last = j
 	}
 	l := m.List()
-	if len(l) > 3 { // 2 retained terminal + possibly the freshest pre-GC
-		t.Errorf("retained %d terminal jobs, cap 2", len(l))
+	if len(l) > maxRetained+1 { // the cap + possibly the freshest pre-GC
+		t.Errorf("retained %d terminal jobs, cap %d", len(l), maxRetained)
 	}
 	found := false
 	for _, s := range l {
@@ -275,7 +270,7 @@ func TestPersistence(t *testing.T) {
 	dir := t.TempDir()
 	m := NewManager(Config{Workers: 1, Dir: dir})
 	defer m.Close()
-	j, err := m.Submit("persisted", func(ctx context.Context, pr *Progress) (any, error) {
+	j, err := m.Submit("persisted", nil, func(ctx context.Context, pr *Progress) (any, error) {
 		return map[string]int{"answer": 42}, nil
 	})
 	if err != nil {
@@ -297,26 +292,27 @@ func TestPersistence(t *testing.T) {
 		t.Errorf("persisted result = %s", pj.Result)
 	}
 
-	// Non-durable failed jobs leave no file.
-	f, _ := m.Submit("broken", func(ctx context.Context, pr *Progress) (any, error) {
+	// A failed job without a spec is journaled like any other: its
+	// record holds the terminal state and the error.
+	f, _ := m.Submit("broken", nil, func(ctx context.Context, pr *Progress) (any, error) {
 		return nil, errors.New("no")
 	})
 	wait(t, f)
-	if _, err := os.Stat(filepath.Join(dir, f.ID()+".json")); !os.IsNotExist(err) {
-		t.Error("failed job persisted a result file")
+	if pj := readRecordFile(t, dir, f.ID()); pj.State != StateFailed || pj.Err != "no" || pj.Result != nil {
+		t.Errorf("failed job record = %s/%q/%s, want failed/\"no\"/no result", pj.State, pj.Err, pj.Result)
 	}
 }
 
 func TestCloseCancelsEverything(t *testing.T) {
 	m := NewManager(Config{Workers: 1})
 	started := make(chan struct{})
-	running, _ := m.Submit("run", func(ctx context.Context, pr *Progress) (any, error) {
+	running, _ := m.Submit("run", nil, func(ctx context.Context, pr *Progress) (any, error) {
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
 	<-started
-	queued, _ := m.Submit("queued", func(ctx context.Context, pr *Progress) (any, error) {
+	queued, _ := m.Submit("queued", nil, func(ctx context.Context, pr *Progress) (any, error) {
 		return nil, nil
 	})
 	m.Close()
@@ -326,7 +322,7 @@ func TestCloseCancelsEverything(t *testing.T) {
 	if s := queued.Snapshot(); s.State != StateCanceled {
 		t.Errorf("queued job after Close = %s", s.State)
 	}
-	if _, err := m.Submit("late", func(ctx context.Context, pr *Progress) (any, error) {
+	if _, err := m.Submit("late", nil, func(ctx context.Context, pr *Progress) (any, error) {
 		return nil, nil
 	}); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit after Close = %v, want ErrClosed", err)
@@ -345,7 +341,7 @@ func TestConcurrentSubmitPoll(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			j, err := m.Submit(fmt.Sprintf("w%d", i), func(ctx context.Context, pr *Progress) (any, error) {
+			j, err := m.Submit(fmt.Sprintf("w%d", i), nil, func(ctx context.Context, pr *Progress) (any, error) {
 				pr.SetTotal(100)
 				for u := 0; u < 100; u++ {
 					if ctx.Err() != nil {
@@ -376,91 +372,6 @@ func TestConcurrentSubmitPoll(t *testing.T) {
 	}
 	if st := m.Stats(); st.Completed != n || st.Running != 0 || st.Queued != 0 {
 		t.Errorf("stats = %+v, want %d completed, idle", st, n)
-	}
-}
-
-func TestRetryTransientFailures(t *testing.T) {
-	m := NewManager(Config{Workers: 1, MaxAttempts: 3})
-	defer m.Close()
-	var calls atomic.Int64
-	j, err := m.Submit("flaky", func(ctx context.Context, pr *Progress) (any, error) {
-		if calls.Add(1) < 3 {
-			return nil, fault.Transient(errors.New("target rebooting"))
-		}
-		return "recovered", nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := wait(t, j)
-	if s.State != StateDone {
-		t.Fatalf("state = %s (err %s), want done after retries", s.State, s.Err)
-	}
-	if s.Attempts != 3 {
-		t.Errorf("attempts = %d, want 3", s.Attempts)
-	}
-	if got := m.Stats().Retried; got != 2 {
-		t.Errorf("retried = %d, want 2", got)
-	}
-	if res, ok := j.Result(); !ok || res.(string) != "recovered" {
-		t.Errorf("result = %v, %v", res, ok)
-	}
-}
-
-func TestRetryBudgetExhausts(t *testing.T) {
-	m := NewManager(Config{Workers: 1, MaxAttempts: 2})
-	defer m.Close()
-	var calls atomic.Int64
-	j, err := m.Submit("hopeless", func(ctx context.Context, pr *Progress) (any, error) {
-		calls.Add(1)
-		return nil, fault.Transient(errors.New("still down"))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := wait(t, j)
-	if s.State != StateFailed {
-		t.Fatalf("state = %s, want failed", s.State)
-	}
-	if s.Attempts != 2 || calls.Load() != 2 {
-		t.Errorf("attempts = %d, calls = %d, want 2/2", s.Attempts, calls.Load())
-	}
-}
-
-func TestPermanentFailureNotRetried(t *testing.T) {
-	m := NewManager(Config{Workers: 1, MaxAttempts: 5})
-	defer m.Close()
-	var calls atomic.Int64
-	j, err := m.Submit("broken", func(ctx context.Context, pr *Progress) (any, error) {
-		calls.Add(1)
-		return nil, errors.New("bad request")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := wait(t, j)
-	if s.State != StateFailed || s.Attempts != 1 || calls.Load() != 1 {
-		t.Errorf("state=%s attempts=%d calls=%d, want failed/1/1", s.State, s.Attempts, calls.Load())
-	}
-	if m.Stats().Retried != 0 {
-		t.Errorf("retried = %d, want 0", m.Stats().Retried)
-	}
-}
-
-func TestCustomRetryablePredicate(t *testing.T) {
-	sentinel := errors.New("special")
-	m := NewManager(Config{Workers: 1, MaxAttempts: 2,
-		Retryable: func(err error) bool { return errors.Is(err, sentinel) }})
-	defer m.Close()
-	var calls atomic.Int64
-	j, _ := m.Submit("custom", func(ctx context.Context, pr *Progress) (any, error) {
-		if calls.Add(1) == 1 {
-			return nil, sentinel
-		}
-		return "ok", nil
-	})
-	if s := wait(t, j); s.State != StateDone || s.Attempts != 2 {
-		t.Errorf("state=%s attempts=%d, want done/2", s.State, s.Attempts)
 	}
 }
 

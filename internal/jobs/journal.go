@@ -16,7 +16,7 @@ import (
 // The jobs journal: one <Dir>/<id>.json record per job, wrapped in the
 // artifact integrity frame (stage.Frame) and rewritten through the
 // artifact store's one durable write path (stage.Publish) at every
-// state transition of a durable job — submit (pending), each run start
+// state transition of every job — submit (pending), each run start
 // (running, attempts bumped), and the terminal states. A crash
 // therefore leaves every job's last durable state on disk, and
 // NewManager's recovery scan turns that state back into live jobs:

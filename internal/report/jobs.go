@@ -25,7 +25,7 @@ type JobJSON struct {
 	Started  *time.Time `json:"started,omitempty"`
 	Finished *time.Time `json:"finished,omitempty"`
 	Error    string     `json:"error,omitempty"`
-	// Attempts counts run starts (>1 after retries or a resumed crash).
+	// Attempts counts run starts (>1 only for a job resumed after a crash).
 	Attempts int `json:"attempts,omitempty"`
 	// Interrupted marks a job re-adopted from the journal after a
 	// process restart.

@@ -520,12 +520,12 @@ func TestChaosHealthzReportsJobSaturation(t *testing.T) {
 		}
 		return "done", nil
 	}
-	j1, err := s.jobs.Submit("sweep", blocker)
+	j1, err := s.jobs.Submit("sweep", nil, blocker)
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-running // the worker is busy; the next submit stays queued
-	j2, err := s.jobs.Submit("sweep", blocker)
+	j2, err := s.jobs.Submit("sweep", nil, blocker)
 	if err != nil {
 		t.Fatal(err)
 	}

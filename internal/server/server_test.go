@@ -482,6 +482,7 @@ func TestMetriczKeys(t *testing.T) {
 		"registry":    {"builds", "coalesced", "diskLoads", "peerLoads", "inFlightBuilds", "staleServes"},
 		"resultCache": {"hits", "misses", "size", "capacity"},
 		"stages":      {"total", "stages", "tiers"},
+		"jobs":        {"queued", "running", "completed", "failed", "canceled", "resumed"},
 	}
 	for section, keys := range want {
 		var got map[string]json.RawMessage
