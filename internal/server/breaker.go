@@ -7,14 +7,13 @@ import (
 	"time"
 )
 
-// Breaker defaults (overridable via Config).
 const (
-	// DefaultBreakerThreshold is how many consecutive failures open a
+	// breakerThreshold is how many consecutive failures open a
 	// circuit.
-	DefaultBreakerThreshold = 3
-	// DefaultBreakerCooldown is how long an open circuit waits before
-	// letting one half-open probe through.
-	DefaultBreakerCooldown = 30 * time.Second
+	breakerThreshold = 3
+	// breakerCooldown is how long an open circuit waits before letting
+	// one half-open probe through.
+	breakerCooldown = 30 * time.Second
 )
 
 // breakerSet is a family of circuit breakers keyed by string — one per
@@ -31,9 +30,7 @@ const (
 // The clock is injected so tests can drive the cooldown
 // deterministically instead of sleeping.
 type breakerSet struct {
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
+	now func() time.Time
 
 	mu     sync.Mutex
 	states map[string]*breakerState // guarded by mu
@@ -48,22 +45,11 @@ type breakerState struct {
 	probing  bool      // a half-open probe is in flight
 }
 
-func newBreakerSet(threshold int, cooldown time.Duration, now func() time.Time) *breakerSet {
-	if threshold <= 0 {
-		threshold = DefaultBreakerThreshold
-	}
-	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
-	}
+func newBreakerSet(now func() time.Time) *breakerSet {
 	if now == nil {
 		now = time.Now //fgbs:allow determinism breaker cooldowns pace recovery probes; no experiment result reads the clock
 	}
-	return &breakerSet{
-		threshold: threshold,
-		cooldown:  cooldown,
-		now:       now,
-		states:    make(map[string]*breakerState),
-	}
+	return &breakerSet{now: now, states: make(map[string]*breakerState)}
 }
 
 // allow reports whether a caller may attempt the guarded operation.
@@ -76,7 +62,7 @@ func (b *breakerSet) allow(key string) bool {
 	if st == nil || !st.open {
 		return true
 	}
-	if st.probing || b.now().Sub(st.openedAt) < b.cooldown {
+	if st.probing || b.now().Sub(st.openedAt) < breakerCooldown {
 		return false
 	}
 	st.probing = true
@@ -103,7 +89,7 @@ func (b *breakerSet) fail(key string) {
 	}
 	st.failures++
 	st.probing = false
-	if !st.open && st.failures >= b.threshold {
+	if !st.open && st.failures >= breakerThreshold {
 		st.open = true
 		b.trips++
 	}
@@ -153,7 +139,7 @@ func (b *breakerSet) retryIn(key string) time.Duration {
 	if st == nil || !st.open {
 		return 0
 	}
-	d := b.cooldown - b.now().Sub(st.openedAt)
+	d := breakerCooldown - b.now().Sub(st.openedAt)
 	if d < 0 {
 		d = 0
 	}
@@ -184,7 +170,7 @@ func (b *breakerSet) snapshot() ([]breakerInfo, int64) {
 			if st.probing {
 				info.State = "half-open"
 			}
-			if d := b.cooldown - now.Sub(st.openedAt); d > 0 {
+			if d := breakerCooldown - now.Sub(st.openedAt); d > 0 {
 				info.RetryInSeconds = d.Seconds()
 			}
 		}

@@ -12,15 +12,15 @@ import (
 // -race, this also pins that allow's probe handoff is properly locked.
 func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	b := newBreakerSet(3, time.Minute, clock.now)
+	b := newBreakerSet(clock.now)
 	const key = "suite:raced"
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		b.fail(key)
 	}
 	if b.retryIn(key) <= 0 {
 		t.Fatal("circuit not open after threshold failures")
 	}
-	clock.advance(time.Minute)
+	clock.advance(breakerCooldown)
 
 	const racers = 16
 	var (
@@ -54,7 +54,7 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	if b.allow(key) {
 		t.Error("probe admitted before the restarted cooldown elapsed")
 	}
-	clock.advance(time.Minute)
+	clock.advance(breakerCooldown)
 	if !b.allow(key) {
 		t.Error("no probe admitted after the restarted cooldown")
 	}

@@ -98,7 +98,7 @@ func rawBody(t *testing.T, ts *httptest.Server, path, req string) (*http.Respons
 }
 
 // TestChaosBuildFailureOpensCircuit drives a suite whose builds fail
-// outright: after BreakerThreshold consecutive failures requests fail
+// outright: after breakerThreshold consecutive failures requests fail
 // fast with 503 + Retry-After instead of re-running the doomed build,
 // and a half-open probe after the cooldown recovers once the fault
 // clears.
@@ -116,8 +116,6 @@ func TestChaosBuildFailureOpensCircuit(t *testing.T) {
 			}
 			return testPrograms(name)
 		},
-		BreakerThreshold: 2,
-		BreakerCooldown:  10 * time.Second,
 	})
 	defer s.Close()
 	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
@@ -126,7 +124,7 @@ func TestChaosBuildFailureOpensCircuit(t *testing.T) {
 	defer ts.Close()
 
 	const q = `{"suite":"tiny","k":2}`
-	for i := 0; i < 2; i++ {
+	for i := 0; i < breakerThreshold; i++ {
 		resp, _ := rawBody(t, ts, "/v1/subset", q)
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("failing build %d: status = %d, want 500", i, resp.StatusCode)
@@ -140,8 +138,8 @@ func TestChaosBuildFailureOpensCircuit(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("open circuit response missing Retry-After")
 	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("build attempts = %d, want 2 (fail-fast must not rebuild)", got)
+	if got := calls.Load(); got != breakerThreshold {
+		t.Errorf("build attempts = %d, want %d (fail-fast must not rebuild)", got, breakerThreshold)
 	}
 
 	var hz struct {
@@ -165,7 +163,7 @@ func TestChaosBuildFailureOpensCircuit(t *testing.T) {
 
 	// Fix the fault and let the cooldown elapse: one probe rebuilds.
 	broken.Store(false)
-	clock.advance(11 * time.Second)
+	clock.advance(breakerCooldown + time.Second)
 	resp, _ = rawBody(t, ts, "/v1/subset", q)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-recovery probe: status = %d, want 200", resp.StatusCode)
@@ -294,12 +292,11 @@ func TestChaosDegradedProfileServesStale(t *testing.T) {
 func TestChaosRecoveryProbeRestoresFreshResults(t *testing.T) {
 	sw := &switchableMeasurer{inner: brokenBeta()}
 	s := New(Config{
-		Seed:            1,
-		SuiteNames:      []string{"tiny"},
-		Programs:        testPrograms,
-		Measurer:        sw,
-		MeasurerKey:     "chaos-switchable",
-		BreakerCooldown: 10 * time.Second,
+		Seed:        1,
+		SuiteNames:  []string{"tiny"},
+		Programs:    testPrograms,
+		Measurer:    sw,
+		MeasurerKey: "chaos-switchable",
 	})
 	defer s.Close()
 	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
@@ -323,7 +320,7 @@ func TestChaosRecoveryProbeRestoresFreshResults(t *testing.T) {
 		t.Fatalf("builds inside cooldown = %d, want 1", got)
 	}
 
-	clock.advance(11 * time.Second)
+	clock.advance(breakerCooldown + time.Second)
 	resp, body := rawBody(t, ts, "/v1/subset", q)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("probe rebuild: status = %d (body %v)", resp.StatusCode, body)
@@ -359,9 +356,8 @@ func TestChaosFailedProbeFallsBackToLastGood(t *testing.T) {
 			}
 			return testPrograms(name)
 		},
-		Measurer:        sw,
-		MeasurerKey:     "chaos-switchable",
-		BreakerCooldown: 10 * time.Second,
+		Measurer:    sw,
+		MeasurerKey: "chaos-switchable",
 	})
 	defer s.Close()
 	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
@@ -378,7 +374,7 @@ func TestChaosFailedProbeFallsBackToLastGood(t *testing.T) {
 	// The probe rebuild fails outright; the last-good degraded profile
 	// still answers.
 	buildBroken.Store(true)
-	clock.advance(11 * time.Second)
+	clock.advance(breakerCooldown + time.Second)
 	resp, _ = rawBody(t, ts, "/v1/subset", q)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Stale") != "true" {
 		t.Fatalf("failed probe fallback: status=%d stale=%q, want 200 stale", resp.StatusCode, resp.Header.Get("X-Stale"))
@@ -400,7 +396,7 @@ func TestChaosFailedProbeFallsBackToLastGood(t *testing.T) {
 	// Everything heals: the next probe rebuilds cleanly.
 	buildBroken.Store(false)
 	sw.set(measure.New(fault.Sim{}, measure.Config{Invocations: -1, Sleep: chaosSleep}))
-	clock.advance(11 * time.Second)
+	clock.advance(breakerCooldown + time.Second)
 	resp, body := rawBody(t, ts, "/v1/subset", q)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healed probe: status = %d (body %v)", resp.StatusCode, body)
@@ -429,9 +425,8 @@ func TestChaosProbeInFlightServesRetained(t *testing.T) {
 			}
 			return testPrograms(name)
 		},
-		Measurer:        sw,
-		MeasurerKey:     "chaos-switchable",
-		BreakerCooldown: 10 * time.Second,
+		Measurer:    sw,
+		MeasurerKey: "chaos-switchable",
 	})
 	defer s.Close()
 	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
@@ -453,7 +448,7 @@ func TestChaosProbeInFlightServesRetained(t *testing.T) {
 	// becomes the probe, held inside its build.
 	sw.set(measure.New(fault.Sim{}, measure.Config{Invocations: -1, Sleep: chaosSleep}))
 	holdProbe.Store(true)
-	clock.advance(11 * time.Second)
+	clock.advance(breakerCooldown + time.Second)
 	probeStatus := make(chan string, 1)
 	go func() {
 		resp, err := http.Post(ts.URL+"/v1/subset", "application/json", strings.NewReader(q))
@@ -490,16 +485,15 @@ func TestChaosProbeInFlightServesRetained(t *testing.T) {
 	}
 }
 
-// TestChaosHealthzReportsJobSaturation fills the experiment-job queue:
-// healthz flips to 503/degraded with saturated=true, and recovers when
-// the queue drains.
+// TestChaosHealthzReportsJobSaturation fills the experiment-job queue
+// (jobs' default depth of 64): healthz flips to 503/degraded with
+// saturated=true, and recovers when the queue drains.
 func TestChaosHealthzReportsJobSaturation(t *testing.T) {
 	s := New(Config{
-		Seed:          1,
-		SuiteNames:    []string{"tiny"},
-		Programs:      testPrograms,
-		JobWorkers:    1,
-		JobQueueDepth: 1,
+		Seed:       1,
+		SuiteNames: []string{"tiny"},
+		Programs:   testPrograms,
+		JobWorkers: 1,
 	})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
@@ -524,10 +518,13 @@ func TestChaosHealthzReportsJobSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-running // the worker is busy; the next submit stays queued
-	j2, err := s.jobs.Submit("sweep", nil, blocker)
-	if err != nil {
-		t.Fatal(err)
+	<-running // the worker is busy; the next submits stay queued
+	_, depth := s.jobs.Saturation()
+	queued := make([]*jobs.Job, depth)
+	for i := range queued {
+		if queued[i], err = s.jobs.Submit("sweep", nil, blocker); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var hz struct {
@@ -545,7 +542,9 @@ func TestChaosHealthzReportsJobSaturation(t *testing.T) {
 
 	close(release)
 	<-j1.Done()
-	<-j2.Done()
+	for _, j := range queued {
+		<-j.Done()
+	}
 	hresp = get(t, ts, "/healthz", &hz)
 	if hresp.StatusCode != http.StatusOK || hz.Status != "ok" || hz.JobQueue.Saturated {
 		t.Errorf("drained healthz = %d status=%q jobQueue=%+v, want 200 ok", hresp.StatusCode, hz.Status, hz.JobQueue)

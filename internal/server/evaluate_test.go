@@ -130,9 +130,11 @@ func TestEvaluateBodiesMatchReference(t *testing.T) {
 
 	// The stale server serves the degraded profile with its suite
 	// circuit open, so every request is answered from it without a
-	// rebuild.
-	stale := New(Config{Seed: 1, SuiteNames: []string{"tiny"}, Programs: testPrograms, BreakerCooldown: time.Hour})
+	// rebuild. Its breaker clock never advances: the cooldown never
+	// elapses.
+	stale := New(Config{Seed: 1, SuiteNames: []string{"tiny"}, Programs: testPrograms})
 	t.Cleanup(stale.Close)
+	stale.breakers.now = (&fakeClock{t: time.Unix(1_700_000_000, 0)}).now
 	seedSuite(t, stale, "tiny", degraded)
 	stale.breakers.trip(suiteKey("tiny"))
 	tsStale := httptest.NewServer(stale.Handler())

@@ -11,7 +11,7 @@ import (
 )
 
 func newTestRegistry(dir string) *registry {
-	return newRegistry(Config{Seed: 1, ProfileDir: dir, Programs: testPrograms}, newBreakerSet(0, 0, nil))
+	return newRegistry(Config{Seed: 1, ProfileDir: dir, Programs: testPrograms}, newBreakerSet(nil))
 }
 
 func TestRegistryPersistsProfiles(t *testing.T) {
@@ -92,7 +92,7 @@ func TestRegistryRetriesAfterError(t *testing.T) {
 			return nil, fmt.Errorf("transient failure")
 		}
 		return testPrograms("tiny")
-	}}, newBreakerSet(0, 0, nil))
+	}}, newBreakerSet(nil))
 	defer r.Close()
 	if _, _, err := r.Staged(context.Background(), "tiny"); err == nil {
 		t.Fatal("first call should fail")
@@ -116,7 +116,7 @@ func TestRegistryWaiterHonorsContext(t *testing.T) {
 	r := newRegistry(Config{Seed: 1, Programs: func(name string) ([]*ir.Program, error) {
 		<-block
 		return testPrograms("tiny")
-	}}, newBreakerSet(0, 0, nil))
+	}}, newBreakerSet(nil))
 	defer r.Close()
 	defer close(block)
 

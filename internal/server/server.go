@@ -81,9 +81,6 @@ type Config struct {
 	// (0 = GOMAXPROCS). Each job additionally fans out its own
 	// experiment-level parallelism.
 	JobWorkers int
-	// JobQueueDepth bounds queued jobs; submits fail fast when full
-	// (default 64).
-	JobQueueDepth int
 	// JobRetention is how long terminal jobs stay pollable
 	// (default 15m).
 	JobRetention time.Duration
@@ -98,12 +95,6 @@ type Config struct {
 	// FaultStats, when set, surfaces the fault injector's counters in
 	// /metricz.
 	FaultStats func() fault.Stats
-	// BreakerThreshold is how many consecutive build failures open a
-	// suite's circuit (default DefaultBreakerThreshold).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit waits before one
-	// half-open probe (default DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
 }
 
 // Server answers system-selection queries over shared, cached
@@ -132,7 +123,7 @@ func New(cfg Config) *Server {
 	if cfg.ProfileDir != "" {
 		jobDir = filepath.Join(cfg.ProfileDir, "jobs")
 	}
-	breakers := newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown, nil)
+	breakers := newBreakerSet(nil)
 	s := &Server{
 		cfg:      cfg,
 		suiteSet: cfg.SuiteNames,
@@ -147,11 +138,10 @@ func New(cfg Config) *Server {
 	// recovery scan calls Rehydrate synchronously, and the rebuilt work
 	// functions close over the registry.
 	s.jobs = jobs.NewManager(jobs.Config{
-		Workers:    cfg.JobWorkers,
-		QueueDepth: cfg.JobQueueDepth,
-		Retention:  cfg.JobRetention,
-		Dir:        jobDir,
-		Rehydrate:  s.rehydrateJob,
+		Workers:   cfg.JobWorkers,
+		Retention: cfg.JobRetention,
+		Dir:       jobDir,
+		Rehydrate: s.rehydrateJob,
 	})
 	s.route("/v1/subset", s.handleSubset)
 	s.route("/v1/evaluate", s.handleEvaluate)

@@ -92,8 +92,7 @@ type Outcome struct {
 }
 
 // diskBreakerThreshold is how many consecutive I/O failures trip a
-// tier's breaker (mirrors the serving layer's
-// DefaultBreakerThreshold).
+// tier's breaker (mirrors the serving layer's suite-breaker threshold).
 const diskBreakerThreshold = 3
 
 // diskProbeInterval is how many tier operations are skipped between
