@@ -67,7 +67,7 @@ func BenchmarkTable2FeatureGA(b *testing.B) {
 	var best FeatureMask
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ga.Run(fitness, ga.Options{
+		res, err := ga.Run(context.Background(), fitness, ga.Options{
 			Population: 40, Generations: 10, MutationProb: 0.01, Seed: 7,
 		})
 		if err != nil {
@@ -102,10 +102,7 @@ func BenchmarkTable3NRClustering(b *testing.B) {
 
 func BenchmarkTable4NRPrediction(b *testing.B) {
 	prof := nrProfile(b)
-	elbow, err := prof.Elbow(DefaultFeatures())
-	if err != nil {
-		b.Fatal(err)
-	}
+	elbow := defaultSubset(b, prof).RequestedK
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sub, err := prof.Subset(DefaultFeatures(), 14)
@@ -164,16 +161,13 @@ func BenchmarkFigure3TradeoffSweep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = prof.SweepK(DefaultFeatures(), 2, 24)
+		pts, err = prof.SweepKContext(context.Background(), DefaultFeatures(), 2, 24)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	elbow, err := prof.Elbow(DefaultFeatures())
-	if err != nil {
-		b.Fatal(err)
-	}
+	elbow := defaultSubset(b, prof).RequestedK
 	logArtifact(b, func(buf *bytes.Buffer) error {
 		fmt.Fprintf(buf, "Trade-off sweep (paper at elbow 18: Atom 8%%/x44, Core 2 3.9%%/x25, Sandy Bridge 5.8%%/x23):\n")
 		return report.Figure3(buf, prof, pts, elbow)
@@ -299,7 +293,7 @@ func BenchmarkFigure8CrossApplication(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cross, per = cross[:0], per[:0]
 		for _, reps := range []int{1, 2, 3, 4} {
-			pp, err := prof.PerAppSubsetting(DefaultFeatures(), reps)
+			pp, err := prof.PerAppSubsetting(context.Background(), DefaultFeatures(), reps)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -559,25 +553,14 @@ func BenchmarkExtensionJointSuite(b *testing.B) {
 	joint := jointProfile(b)
 	nas := nasProfile(b)
 	poly := polyProfile(b)
-	mask := DefaultFeatures()
 	var kJoint int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		kJoint, err = joint.Elbow(mask)
-		if err != nil {
-			b.Fatal(err)
-		}
+		kJoint = defaultSubset(b, joint).RequestedK
 	}
 	b.StopTimer()
-	kNAS, err := nas.Elbow(mask)
-	if err != nil {
-		b.Fatal(err)
-	}
-	kPoly, err := poly.Elbow(mask)
-	if err != nil {
-		b.Fatal(err)
-	}
+	kNAS := defaultSubset(b, nas).RequestedK
+	kPoly := defaultSubset(b, poly).RequestedK
 	logArtifact(b, func(buf *bytes.Buffer) error {
 		fmt.Fprintf(buf, "Joint-suite redundancy: NAS alone %d reps + poly alone %d reps = %d; clustered together: %d reps\n",
 			kNAS, kPoly, kNAS+kPoly, kJoint)

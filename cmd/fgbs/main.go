@@ -271,14 +271,14 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		sub, ev, err := st.Evaluate(ctx, mask, pick(cfg.k, 14), ti)
+		sub, evals, err := st.Evaluate(ctx, mask, pick(cfg.k, 14), []int{ti})
 		if err != nil {
 			return err
 		}
 		if exp == "t3" {
-			return report.Table3(os.Stdout, prof, sub, ev)
+			return report.Table3(os.Stdout, prof, sub, evals[0])
 		}
-		return report.Figure2(os.Stdout, prof, sub, ev, []int{0, 1})
+		return report.Figure2(os.Stdout, prof, sub, evals[0], []int{0, 1})
 	case "t4":
 		st, err := profile(ctx, cfg, "nr")
 		if err != nil {
@@ -326,28 +326,20 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		_, ev, err := st.Evaluate(ctx, mask, cfg.k, ti)
+		_, evals, err := st.Evaluate(ctx, mask, cfg.k, []int{ti})
 		if err != nil {
 			return err
 		}
-		return report.Figure4(os.Stdout, prof, ev)
+		return report.Figure4(os.Stdout, prof, evals[0])
 	case "f5", "f6", "summary":
 		st, err := profile(ctx, cfg, cfg.suite)
 		if err != nil {
 			return err
 		}
 		prof := st.Profile()
-		sub, err := st.Subset(ctx, mask, cfg.k)
+		sub, evals, err := st.Evaluate(ctx, mask, cfg.k, prof.TargetIndices())
 		if err != nil {
 			return err
-		}
-		var evals []*pipeline.Eval
-		for t := range prof.Targets {
-			_, ev, err := st.Evaluate(ctx, mask, cfg.k, t)
-			if err != nil {
-				return err
-			}
-			evals = append(evals, ev)
 		}
 		switch exp {
 		case "f5":
@@ -383,7 +375,7 @@ func run(ctx context.Context, args []string) error {
 		prof := st.Profile()
 		var cross, per []pipeline.PerAppPoint
 		for _, reps := range []int{1, 2, 3, 4, 6, 8, 10, 12} {
-			pp, err := prof.PerAppSubsettingContext(ctx, mask, reps)
+			pp, err := prof.PerAppSubsetting(ctx, mask, reps)
 			if err != nil {
 				return err
 			}
@@ -409,14 +401,14 @@ func run(ctx context.Context, args []string) error {
 			if err != nil {
 				return err
 			}
-			_, ev, err := st.Evaluate(ctx, mask, cfg.k, ti)
+			_, evals, err := st.Evaluate(ctx, mask, cfg.k, []int{ti})
 			if err != nil {
 				return err
 			}
 			if cfg.what == "evaljson" {
-				return report.WriteJSON(os.Stdout, report.NewEvalJSON(prof, ev))
+				return report.WriteJSON(os.Stdout, report.NewEvalJSON(prof, evals[0]))
 			}
-			return report.EvalCSV(os.Stdout, prof, ev)
+			return report.EvalCSV(os.Stdout, prof, evals[0])
 		case "subsetjson":
 			sub, err := st.Subset(ctx, mask, cfg.k)
 			if err != nil {
@@ -426,17 +418,9 @@ func run(ctx context.Context, args []string) error {
 			sj.Suite = cfg.suite
 			return report.WriteJSON(os.Stdout, sj)
 		case "select":
-			sub, err := st.Subset(ctx, mask, cfg.k)
+			sub, evals, err := st.Evaluate(ctx, mask, cfg.k, prof.TargetIndices())
 			if err != nil {
 				return err
-			}
-			var evals []*pipeline.Eval
-			for t := range prof.Targets {
-				_, ev, err := st.Evaluate(ctx, mask, cfg.k, t)
-				if err != nil {
-					return err
-				}
-				evals = append(evals, ev)
 			}
 			sj := report.NewSelectJSON(prof, sub, evals)
 			sj.Suite = cfg.suite
@@ -600,7 +584,7 @@ func cmdGA(ctx context.Context, cfg config) error {
 		// The paper's configuration (§4.2).
 		opts.Population, opts.Generations = 1000, 100
 	}
-	res, err := ga.RunContext(ctx, fitness, opts)
+	res, err := ga.Run(ctx, fitness, opts)
 	if err != nil {
 		return err
 	}

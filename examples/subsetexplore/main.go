@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,10 +23,11 @@ func main() {
 	}
 	mask := fgbs.DefaultFeatures()
 
-	elbow, err := prof.Elbow(mask)
+	elbowSub, err := prof.Subset(mask, 0) // K = 0: the elbow rule picks the cut
 	if err != nil {
 		log.Fatal(err)
 	}
+	elbow := elbowSub.RequestedK
 
 	fmt.Println("  K  | median error per target        | benchmarking reduction")
 	fmt.Print("     |")
@@ -38,7 +40,7 @@ func main() {
 	}
 	fmt.Println()
 
-	pts, err := prof.SweepK(mask, 2, 24)
+	pts, err := prof.SweepKContext(context.Background(), mask, 2, 24)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package fgbs
 // values side by side.
 
 import (
+	"context"
 	"testing"
 
 	"fgbs/internal/features"
@@ -29,7 +30,7 @@ func TestTable2FeatureGA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ga.Run(fitness, ga.Options{
+	res, err := ga.Run(context.Background(), fitness, ga.Options{
 		Population: 60, Generations: 20, MutationProb: 0.01, Seed: 7,
 	})
 	if err != nil {
@@ -99,10 +100,7 @@ func TestTable4NRPrediction(t *testing.T) {
 		}
 	}
 	check(14, 0.05, 0.20)
-	elbow, err := prof.Elbow(DefaultFeatures())
-	if err != nil {
-		t.Fatal(err)
-	}
+	elbow := defaultSubset(t, prof).RequestedK
 	if elbow < 20 || elbow > 26 {
 		t.Errorf("NR elbow K = %d, paper selects 24", elbow)
 	}
@@ -165,7 +163,7 @@ func TestFigure2ClusterPrediction(t *testing.T) {
 func TestFigure3TradeoffSweep(t *testing.T) {
 	skipIfRace(t)
 	prof := nasProfile(t)
-	pts, err := prof.SweepK(DefaultFeatures(), 2, 24)
+	pts, err := prof.SweepKContext(context.Background(), DefaultFeatures(), 2, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +181,7 @@ func TestFigure3TradeoffSweep(t *testing.T) {
 				m.Name, last.MedianError[ti]*100)
 		}
 	}
-	elbow, err := prof.Elbow(DefaultFeatures())
-	if err != nil {
-		t.Fatal(err)
-	}
+	elbow := defaultSubset(t, prof).RequestedK
 	if elbow < 14 || elbow > 22 {
 		t.Errorf("NAS elbow K = %d, paper selects 18", elbow)
 	}
@@ -252,6 +247,10 @@ func TestFigure5ApplicationPrediction(t *testing.T) {
 		}
 	}
 
+	// Core 2's winner depends on the app. Measured at seed 1: CG, FT,
+	// LU and SP run faster than on the reference, BT, IS and MG slower.
+	// The prediction gets BT's verdict wrong: BT really runs slower but
+	// is predicted faster, so the predicted split is 5/2.
 	core2 := targetEval(t, prof, sub, "Core 2")
 	faster, slower := 0, 0
 	for _, a := range core2.Apps {
@@ -260,9 +259,13 @@ func TestFigure5ApplicationPrediction(t *testing.T) {
 		} else {
 			slower++
 		}
+		if a.Name == "bt" && (a.ActualSec < a.RefSec || a.PredSec >= a.RefSec) {
+			t.Errorf("BT on Core 2: real %.3fs, predicted %.3fs, reference %.3fs; want slower in reality but predicted faster",
+				a.ActualSec, a.PredSec, a.RefSec)
+		}
 	}
-	if faster == 0 || slower == 0 {
-		t.Errorf("Core 2 winners not app-dependent (faster=%d slower=%d); the paper's system-selection challenge requires both", faster, slower)
+	if faster != 4 || slower != 3 {
+		t.Errorf("Core 2 measured split: %d apps faster, %d slower; want 4 faster (cg, ft, lu, sp), 3 slower (bt, is, mg)", faster, slower)
 	}
 
 	sb := targetEval(t, prof, sub, "Sandy Bridge")
@@ -346,7 +349,7 @@ func TestFigure8CrossApplication(t *testing.T) {
 	atomCore2Losses := 0
 	var sawMGExcluded bool
 	for _, reps := range []int{1, 2, 3} {
-		pp, err := prof.PerAppSubsetting(mask, reps)
+		pp, err := prof.PerAppSubsetting(context.Background(), mask, reps)
 		if err != nil {
 			t.Fatal(err)
 		}

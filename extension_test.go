@@ -83,18 +83,9 @@ func TestExtensionJointSuiteRedundancy(t *testing.T) {
 	joint := jointProfile(t)
 	mask := DefaultFeatures()
 
-	kNAS, err := nas.Elbow(mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kPoly, err := poly.Elbow(mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kJoint, err := joint.Elbow(mask)
-	if err != nil {
-		t.Fatal(err)
-	}
+	kNAS := defaultSubset(t, nas).RequestedK
+	kPoly := defaultSubset(t, poly).RequestedK
+	kJoint := defaultSubset(t, joint).RequestedK
 	if kJoint >= kNAS+kPoly {
 		t.Errorf("joint elbow K = %d, not below separate %d + %d: no inter-suite redundancy",
 			kJoint, kNAS, kPoly)

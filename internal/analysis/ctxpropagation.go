@@ -9,9 +9,8 @@ import (
 // handed a context.Context must pass it on. Inside such functions it
 // flags (a) call arguments built from context.Background() or
 // context.TODO(), which sever the caller's cancellation, and (b) calls
-// to a context-free function when a Context-taking sibling exists —
-// the SweepK / SweepKContext naming convention used throughout
-// internal/pipeline and internal/ga.
+// to a context-free function F when a Context-taking sibling FContext
+// exists.
 var ctxPropagationCheck = &Check{
 	Name: "ctxpropagation",
 	Doc:  "in ctx-holding functions, forbid context.Background()/TODO() args and non-Context variants when a Context variant exists",

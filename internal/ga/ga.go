@@ -84,18 +84,14 @@ type scored struct {
 	fit  float64
 }
 
-// Run evolves feature masks against the fitness function.
-func Run(fitness Fitness, opts Options) (*Result, error) {
-	return RunContext(context.Background(), fitness, opts)
-}
-
-// RunContext is Run with cancellation: the loop aborts between
-// generations and between fitness evaluations, returning the context's
-// error. A GA run is minutes of pipeline evaluations at the paper's
-// population size, so a canceled job must stop dispatching work
-// promptly: each generation's fan-out claims no further evaluation
-// once ctx is done, and only the evaluations already in flight finish.
-func RunContext(ctx context.Context, fitness Fitness, opts Options) (*Result, error) {
+// Run evolves feature masks against the fitness function. The loop
+// aborts between generations and between fitness evaluations on
+// cancellation, returning the context's error. A GA run is minutes of
+// pipeline evaluations at the paper's population size, so a canceled
+// job must stop dispatching work promptly: each generation's fan-out
+// claims no further evaluation once ctx is done, and only the
+// evaluations already in flight finish.
+func Run(ctx context.Context, fitness Fitness, opts Options) (*Result, error) {
 	if fitness == nil {
 		return nil, fmt.Errorf("ga: nil fitness")
 	}

@@ -26,7 +26,7 @@ func targetFitness(target features.Mask) Fitness {
 
 func TestConvergesToTarget(t *testing.T) {
 	target := features.MaskOf(1, 5, 9, 20, 33, 41, 60, 75)
-	res, err := Run(targetFitness(target), Options{
+	res, err := Run(context.Background(), targetFitness(target), Options{
 		Population:   120,
 		Generations:  60,
 		MutationProb: 0.01,
@@ -42,7 +42,7 @@ func TestConvergesToTarget(t *testing.T) {
 
 func TestHistoryMonotone(t *testing.T) {
 	target := features.MaskOf(3, 14, 15)
-	res, err := Run(targetFitness(target), Options{
+	res, err := Run(context.Background(), targetFitness(target), Options{
 		Population: 50, Generations: 30, MutationProb: 0.02, Seed: 1,
 	})
 	if err != nil {
@@ -61,11 +61,11 @@ func TestHistoryMonotone(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	target := features.MaskOf(2, 30, 55)
 	opts := Options{Population: 40, Generations: 15, MutationProb: 0.01, Seed: 99}
-	r1, err := Run(targetFitness(target), opts)
+	r1, err := Run(context.Background(), targetFitness(target), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(targetFitness(target), opts)
+	r2, err := Run(context.Background(), targetFitness(target), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFitnessPressureTowardSmallSets(t *testing.T) {
 	// must shrink masks; the empty mask is guarded to +Inf, so the
 	// optimum is a single bit.
 	fit := func(m features.Mask) float64 { return float64(m.Count()) }
-	res, err := Run(fit, Options{Population: 80, Generations: 40, MutationProb: 0.01, Seed: 3})
+	res, err := Run(context.Background(), fit, Options{Population: 80, Generations: 40, MutationProb: 0.01, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestFitnessPressureTowardSmallSets(t *testing.T) {
 
 func TestOnGenerationCallback(t *testing.T) {
 	calls := 0
-	_, err := Run(func(features.Mask) float64 { return 1 }, Options{
+	_, err := Run(context.Background(), func(features.Mask) float64 { return 1 }, Options{
 		Population: 10, Generations: 5, MutationProb: 0.01, Seed: 1,
 		OnGeneration: func(gen int, best float64, m features.Mask) { calls++ },
 	})
@@ -106,23 +106,23 @@ func TestOnGenerationCallback(t *testing.T) {
 }
 
 func TestOptionValidation(t *testing.T) {
-	if _, err := Run(nil, Options{Population: 10, Generations: 1}); err == nil {
+	if _, err := Run(context.Background(), nil, Options{Population: 10, Generations: 1}); err == nil {
 		t.Error("nil fitness accepted")
 	}
 	f := func(features.Mask) float64 { return 0 }
-	if _, err := Run(f, Options{Population: 1, Generations: 1}); err == nil {
+	if _, err := Run(context.Background(), f, Options{Population: 1, Generations: 1}); err == nil {
 		t.Error("population 1 accepted")
 	}
-	if _, err := Run(f, Options{Population: 10, Generations: 0}); err == nil {
+	if _, err := Run(context.Background(), f, Options{Population: 10, Generations: 0}); err == nil {
 		t.Error("zero generations accepted")
 	}
-	if _, err := Run(f, Options{Population: 10, Generations: 1, MutationProb: 2}); err == nil {
+	if _, err := Run(context.Background(), f, Options{Population: 10, Generations: 1, MutationProb: 2}); err == nil {
 		t.Error("mutation prob 2 accepted")
 	}
 }
 
 func TestEvaluationCount(t *testing.T) {
-	res, err := Run(func(features.Mask) float64 { return 1 }, Options{
+	res, err := Run(context.Background(), func(features.Mask) float64 { return 1 }, Options{
 		Population: 20, Generations: 4, MutationProb: 0.01, Seed: 1,
 	})
 	if err != nil {
@@ -142,7 +142,7 @@ func TestParallelFitnessSafe(t *testing.T) {
 		}
 		return s - math.Floor(s)
 	}
-	if _, err := Run(fit, Options{Population: 32, Generations: 3, MutationProb: 0.05, Seed: 5, Workers: 8}); err != nil {
+	if _, err := Run(context.Background(), fit, Options{Population: 32, Generations: 3, MutationProb: 0.05, Seed: 5, Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -156,7 +156,7 @@ func TestRunContextCanceled(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res, err := RunContext(ctx, targetFitness(target), opts); !errors.Is(err, context.Canceled) || res != nil {
+	if res, err := Run(ctx, targetFitness(target), opts); !errors.Is(err, context.Canceled) || res != nil {
 		t.Errorf("pre-canceled run = (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 
@@ -169,7 +169,7 @@ func TestRunContextCanceled(t *testing.T) {
 			cancel()
 		}
 	}
-	if res, err := RunContext(ctx, targetFitness(target), opts); !errors.Is(err, context.Canceled) || res != nil {
+	if res, err := Run(ctx, targetFitness(target), opts); !errors.Is(err, context.Canceled) || res != nil {
 		t.Errorf("mid-run cancel = (%v, %v), want (nil, context.Canceled)", res, err)
 	}
 	if gens < 3 || gens >= opts.Generations {
@@ -183,12 +183,12 @@ func TestRunContextCanceled(t *testing.T) {
 func TestWorkersIdentical(t *testing.T) {
 	target := features.MaskOf(4, 18, 27, 50)
 	opts := Options{Population: 40, Generations: 12, MutationProb: 0.02, Seed: 11, Workers: 1}
-	want, err := Run(targetFitness(target), opts)
+	want, err := Run(context.Background(), targetFitness(target), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Workers = 8
-	got, err := Run(targetFitness(target), opts)
+	got, err := Run(context.Background(), targetFitness(target), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

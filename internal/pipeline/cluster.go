@@ -109,13 +109,3 @@ func (p *Profile) maxElbowK() int {
 	}
 	return 24
 }
-
-// Elbow returns the elbow-selected cluster count for a mask.
-func (p *Profile) Elbow(mask features.Mask) (int, error) {
-	pts := p.NormalizedPoints(mask)
-	d, err := cluster.Build(pts, cluster.Ward)
-	if err != nil {
-		return 0, err
-	}
-	return d.Elbow(pts, p.maxElbowK(), 0), nil
-}

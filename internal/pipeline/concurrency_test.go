@@ -51,7 +51,7 @@ func TestConcurrentSubsetEvaluate(t *testing.T) {
 						return
 					}
 				}
-				if _, err := prof.Elbow(tinyMask); err != nil {
+				if _, err := prof.Subset(tinyMask, 0); err != nil {
 					errs[w] = err
 					return
 				}

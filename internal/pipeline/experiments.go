@@ -19,15 +19,11 @@ type SweepPoint struct {
 	Reduction   []float64
 }
 
-// SweepK evaluates cluster counts kMin..kMax on every target,
-// producing Figure 3's two curves per architecture.
-func (p *Profile) SweepK(mask features.Mask, kMin, kMax int) ([]SweepPoint, error) {
-	return p.SweepKContext(context.Background(), mask, kMin, kMax)
-}
-
-// SweepKContext is SweepK with cancellation, checked between cluster
-// counts (each K is seconds of clustering + evaluation on a full
-// suite). On cancellation the context's error is returned.
+// SweepKContext evaluates cluster counts kMin..kMax on every target,
+// producing Figure 3's two curves per architecture. Cancellation is
+// checked between cluster counts (each K is seconds of clustering +
+// evaluation on a full suite); on cancellation the context's error is
+// returned. It is the serial oracle for Staged.SweepK.
 func (p *Profile) SweepKContext(ctx context.Context, mask features.Mask, kMin, kMax int) ([]SweepPoint, error) {
 	var out []SweepPoint
 	for k := kMin; k <= kMax && k <= p.N(); k++ {
@@ -194,13 +190,8 @@ type PerAppPoint struct {
 // repsPerApp representatives each, aggregating per-codelet errors
 // (Figure 8's "Per Application" series). Applications whose clusters
 // are all ill-behaved are excluded, as the paper excludes MG.
-func (p *Profile) PerAppSubsetting(mask features.Mask, repsPerApp int) (PerAppPoint, error) {
-	return p.PerAppSubsettingContext(context.Background(), mask, repsPerApp)
-}
-
-// PerAppSubsettingContext is PerAppSubsetting with cancellation,
-// checked between applications.
-func (p *Profile) PerAppSubsettingContext(ctx context.Context, mask features.Mask, repsPerApp int) (PerAppPoint, error) {
+// Cancellation is checked between applications.
+func (p *Profile) PerAppSubsetting(ctx context.Context, mask features.Mask, repsPerApp int) (PerAppPoint, error) {
 	pt := PerAppPoint{RepsPerApp: repsPerApp, MedianError: make([]float64, len(p.Targets))}
 	perTargetErrs := make([][]float64, len(p.Targets))
 
@@ -271,7 +262,7 @@ func sortedKeys(m map[string][]int) []string {
 // FeatureFitness builds the §4.2 GA fitness over this (training)
 // profile: max of the two targets' average prediction errors times
 // the elbow-selected cluster count. Lower is better. The returned
-// function is safe for concurrent use. Cancellation is ga.RunContext's:
+// function is safe for concurrent use. Cancellation is ga.Run's:
 // its fan-out claims no further evaluation once ctx is done.
 func (p *Profile) FeatureFitness(targetNames ...string) (ga.Fitness, error) {
 	var targets []int

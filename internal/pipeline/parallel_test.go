@@ -19,7 +19,7 @@ import (
 // -race.
 func TestSweepKWorkersMatchSerial(t *testing.T) {
 	prof := tinyProfile(t)
-	want, err := prof.SweepK(tinyMask, 2, 7)
+	want, err := prof.SweepKContext(context.Background(), tinyMask, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestParallelCancellation(t *testing.T) {
 	if _, err := prof.SweepKContext(ctx, tinyMask, 2, 7); err != context.Canceled {
 		t.Errorf("serial sweep err = %v, want context.Canceled", err)
 	}
-	if _, err := prof.PerAppSubsettingContext(ctx, tinyMask, 2); err != context.Canceled {
+	if _, err := prof.PerAppSubsetting(ctx, tinyMask, 2); err != context.Canceled {
 		t.Errorf("per-app err = %v, want context.Canceled", err)
 	}
 }

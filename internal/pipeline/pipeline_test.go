@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -182,18 +183,18 @@ func TestSubsetAndEvaluate(t *testing.T) {
 
 func TestElbowWithinRange(t *testing.T) {
 	prof := tinyProfile(t)
-	k, err := prof.Elbow(tinyMask)
+	sub, err := prof.Subset(tinyMask, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k < 2 || k > prof.N() {
+	if k := sub.RequestedK; k < 2 || k > prof.N() {
 		t.Errorf("elbow K = %d", k)
 	}
 }
 
 func TestSweepKMonotonicErrorTrend(t *testing.T) {
 	prof := tinyProfile(t)
-	pts, err := prof.SweepK(tinyMask, 2, 7)
+	pts, err := prof.SweepKContext(context.Background(), tinyMask, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestSubProfileConsistent(t *testing.T) {
 
 func TestPerAppAndCrossApp(t *testing.T) {
 	prof := tinyProfile(t)
-	pp, err := prof.PerAppSubsetting(tinyMask, 2)
+	pp, err := prof.PerAppSubsetting(context.Background(), tinyMask, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

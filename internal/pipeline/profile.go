@@ -262,6 +262,16 @@ func (p *Profile) TargetIndex(name string) (int, error) {
 	return 0, fmt.Errorf("pipeline: unknown target %q", name)
 }
 
+// TargetIndices returns every target's index, in order: the target
+// list of an evaluation over all targets.
+func (p *Profile) TargetIndices() []int {
+	ts := make([]int, len(p.Targets))
+	for t := range ts {
+		ts[t] = t
+	}
+	return ts
+}
+
 // SubProfile restricts the profile to the given codelet indices (used
 // by the per-application subsetting experiment of Figure 8). The
 // returned profile shares the underlying measurements.

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"fgbs/internal/arch"
-	"fgbs/internal/cluster"
 	"fgbs/internal/fault"
 	"fgbs/internal/features"
 	"fgbs/internal/ir"
@@ -27,7 +26,6 @@ type stageInputs struct {
 	opts        Options
 	measurerKey string
 	mask        features.Mask
-	cfg         SubsetConfig
 	k           int
 	target      int
 }
@@ -50,9 +48,9 @@ var stageOrder = []string{"detect", "profile", "normalize", "cluster", "represen
 func allKeys(in stageInputs) map[string]stage.Key {
 	dk := detectKey(in.progs)
 	pk := profileKey(dk, in.opts, in.measurerKey)
-	nk := normalizeKey(pk, in.mask, in.cfg)
-	ck := clusterKey(nk, in.cfg)
-	rk := representKey(ck, in.k, in.cfg)
+	nk := normalizeKey(pk, in.mask)
+	ck := clusterKey(nk)
+	rk := representKey(ck, in.k)
 	return map[string]stage.Key{
 		"detect":    dk,
 		"profile":   pk,
@@ -108,19 +106,7 @@ func TestStageKeyInvalidation(t *testing.T) {
 		{name: "feature mask", mut: func(in *stageInputs) {
 			in.mask = features.AllMask()
 		}, from: "normalize"},
-		{name: "no-normalize ablation", mut: func(in *stageInputs) {
-			in.cfg.NoNormalize = true
-		}, from: "normalize"},
-		{name: "linkage", mut: func(in *stageInputs) {
-			in.cfg.Linkage = cluster.Complete
-		}, from: "cluster"},
 		{name: "cluster count", mut: func(in *stageInputs) { in.k = 4 }, from: "represent"},
-		{name: "rep strategy ablation", mut: func(in *stageInputs) {
-			in.cfg.RepStrategy = RepFirst
-		}, from: "represent"},
-		{name: "screening ablation", mut: func(in *stageInputs) {
-			in.cfg.IgnoreScreening = true
-		}, from: "represent"},
 		{name: "target index", mut: func(in *stageInputs) { in.target = 1 }, from: "predict"},
 	}
 	for _, tc := range cases {
@@ -184,26 +170,17 @@ func TestStagedMatchesMonolith(t *testing.T) {
 		if !reflect.DeepEqual(monoSub.Selection, stagedSub.Selection) {
 			t.Errorf("k=%d: staged Selection = %+v, monolith %+v", k, stagedSub.Selection, monoSub.Selection)
 		}
+		// At k=0 this pins the elbow cut: cmd/fgbs reads the elbow K
+		// from the staged subset instead of re-clustering.
 		if monoSub.RequestedK != stagedSub.RequestedK {
 			t.Errorf("k=%d: RequestedK %d vs %d", k, stagedSub.RequestedK, monoSub.RequestedK)
 		}
-		if k == 0 {
-			// The elbow cut's K is the monolith's Elbow: cmd/fgbs reads
-			// it from the staged subset instead of re-clustering.
-			elbow, err := prof.Elbow(tinyMask)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stagedSub.RequestedK != elbow {
-				t.Errorf("staged elbow cut RequestedK = %d, Profile.Elbow = %d", stagedSub.RequestedK, elbow)
-			}
+		_, stagedEvs, err := st.Evaluate(ctx, tinyMask, k, prof.TargetIndices())
+		if err != nil {
+			t.Fatal(err)
 		}
-		for tt := range prof.Targets {
+		for tt, stagedEv := range stagedEvs {
 			monoEv, err := prof.Evaluate(monoSub, tt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, stagedEv, err := st.Evaluate(ctx, tinyMask, k, tt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -213,20 +190,7 @@ func TestStagedMatchesMonolith(t *testing.T) {
 		}
 	}
 
-	cfg := SubsetConfig{Linkage: cluster.Average, NoNormalize: true, RepStrategy: RepFirst, IgnoreScreening: true}
-	monoSub, err := prof.SubsetWith(tinyMask, 3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stagedSub, err := st.SubsetWith(ctx, tinyMask, 3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(monoSub.Selection, stagedSub.Selection) {
-		t.Errorf("ablation config: staged Selection = %+v, monolith %+v", stagedSub.Selection, monoSub.Selection)
-	}
-
-	mono, err := prof.SweepK(tinyMask, 2, prof.N())
+	mono, err := prof.SweepKContext(context.Background(), tinyMask, 2, prof.N())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,6 +219,53 @@ func TestStagedMatchesMonolith(t *testing.T) {
 	}
 	if !reflect.DeepEqual(monoRand, stagedRand) {
 		t.Errorf("staged RandomClusterings = %+v, monolith %+v", stagedRand, monoRand)
+	}
+}
+
+// TestStagedEvaluateResolvesSubsetOnce: one Evaluate over every
+// target resolves Normalize, Cluster and Represent once each and
+// Predict once per target, and each evaluation is byte-identical to
+// Profile.Evaluate on the monolith's subset.
+func TestStagedEvaluateResolvesSubsetOnce(t *testing.T) {
+	prof := tinyProfile(t)
+	st := stagedFixture(t)
+	targets := prof.TargetIndices()
+	resolves := func() map[string]int64 {
+		n := map[string]int64{}
+		for name, c := range st.eng.Store().Stats().Stages {
+			n[name] = c.Hits + c.Joined + c.Misses
+		}
+		return n
+	}
+	for _, k := range []int{0, 3, 3} { // the repeated k resolves warm
+		before := resolves()
+		_, evals, err := st.Evaluate(context.Background(), tinyMask, k, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := resolves()
+		want := map[string]int64{"normalize": 1, "cluster": 1, "represent": 1, "predict": int64(len(targets))}
+		for name, w := range want {
+			if got := after[name] - before[name]; got != w {
+				t.Errorf("k=%d: %s resolved %d times, want %d", k, name, got, w)
+			}
+		}
+		if len(evals) != len(targets) {
+			t.Fatalf("k=%d: %d evaluations for %d targets", k, len(evals), len(targets))
+		}
+		monoSub, err := prof.Subset(tinyMask, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tt := range targets {
+			monoEv, err := prof.Evaluate(monoSub, tt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m, s := asJSON(t, monoEv), asJSON(t, evals[i]); !bytes.Equal(m, s) {
+				t.Errorf("k=%d target %d: staged Eval diverges\nmonolith: %s\nstaged:   %s", k, tt, m, s)
+			}
+		}
 	}
 }
 
@@ -397,10 +408,8 @@ func TestDegradedProfileDoesNotPoisonRebuild(t *testing.T) {
 	}
 	// Warm every derived stage from the degraded profile, exactly what
 	// a server answering requests during the outage would do.
-	for tt := range bad.Profile().Targets {
-		if _, _, err := bad.Evaluate(ctx, tinyMask, 3, tt); err != nil {
-			t.Fatal(err)
-		}
+	if _, _, err := bad.Evaluate(ctx, tinyMask, 3, bad.Profile().TargetIndices()); err != nil {
+		t.Fatal(err)
 	}
 
 	fm.healed.Store(true)
@@ -420,18 +429,18 @@ func TestDegradedProfileDoesNotPoisonRebuild(t *testing.T) {
 
 	// Every staged answer from the clean rebuild must match the clean
 	// monolith — not the degraded run's cached artifacts.
-	for tt := range good.Profile().Targets {
-		sub, gotEv, err := good.Evaluate(ctx, tinyMask, 3, tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		monoSub, err := good.Profile().Subset(tinyMask, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(monoSub.Selection, sub.Selection) {
-			t.Errorf("target %d: clean rebuild served the degraded run's subset", tt)
-		}
+	sub, gotEvs, err := good.Evaluate(ctx, tinyMask, 3, good.Profile().TargetIndices())
+	if err != nil {
+		t.Fatal(err)
+	}
+	monoSub, err := good.Profile().Subset(tinyMask, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(monoSub.Selection, sub.Selection) {
+		t.Error("clean rebuild served the degraded run's subset")
+	}
+	for tt, gotEv := range gotEvs {
 		wantEv, err := good.Profile().Evaluate(monoSub, tt)
 		if err != nil {
 			t.Fatal(err)
@@ -497,7 +506,7 @@ func TestStagedConcurrentResolve(t *testing.T) {
 	prof := tinyProfile(t)
 	st := stagedFixture(t)
 	ctx := context.Background()
-	want, err := prof.SweepK(tinyMask, 2, 6)
+	want, err := prof.SweepKContext(context.Background(), tinyMask, 2, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -522,7 +531,7 @@ func TestStagedConcurrentResolve(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, _, err := st.Evaluate(ctx, tinyMask, 2+i%5, i%len(prof.Targets))
+			_, _, err := st.Evaluate(ctx, tinyMask, 2+i%5, []int{i % len(prof.Targets)})
 			if err != nil {
 				errs <- err
 			}

@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -149,7 +150,7 @@ func TestFigures(t *testing.T) {
 		t.Error("Figure2 header missing")
 	}
 
-	pts, err := p.SweepK(features.DefaultMask(), 2, 3)
+	pts, err := p.SweepKContext(context.Background(), features.DefaultMask(), 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestFigures(t *testing.T) {
 		t.Error("Figure7 header missing")
 	}
 
-	pp, err := p.PerAppSubsetting(features.DefaultMask(), 1)
+	pp, err := p.PerAppSubsetting(context.Background(), features.DefaultMask(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestCSVExports(t *testing.T) {
 		t.Errorf("EvalCSV header = %q", lines[0])
 	}
 
-	pts, err := p.SweepK(features.DefaultMask(), 2, 3)
+	pts, err := p.SweepKContext(context.Background(), features.DefaultMask(), 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -247,16 +247,8 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	key := resultKey("evaluate", req.Suite, mask.String(), req.K, target, s.cfg.Seed)
 	s.answer(w, r, key, func(st *pipeline.Staged) ([][]byte, error) {
 		prof := st.Profile()
-		sub, err := st.Subset(r.Context(), mask, req.K)
-		if err != nil {
-			return nil, err
-		}
-		targets := make([]int, 0, len(prof.Targets))
-		if req.Target == "" {
-			for t := range prof.Targets {
-				targets = append(targets, t)
-			}
-		} else {
+		targets := prof.TargetIndices()
+		if req.Target != "" {
 			t, err := prof.TargetIndex(req.Target)
 			if err != nil {
 				var names []string
@@ -265,7 +257,11 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 				}
 				return nil, fmt.Errorf("unknown target %q (valid: %s)", req.Target, strings.Join(names, ", "))
 			}
-			targets = append(targets, t)
+			targets = []int{t}
+		}
+		sub, evals, err := st.Evaluate(r.Context(), mask, req.K, targets)
+		if err != nil {
+			return nil, err
 		}
 		// The body {"suite":…,"k":…,"evals":[…]} is assembled around
 		// each Eval's own encoding, computed once per Eval and shared
@@ -276,14 +272,10 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		head = append(head, suite...)
 		head = append(head, `,"k":`...)
 		head = strconv.AppendInt(head, int64(sub.K()), 10)
-		body := make([][]byte, 1, 2*len(targets)+1)
+		body := make([][]byte, 1, 2*len(evals)+1)
 		body[0] = append(head, `,"evals":[`...)
 		encode := evalEncoder(prof)
-		for i, t := range targets {
-			_, ev, err := st.Evaluate(r.Context(), mask, req.K, t)
-			if err != nil {
-				return nil, err
-			}
+		for i, ev := range evals {
 			b, err := ev.Encoded(encode)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %w", errEncoding, err)
@@ -313,17 +305,9 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	key := resultKey("select", req.Suite, mask.String(), req.K, "*", s.cfg.Seed)
 	s.answer(w, r, key, func(st *pipeline.Staged) ([][]byte, error) {
 		prof := st.Profile()
-		sub, err := st.Subset(r.Context(), mask, req.K)
+		sub, evals, err := st.Evaluate(r.Context(), mask, req.K, prof.TargetIndices())
 		if err != nil {
 			return nil, err
-		}
-		var evals []*pipeline.Eval
-		for t := range prof.Targets {
-			_, ev, err := st.Evaluate(r.Context(), mask, req.K, t)
-			if err != nil {
-				return nil, err
-			}
-			evals = append(evals, ev)
 		}
 		sj := report.NewSelectJSON(prof, sub, evals)
 		sj.Suite = req.Suite

@@ -281,7 +281,7 @@ func (s *Server) gaJob(req jobRequest) jobs.Fn {
 			return nil, err
 		}
 		pr.SetTotal(int64(req.Generations))
-		res, err := ga.RunContext(ctx, fitness, ga.Options{
+		res, err := ga.Run(ctx, fitness, ga.Options{
 			Population:   req.Population,
 			Generations:  req.Generations,
 			MutationProb: req.MutationProb,

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -109,7 +110,7 @@ func TestJobsSweepLifecycle(t *testing.T) {
 	}
 
 	// The parallel job's points must equal the serial pipeline's.
-	want, err := prof.SweepK(features.DefaultMask(), 2, 4)
+	want, err := prof.SweepKContext(context.Background(), features.DefaultMask(), 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
