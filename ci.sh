@@ -33,6 +33,13 @@ go run ./cmd/fgbsvet -workers 0 -json fgbsvet.json ./...
 echo "== go build =="
 go build ./...
 
+# The examples are the façade's runnable documentation: each must run
+# to completion, not only compile (about 20 s for all six on 2 vCPUs).
+echo "== examples =="
+for ex in examples/*/; do
+	go run "./${ex%/}" > /dev/null
+done
+
 # The chaos gate drives fault-injected measurement end to end on a
 # fixed seed (20140215, the reference profile): subset predictions must
 # stay within 2x the clean-run error and every fault schedule must
