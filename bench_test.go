@@ -261,7 +261,7 @@ func BenchmarkFigure7RandomClusteringBaselineParallel(b *testing.B) {
 		}
 	}
 	workers := runtime.GOMAXPROCS(0)
-	st := pipeline.NewEngine(stage.NewStore(64, "")).Adopt(NASSuite(), pipeline.StageOptions{Options: pipeline.Options{Seed: 1}}, prof)
+	st := pipeline.Adopt(stage.NewStore(64, ""), NASSuite(), pipeline.StageOptions{Options: pipeline.Options{Seed: 1}}, prof)
 	var rows []pipeline.RandomClusteringStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -74,8 +74,8 @@
 //	                (profiling is the expensive step — persist it once,
 //	                then every experiment on the same suite, seed and
 //	                -faultprofile is instant). Files are framed
-//	                <suite>-<key>.prof, the layout fgbsd's -profiledir
-//	                shares
+//	                <key>.art, named by the artifact's full content
+//	                address — the layout fgbsd's -profiledir shares
 //	-peers list     comma-separated base URLs of fgbsd daemons; adds a
 //	                peer tier to the stage store, after the -stagedir
 //	                disk tier, that fetches artifacts from their
@@ -170,17 +170,16 @@ type config struct {
 	// identity (the fault profile's fingerprint).
 	measurer    fault.Measurer
 	measurerKey string
-	// engine resolves experiments through the content-addressed stage
+	// store resolves experiments through the content-addressed stage
 	// graph; built in run() once flags are validated.
-	engine *pipeline.Engine
+	store *stage.Store
 }
 
-// stageOpts assembles the engine inputs for one suite.
-func (c config) stageOpts(suite string) pipeline.StageOptions {
+// stageOpts assembles the stage-graph inputs every suite shares.
+func (c config) stageOpts() pipeline.StageOptions {
 	return pipeline.StageOptions{
 		Options:     pipeline.Options{Seed: c.seed, Measurer: c.measurer},
 		MeasurerKey: c.measurerKey,
-		DiskName:    suite + ".prof",
 	}
 }
 
@@ -241,7 +240,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return fmt.Errorf("-peers: %w", err)
 	}
-	cfg.engine = pipeline.NewEngine(stage.NewStore(cfg.stageCache, cfg.stageDir, peers...))
+	cfg.store = stage.NewStore(cfg.stageCache, cfg.stageDir, peers...)
 
 	if exp == "t1" {
 		return report.Table1(os.Stdout, arch.All())
@@ -520,7 +519,7 @@ func profile(ctx context.Context, cfg config, suite string) (*pipeline.Staged, e
 	if err != nil {
 		return nil, err
 	}
-	st, _, err := cfg.engine.Profile(ctx, progs, cfg.stageOpts(suite))
+	st, _, err := pipeline.ResolveProfile(ctx, cfg.store, progs, cfg.stageOpts())
 	return st, err
 }
 

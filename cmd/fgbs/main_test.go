@@ -104,7 +104,7 @@ func TestStageDirPersistsPerSeed(t *testing.T) {
 		return runStdout(t, "export", "-what", "evaljson", "-suite", "syn-smoke", "-seed", seed, "-stagedir", dir)
 	}
 	profs := func() []string {
-		m, err := filepath.Glob(filepath.Join(dir, "*.prof"))
+		m, err := filepath.Glob(filepath.Join(dir, "*.art"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -356,7 +356,7 @@ func verifyArtifacts(t *testing.T, dir string) {
 	}
 	checked := 0
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".prof") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".art") {
 			continue
 		}
 		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
@@ -397,7 +397,7 @@ func corruptOneArtifact(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".prof") {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".art") {
 			continue
 		}
 		path := filepath.Join(dir, e.Name())

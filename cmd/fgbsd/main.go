@@ -17,8 +17,9 @@
 //	-preload list    comma-separated suites to profile at startup
 //	                 instead of on first request
 //	-profiledir dir  the stage store's disk tier: persist built profiles
-//	                 as framed <dir>/<suite>-<key>.prof artifacts and
-//	                 reload them on restart
+//	                 as framed <dir>/<key>.art artifacts, named by their
+//	                 full content address, reload them on restart and
+//	                 serve every one to peers
 //	-cachesize N     LRU result-cache capacity in entries (default 256)
 //	-stagecache N    in-memory stage artifact store capacity in entries
 //	                 (default 512); every pipeline stage — profiles,

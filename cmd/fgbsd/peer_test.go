@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,14 +14,16 @@ import (
 
 // TestPeerArtifactPlane is the two-daemon e2e behind ci.sh's artifact
 // plane gate: daemon A profiles syn-smoke and completes the canonical
-// sweep job; daemon B starts over an empty directory with -peers
-// pointing at A and runs the same sweep. The multi-node contract under
-// test — B's result is byte-identical to A's, B never invokes the
-// simulator (its profile arrives through the peer tier: zero computes,
-// at least one peer hit, nothing quarantined), the fetched artifact is
-// promoted onto B's own disk with its integrity frame intact, and A's
-// /v1/artifacts endpoints serve frame-verified bytes with a 404 for
-// keys A never resolved.
+// sweep job, then restarts over its warm directory; daemon B starts
+// over an empty directory with -peers pointing at A and runs the same
+// sweep. The multi-node contract under test — B's result is
+// byte-identical to A's, B never invokes the simulator (its profile
+// arrives through the peer tier: zero computes, at least one peer hit,
+// nothing quarantined), the fetched artifact is promoted onto B's own
+// disk with its integrity frame intact, and A's /v1/artifacts
+// endpoints serve frame-verified bytes with a 404 for keys A's disk
+// does not hold. The restarted A serves its directory before any query
+// resolves a key: the index and the bytes come from the disk alone.
 func TestPeerArtifactPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs two daemons")
@@ -29,7 +32,6 @@ func TestPeerArtifactPlane(t *testing.T) {
 
 	dirA := t.TempDir()
 	a := startDaemon(t, bin, dirA, "")
-	defer a.stop(t)
 	idA := a.submitSweep(t)
 	a.pollDone(t, idA)
 	ref := a.result(t, idA)
@@ -59,7 +61,21 @@ func TestPeerArtifactPlane(t *testing.T) {
 		}
 	}
 
-	// Cold daemon B: empty directory, A as its peer.
+	// Restart A over its warm directory, without -preload. Before any
+	// query, its index lists the profile it persisted and serves it.
+	a.stop(t)
+	a = startDaemon(t, bin, dirA, "")
+	defer a.stop(t)
+	if got := artifactIndex(t, a); !slices.Equal(got, keys) {
+		t.Errorf("restarted daemon's index = %v, want %v", got, keys)
+	}
+	for _, key := range keys {
+		if _, err := stage.Unframe(fetchArtifact(t, a, key)); err != nil {
+			t.Errorf("artifact %s from restarted daemon fails verification: %v", key, err)
+		}
+	}
+
+	// Cold daemon B: empty directory, the restarted A as its peer.
 	dirB := t.TempDir()
 	b := startDaemon(t, bin, dirB, "", "-peers", a.base)
 	defer b.stop(t)
@@ -84,6 +100,11 @@ func TestPeerArtifactPlane(t *testing.T) {
 	}
 	// The fetch was promoted onto B's disk tier, frame intact.
 	verifyArtifacts(t, dirB)
+	// The restarted A served B from its directory without resolving
+	// anything itself.
+	if n := a.metricInt(t, "stages", "total", "misses"); n != 0 {
+		t.Errorf("restarted daemon resolved %d stage misses, want 0", n)
+	}
 }
 
 // artifactIndex fetches a daemon's /v1/artifacts key list.

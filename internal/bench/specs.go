@@ -303,9 +303,10 @@ func init() {
 				return nil, err
 			}
 			store := stage.NewStore(8, dir)
-			codec := pipeline.ProfileCodec("bench-profile.prof", prof.Progs, prof.Codelets)
+			codec := pipeline.ProfileCodec(prof.Progs, prof.Codelets)
 			key := stage.NewKey("bench-codec", 1).Str("profile").Key()
-			path := filepath.Join(dir, codec.Filename())
+			// The disk tier's file for key.
+			path := filepath.Join(dir, key.String()+".art")
 			op := func() error {
 				// Encode: a computed artifact persists through the codec.
 				store.Delete(key)
@@ -472,8 +473,7 @@ func init() {
 		Setup: func(ctx context.Context) (*Instance, error) {
 			progs := benchSuite()
 			op := func() error {
-				eng := pipeline.NewEngine(stage.NewStore(64, ""))
-				st, _, err := eng.Profile(ctx, progs, pipeline.StageOptions{Options: pipeline.Options{Seed: 1}})
+				st, _, err := pipeline.ResolveProfile(ctx, stage.NewStore(64, ""), progs, pipeline.StageOptions{Options: pipeline.Options{Seed: 1}})
 				if err != nil {
 					return err
 				}
@@ -494,12 +494,12 @@ func init() {
 		Setup: func(ctx context.Context) (*Instance, error) {
 			progs := benchSuite()
 			meas := &countingMeasurer{}
-			eng := pipeline.NewEngine(stage.NewStore(64, ""))
+			store := stage.NewStore(64, "")
 			opts := pipeline.StageOptions{
 				Options:     pipeline.Options{Seed: 1, Measurer: meas},
 				MeasurerKey: "bench-counting",
 			}
-			st, _, err := eng.Profile(ctx, progs, opts)
+			st, _, err := pipeline.ResolveProfile(ctx, store, progs, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -507,9 +507,9 @@ func init() {
 				return nil, err
 			}
 			coldInv := meas.n.Load()
-			base := eng.Store().Stats()
+			base := store.Stats()
 			op := func() error {
-				st, _, err := eng.Profile(ctx, progs, opts)
+				st, _, err := pipeline.ResolveProfile(ctx, store, progs, opts)
 				if err != nil {
 					return err
 				}
@@ -528,7 +528,7 @@ func init() {
 				if got := meas.n.Load(); got != coldInv {
 					return fmt.Errorf("warm sweep ran %d simulator invocations beyond the cold fill's %d — stage cache not serving", got-coldInv, coldInv)
 				}
-				hits := eng.Store().Stats().Total.Hits - base.Total.Hits
+				hits := store.Stats().Total.Hits - base.Total.Hits
 				if hits <= 1 {
 					return fmt.Errorf("warm sweep hit the stage cache %d times, want > 1", hits)
 				}
@@ -547,7 +547,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			codec := pipeline.ProfileCodec("bench-peer.prof", prof.Progs, prof.Codelets)
+			codec := pipeline.ProfileCodec(prof.Progs, prof.Codelets)
 			key := stage.NewKey("bench-peer", 1).Str("profile").Key()
 			payload, err := codec.Encode(nil, prof)
 			if err != nil {
@@ -600,7 +600,7 @@ func init() {
 
 	Register(Spec{
 		Name: "stage/restart-read",
-		Doc:  "a new engine over a warm disk directory resolving Profile on the 40-codelet fgbsbench corpus: detect key, disk read, decode",
+		Doc:  "a new store over a warm disk directory resolving Profile on the 40-codelet fgbsbench corpus: detect key, disk read, decode",
 		Setup: func(ctx context.Context) (*Instance, error) {
 			progs, err := restartCorpus()
 			if err != nil {
@@ -610,17 +610,17 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			opts := pipeline.StageOptions{Options: pipeline.Options{Seed: restartSeed}, DiskName: "bench.prof"}
+			opts := pipeline.StageOptions{Options: pipeline.Options{Seed: restartSeed}}
 			// Warm the directory off the clock: one cold build, persisted.
-			if _, _, err := pipeline.NewEngine(stage.NewStore(8, dir)).Profile(ctx, progs, opts); err != nil {
+			if _, _, err := pipeline.ResolveProfile(ctx, stage.NewStore(8, dir), progs, opts); err != nil {
 				os.RemoveAll(dir)
 				return nil, err
 			}
 			op := func() error {
-				// Every repetition is a restart: a fresh store and engine
-				// over the same directory, so the detect key, the disk
-				// read, the frame check and the decode all run.
-				st, out, err := pipeline.NewEngine(stage.NewStore(8, dir)).Profile(ctx, progs, opts)
+				// Every repetition is a restart: a fresh store over the
+				// same directory, so the detect key, the disk read, the
+				// frame check and the decode all run.
+				st, out, err := pipeline.ResolveProfile(ctx, stage.NewStore(8, dir), progs, opts)
 				if err != nil {
 					return err
 				}

@@ -26,9 +26,13 @@ import (
 
 // tierCodec is a minimal string codec so resolves flow through the
 // byte tiers.
-type tierCodec struct{ name string }
+type tierCodec struct{}
 
-func (c tierCodec) Filename() string { return c.name }
+// artPath is the disk tier's file for key: <dir>/<key>.art.
+func artPath(dir string, key stage.Key) string {
+	return filepath.Join(dir, key.String()+".art")
+}
+
 func (c tierCodec) Encode(dst []byte, v any) ([]byte, error) {
 	b, err := json.Marshal(v)
 	return append(dst, b...), err
@@ -44,7 +48,7 @@ func (c tierCodec) Persist(any) bool { return true }
 
 func TestPeerTierBreaker(t *testing.T) {
 	ctx := context.Background()
-	codec := tierCodec{name: "tierbreaker.json"}
+	codec := tierCodec{}
 	key := stage.NewKey("tierbreaker", 1).Str("shared").Key()
 	payload, err := codec.Encode(nil, "peer-artifact")
 	if err != nil {
@@ -84,11 +88,10 @@ func TestPeerTierBreaker(t *testing.T) {
 	// A corrupt disk copy of a key the peer does not hold: the disk
 	// tier quarantines it, the peer misses, and compute republishes.
 	corruptKey := stage.NewKey("tierbreaker", 1).Str("corrupt").Key()
-	corruptCodec := tierCodec{name: "tierbreaker-corrupt.json"}
-	if err := os.WriteFile(filepath.Join(dir, corruptCodec.Filename()), []byte("torn"), 0o644); err != nil {
+	if err := os.WriteFile(artPath(dir, corruptKey), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if v, out, err := s.Resolve(ctx, "tierbreaker", corruptKey, corruptCodec, func(context.Context) (any, error) {
+	if v, out, err := s.Resolve(ctx, "tierbreaker", corruptKey, codec, func(context.Context) (any, error) {
 		return "recomputed", nil
 	}); err != nil || v != "recomputed" || out.Cached {
 		t.Fatalf("resolve over a corrupt disk copy = %v, %+v, %v; want compute", v, out, err)
@@ -101,9 +104,8 @@ func TestPeerTierBreaker(t *testing.T) {
 	failing.Store(true)
 	for i := 0; i < 3; i++ {
 		missKey := stage.NewKey("tierbreaker", 1).Str("miss").Int(i).Key()
-		missCodec := tierCodec{name: fmt.Sprintf("tierbreaker-miss-%d.json", i)}
 		want := fmt.Sprintf("computed-%d", i)
-		v, _, err := s.Resolve(ctx, "tierbreaker", missKey, missCodec, func(context.Context) (any, error) {
+		v, _, err := s.Resolve(ctx, "tierbreaker", missKey, codec, func(context.Context) (any, error) {
 			return want, nil
 		})
 		if err != nil || v != want {
@@ -150,7 +152,7 @@ func TestPeerTierBreaker(t *testing.T) {
 	// those resolves error), until the paced half-open probe runs for
 	// real, succeeds, and closes the breaker.
 	failing.Store(false)
-	if err := os.Remove(filepath.Join(dir, codec.Filename())); err != nil {
+	if err := os.Remove(artPath(dir, key)); err != nil {
 		t.Fatal(err)
 	}
 	recovered := false

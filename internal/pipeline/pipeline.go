@@ -33,7 +33,7 @@
 // The monolithic entry points (NewProfile, Profile.Subset,
 // Profile.Evaluate) run the steps directly and remain the reference
 // semantics. stages.go layers the content-addressed internal/stage
-// engine on top of the same step functions: Engine.Profile resolves
+// engine on top of the same step functions: ResolveProfile resolves
 // Detect→Profile through a stage.Store, and the returned Staged view
 // resolves Normalize→Cluster→Represent→Predict per (mask, K, target) —
 // byte-identical outputs, but a parameter change recomputes only its

@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
-	"strings"
-	"sync"
+	"sync/atomic"
 
 	"fgbs/internal/arch"
 	"fgbs/internal/cluster"
@@ -16,7 +14,7 @@ import (
 )
 
 // stages.go wires the per-step files into internal/stage's
-// content-addressed graph. Engine.Profile resolves the expensive roots
+// content-addressed graph. ResolveProfile resolves the expensive roots
 // (Detect, Profile) through a stage.Store; the returned Staged view
 // resolves the cheap derived stages (Normalize, Cluster, Represent,
 // Predict) per request. Every staged method calls the same step
@@ -108,39 +106,18 @@ type StageOptions struct {
 
 	// MeasurerKey identifies the Measurer's configuration in the
 	// profile key (e.g. fault.Profile.Fingerprint()). It is required
-	// with a non-nil Measurer — the engine rejects an unkeyed one,
-	// which would share the clean simulator's key — and left empty
-	// with a nil Measurer.
+	// with a non-nil Measurer — ResolveProfile rejects an unkeyed
+	// one, which would share the clean simulator's key — and left
+	// empty with a nil Measurer.
 	MeasurerKey string
-
-	// DiskName, when non-empty and the engine's store has byte tiers,
-	// persists the profile stage through them. The file is
-	// key-qualified — "nr.prof" is written and read only as
-	// "nr-<key prefix>.prof" — so resolves under different profile
-	// keys (another seed, an injected fault profile) never share an
-	// artifact. The bare name is never touched.
-	DiskName string
 }
 
-// Engine runs the pipeline through a stage.Store.
-type Engine struct {
-	store *stage.Store
-
-	mu sync.Mutex
-	// degradedN numbers degraded builds: each gets a unique Staged key
-	// so its derived stages can never be served to a clean rebuild (or
-	// to another degraded build) of the same profile key.
-	degradedN int // guarded by mu
-}
-
-// NewEngine wraps a store. Engines are cheap; everything lives in the
-// store, so any number of engines may share one.
-func NewEngine(store *stage.Store) *Engine {
-	return &Engine{store: store}
-}
-
-// Store exposes the backing store (for stats and tests).
-func (e *Engine) Store() *stage.Store { return e.store }
+// degradedBuilds numbers degraded builds process-wide: each gets a
+// unique Staged key so its derived stages can never be served to a
+// clean rebuild (or to another degraded build) of the same profile
+// key, even when the two builds resolved through different callers
+// sharing one store.
+var degradedBuilds atomic.Int64
 
 // errUnkeyedMeasurer rejects a Measurer without a MeasurerKey: its
 // profiles would resolve under the clean simulator's key.
@@ -153,23 +130,20 @@ type detected struct {
 }
 
 // profileCodec persists the profile stage in the binary profile layout
-// (profileio.go) under a key-qualified filename, so differently-keyed
-// runs stay separate. It decodes against the detect artifact the
-// resolve already holds, so loading a profile never runs Detect again.
+// (profileio.go); the byte tiers store it under its profile key, so
+// differently-keyed runs stay separate. It decodes against the detect
+// artifact the resolve already holds, so loading a profile never runs
+// Detect again.
 type profileCodec struct {
-	name string // key-qualified filename (diskFilename)
-	det  *detected
+	det *detected
 }
 
 // ProfileCodec returns the profile stage's codec for the byte tiers,
-// storing under filename and binding decoded profiles to ps and cs —
-// Detect's aligned output for the suite, as in Profile.Progs and
-// Profile.Codelets.
-func ProfileCodec(filename string, ps []*ir.Program, cs []*ir.Codelet) stage.Codec {
-	return profileCodec{name: filename, det: &detected{ps: ps, cs: cs}}
+// binding decoded profiles to ps and cs — Detect's aligned output for
+// the suite, as in Profile.Progs and Profile.Codelets.
+func ProfileCodec(ps []*ir.Program, cs []*ir.Codelet) stage.Codec {
+	return profileCodec{det: &detected{ps: ps, cs: cs}}
 }
-
-func (c profileCodec) Filename() string { return c.name }
 
 func (c profileCodec) Encode(dst []byte, v any) ([]byte, error) {
 	return v.(*Profile).AppendBinary(dst)
@@ -185,28 +159,18 @@ func (c profileCodec) Persist(v any) bool {
 	return !v.(*Profile).Degraded()
 }
 
-// diskFilename qualifies a profile stage filename with its key so
-// differently-keyed resolves (another seed, an injected fault profile)
-// never share a disk artifact: "nr.prof" → "nr-<key prefix>.prof".
-func diskFilename(name string, k stage.Key) string {
-	ext := filepath.Ext(name)
-	base := strings.TrimSuffix(name, ext)
-	h := string(k)
-	if len(h) > 12 {
-		h = h[:12]
-	}
-	return base + "-" + h + ext
-}
-
-// Profile resolves the Detect and Profile stages for progs, computing
-// them only when no stored artifact matches. The Outcome reports how
-// the profile stage was satisfied (memory/coalesced/disk vs computed).
-func (e *Engine) Profile(ctx context.Context, progs []*ir.Program, opts StageOptions) (*Staged, stage.Outcome, error) {
+// ResolveProfile resolves the Detect and Profile stages for progs
+// through store, computing them only when no stored artifact matches.
+// The profile persists through the store's byte tiers, when it has
+// any. The Outcome reports how the profile stage was satisfied
+// (memory/coalesced/disk/peer vs computed). Any number of callers may
+// share one store.
+func ResolveProfile(ctx context.Context, store *stage.Store, progs []*ir.Program, opts StageOptions) (*Staged, stage.Outcome, error) {
 	if opts.Measurer != nil && opts.MeasurerKey == "" {
 		return nil, stage.Outcome{}, errUnkeyedMeasurer
 	}
 	dk := detectKey(progs)
-	dV, _, err := e.store.Resolve(ctx, "detect", dk, nil, func(context.Context) (any, error) {
+	dV, _, err := store.Resolve(ctx, "detect", dk, nil, func(context.Context) (any, error) {
 		ps, cs, err := Detect(progs)
 		if err != nil {
 			return nil, err
@@ -219,14 +183,10 @@ func (e *Engine) Profile(ctx context.Context, progs []*ir.Program, opts StageOpt
 	det := dV.(*detected)
 
 	pk := profileKey(dk, opts.Options, opts.MeasurerKey)
-	var codec stage.Codec
-	if opts.DiskName != "" {
-		codec = profileCodec{name: diskFilename(opts.DiskName, pk), det: det}
-	}
 	// The profile compute consumes the detect artifact instead of
 	// calling NewProfileContext, which would re-run Detect: Detect runs
 	// exactly once per detect key, cold or warm.
-	v, out, err := e.store.Resolve(ctx, "profile", pk, codec, func(ctx context.Context) (any, error) {
+	v, out, err := store.Resolve(ctx, "profile", pk, profileCodec{det: det}, func(ctx context.Context) (any, error) {
 		return newProfileDetected(ctx, det.ps, det.cs, opts.Options)
 	})
 	if err != nil {
@@ -238,9 +198,9 @@ func (e *Engine) Profile(ctx context.Context, progs []*ir.Program, opts StageOpt
 		// analogue of profileCodec.Persist: the next resolve (a
 		// half-open recovery probe, say) must retry the measurements,
 		// not resurrect the outage from the LRU.
-		e.store.Delete(pk)
+		store.Delete(pk)
 	}
-	return &Staged{eng: e, prof: prof, key: e.stagedKey(pk, prof)}, out, nil
+	return &Staged{store: store, prof: prof, key: stagedKey(pk, prof)}, out, nil
 }
 
 // stagedKey derives the key the Staged view memoizes its derived
@@ -250,31 +210,28 @@ func (e *Engine) Profile(ctx context.Context, progs []*ir.Program, opts StageOpt
 // sweep over a degraded profile still reuses its own clustering) but
 // must never be served to a later clean rebuild — or to a different
 // degraded build — resolving under the same profile key.
-func (e *Engine) stagedKey(pk stage.Key, prof *Profile) stage.Key {
+func stagedKey(pk stage.Key, prof *Profile) stage.Key {
 	if !prof.Degraded() {
 		return pk
 	}
-	e.mu.Lock()
-	e.degradedN++
-	n := e.degradedN
-	e.mu.Unlock()
-	return stage.NewKey("profile-degraded", profileStageVersion).Upstream(pk).Int(n).Key()
+	n := degradedBuilds.Add(1)
+	return stage.NewKey("profile-degraded", profileStageVersion).Upstream(pk).Int(int(n)).Key()
 }
 
 // Adopt binds a profile built elsewhere — tests share one expensive
-// build across fresh engines — to the key Engine.Profile would derive
-// for the same inputs, so its derived stages resolve and memoize as if
-// the engine had built it. The profile itself is stored nowhere: a
-// later Engine.Profile resolve builds or loads its own. The caller
-// vouches that prof was built from progs under opts; a degraded
+// build across fresh stores — to the key ResolveProfile would derive
+// for the same inputs, so its derived stages resolve and memoize in
+// store as if ResolveProfile had built it. The profile itself is
+// stored nowhere: a later ResolveProfile builds or loads its own. The
+// caller vouches that prof was built from progs under opts; a degraded
 // profile gets an isolated key, as a degraded build does. Adopt panics
-// on an unkeyed Measurer, which Engine.Profile rejects.
-func (e *Engine) Adopt(progs []*ir.Program, opts StageOptions, prof *Profile) *Staged {
+// on an unkeyed Measurer, which ResolveProfile rejects.
+func Adopt(store *stage.Store, progs []*ir.Program, opts StageOptions, prof *Profile) *Staged {
 	if opts.Measurer != nil && opts.MeasurerKey == "" {
 		panic(errUnkeyedMeasurer)
 	}
 	pk := profileKey(detectKey(progs), opts.Options, opts.MeasurerKey)
-	return &Staged{eng: e, prof: prof, key: e.stagedKey(pk, prof)}
+	return &Staged{store: store, prof: prof, key: stagedKey(pk, prof)}
 }
 
 // Staged is a Profile bound to its stage key: the handle through which
@@ -282,9 +239,9 @@ func (e *Engine) Adopt(progs []*ir.Program, opts StageOptions, prof *Profile) *S
 // incrementally. Staged is immutable and safe for concurrent use, like
 // the Profile it wraps.
 type Staged struct {
-	eng  *Engine
-	prof *Profile
-	key  stage.Key
+	store *stage.Store
+	prof  *Profile
+	key   stage.Key
 }
 
 // Profile returns the underlying profile.
@@ -310,7 +267,7 @@ func (s *Staged) Subset(ctx context.Context, mask features.Mask, k int) (*Subset
 // construction.
 func (s *Staged) Evaluate(ctx context.Context, mask features.Mask, k int, targets []int) (*Subset, []*Eval, error) {
 	nk := normalizeKey(s.key, mask)
-	ptsV, _, err := s.eng.store.Resolve(ctx, "normalize", nk, nil, func(context.Context) (any, error) {
+	ptsV, _, err := s.store.Resolve(ctx, "normalize", nk, nil, func(context.Context) (any, error) {
 		return s.prof.NormalizedPoints(mask), nil
 	})
 	if err != nil {
@@ -319,7 +276,7 @@ func (s *Staged) Evaluate(ctx context.Context, mask features.Mask, k int, target
 	pts := ptsV.([][]float64)
 
 	ck := clusterKey(nk)
-	dV, _, err := s.eng.store.Resolve(ctx, "cluster", ck, nil, func(context.Context) (any, error) {
+	dV, _, err := s.store.Resolve(ctx, "cluster", ck, nil, func(context.Context) (any, error) {
 		return cluster.Build(pts, cluster.Ward)
 	})
 	if err != nil {
@@ -328,7 +285,7 @@ func (s *Staged) Evaluate(ctx context.Context, mask features.Mask, k int, target
 	d := dV.(*cluster.Dendrogram)
 
 	rk := representKey(ck, k)
-	subV, _, err := s.eng.store.Resolve(ctx, "represent", rk, nil, func(context.Context) (any, error) {
+	subV, _, err := s.store.Resolve(ctx, "represent", rk, nil, func(context.Context) (any, error) {
 		kk := k
 		if kk <= 0 {
 			kk = d.Elbow(pts, s.prof.maxElbowK(), 0)
@@ -342,7 +299,7 @@ func (s *Staged) Evaluate(ctx context.Context, mask features.Mask, k int, target
 
 	evals := make([]*Eval, len(targets))
 	for i, t := range targets {
-		evV, _, err := s.eng.store.Resolve(ctx, "predict", predictKey(rk, t), nil, func(context.Context) (any, error) {
+		evV, _, err := s.store.Resolve(ctx, "predict", predictKey(rk, t), nil, func(context.Context) (any, error) {
 			return s.prof.Evaluate(sub, t)
 		})
 		if err != nil {

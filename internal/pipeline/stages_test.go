@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -44,7 +43,7 @@ func baseInputs() stageInputs {
 var stageOrder = []string{"detect", "profile", "normalize", "cluster", "represent", "predict"}
 
 // allKeys derives every stage key for one input set, chaining upstream
-// keys exactly as the engine does.
+// keys exactly as ResolveProfile and Staged do.
 func allKeys(in stageInputs) map[string]stage.Key {
 	dk := detectKey(in.progs)
 	pk := profileKey(dk, in.opts, in.measurerKey)
@@ -132,11 +131,10 @@ func TestStageKeyInvalidation(t *testing.T) {
 	}
 }
 
-// stagedFixture wraps the shared tiny profile in a fresh engine.
+// stagedFixture binds the shared tiny profile to a fresh store.
 func stagedFixture(t *testing.T) *Staged {
 	t.Helper()
-	eng := NewEngine(stage.NewStore(128, ""))
-	return eng.Adopt(tinySuite(), StageOptions{Options: Options{Seed: 1}}, tinyProfile(t))
+	return Adopt(stage.NewStore(128, ""), tinySuite(), StageOptions{Options: Options{Seed: 1}}, tinyProfile(t))
 }
 
 func asJSON(t *testing.T, v any) []byte {
@@ -232,7 +230,7 @@ func TestStagedEvaluateResolvesSubsetOnce(t *testing.T) {
 	targets := prof.TargetIndices()
 	resolves := func() map[string]int64 {
 		n := map[string]int64{}
-		for name, c := range st.eng.Store().Stats().Stages {
+		for name, c := range st.store.Stats().Stages {
 			n[name] = c.Hits + c.Joined + c.Misses
 		}
 		return n
@@ -286,11 +284,11 @@ func (m *countingMeasurer) Measure(ctx context.Context, p *ir.Program, c *ir.Cod
 // invocation happening during that single profiling run.
 func TestSweepKProfilesExactlyOnce(t *testing.T) {
 	cm := &countingMeasurer{}
-	eng := NewEngine(stage.NewStore(256, ""))
+	store := stage.NewStore(256, "")
 	opts := StageOptions{Options: Options{Seed: 1, Measurer: cm}, MeasurerKey: "counting"}
 	ctx := context.Background()
 
-	st, out, err := eng.Profile(ctx, tinySuite(), opts)
+	st, out, err := ResolveProfile(ctx, store, tinySuite(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +312,7 @@ func TestSweepKProfilesExactlyOnce(t *testing.T) {
 	}
 
 	// A second resolve with identical options reuses the profile too.
-	st2, out, err := eng.Profile(ctx, tinySuite(), opts)
+	st2, out, err := ResolveProfile(ctx, store, tinySuite(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +325,7 @@ func TestSweepKProfilesExactlyOnce(t *testing.T) {
 	if n := cm.n.Load(); n != profiled {
 		t.Errorf("second resolve ran %d extra measurements", n-profiled)
 	}
-	stats := eng.Store().Stats()
+	stats := store.Stats()
 	for _, s := range []string{"detect", "profile"} {
 		if m := stats.Stages[s].Misses; m != 1 {
 			t.Errorf("stage %s ran %d times, want 1", s, m)
@@ -336,12 +334,12 @@ func TestSweepKProfilesExactlyOnce(t *testing.T) {
 }
 
 // TestEngineRejectsUnkeyedMeasurer: a Measurer without a MeasurerKey
-// would resolve under the clean simulator's profile key, so the engine
-// refuses it before measuring anything.
+// would resolve under the clean simulator's profile key, so
+// ResolveProfile refuses it before measuring anything.
 func TestEngineRejectsUnkeyedMeasurer(t *testing.T) {
 	cm := &countingMeasurer{}
-	eng := NewEngine(stage.NewStore(16, ""))
-	_, _, err := eng.Profile(context.Background(), tinySuite(), StageOptions{Options: Options{Seed: 1, Measurer: cm}})
+	store := stage.NewStore(16, "")
+	_, _, err := ResolveProfile(context.Background(), store, tinySuite(), StageOptions{Options: Options{Seed: 1, Measurer: cm}})
 	if !errors.Is(err, errUnkeyedMeasurer) {
 		t.Fatalf("err = %v, want errUnkeyedMeasurer", err)
 	}
@@ -350,13 +348,14 @@ func TestEngineRejectsUnkeyedMeasurer(t *testing.T) {
 	}
 }
 
-// TestEngineProfileMatchesMonolith pins that an engine-built profile —
-// which consumes the memoized detect artifact instead of re-detecting —
-// serializes byte-identically to the monolithic NewProfile.
+// TestEngineProfileMatchesMonolith pins that a ResolveProfile-built
+// profile — which consumes the memoized detect artifact instead of
+// re-detecting — serializes byte-identically to the monolithic
+// NewProfile.
 func TestEngineProfileMatchesMonolith(t *testing.T) {
 	mono := tinyProfile(t)
-	eng := NewEngine(stage.NewStore(16, ""))
-	st, _, err := eng.Profile(context.Background(), tinySuite(), StageOptions{Options: Options{Seed: 1}})
+	store := stage.NewStore(16, "")
+	st, _, err := ResolveProfile(context.Background(), store, tinySuite(), StageOptions{Options: Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +367,7 @@ func TestEngineProfileMatchesMonolith(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("engine-built profile diverges from monolithic NewProfile")
+		t.Error("staged profile diverges from monolithic NewProfile")
 	}
 }
 
@@ -395,11 +394,11 @@ var errInjectedFault = errors.New("injected permanent fault")
 // under the same profile key.
 func TestDegradedProfileDoesNotPoisonRebuild(t *testing.T) {
 	fm := &flakyMeasurer{broken: "beta_gather"}
-	eng := NewEngine(stage.NewStore(256, ""))
+	store := stage.NewStore(256, "")
 	opts := StageOptions{Options: Options{Seed: 1, Measurer: fm}, MeasurerKey: "flaky"}
 	ctx := context.Background()
 
-	bad, _, err := eng.Profile(ctx, tinySuite(), opts)
+	bad, _, err := ResolveProfile(ctx, store, tinySuite(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +412,7 @@ func TestDegradedProfileDoesNotPoisonRebuild(t *testing.T) {
 	}
 
 	fm.healed.Store(true)
-	good, out, err := eng.Profile(ctx, tinySuite(), opts)
+	good, out, err := ResolveProfile(ctx, store, tinySuite(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,38 +450,68 @@ func TestDegradedProfileDoesNotPoisonRebuild(t *testing.T) {
 	}
 }
 
+// TestDegradedAdoptionsGetDistinctKeys pins that degraded builds are
+// numbered process-wide: two adoptions of one degraded profile over a
+// shared store get distinct Staged keys, so the first one's derived
+// artifacts are never served to the second.
+func TestDegradedAdoptionsGetDistinctKeys(t *testing.T) {
+	fm := &flakyMeasurer{broken: "beta_gather"}
+	opts := StageOptions{Options: Options{Seed: 1, Measurer: fm}, MeasurerKey: "flaky"}
+	ctx := context.Background()
+	bad, err := NewProfileContext(ctx, tinySuite(), opts.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bad.Degraded() {
+		t.Fatal("fixture did not produce a degraded profile")
+	}
+	store := stage.NewStore(256, "")
+	a := Adopt(store, tinySuite(), opts, bad)
+	b := Adopt(store, tinySuite(), opts, bad)
+	if a.Key() == b.Key() {
+		t.Fatalf("two degraded adoptions share the stage key %s", a.Key())
+	}
+	if _, err := a.Subset(ctx, tinyMask, 3); err != nil {
+		t.Fatal(err)
+	}
+	hits := store.Stats().Total.Hits
+	if _, err := b.Subset(ctx, tinyMask, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Stats().Total.Hits; got != hits {
+		t.Errorf("second degraded adoption hit %d of the first one's artifacts", got-hits)
+	}
+}
+
 // TestDiskArtifactsKeyedByOptions pins the disk-layer isolation
-// contract: profiles persist under key-qualified filenames, so
+// contract: the profile persists as <profile key>.art, so
 // fault-injected and clean runs (or runs with different seeds) sharing
-// one directory never adopt each other's artifacts, and fresh artifacts
-// are written only under the keyed name, never the bare <suite>.prof.
+// one directory never adopt each other's artifacts.
 func TestDiskArtifactsKeyedByOptions(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	cleanOpts := StageOptions{Options: Options{Seed: 1}, DiskName: "tiny.prof"}
+	cleanOpts := StageOptions{Options: Options{Seed: 1}}
 
-	if _, _, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), cleanOpts); err != nil {
+	st, _, err := ResolveProfile(ctx, stage.NewStore(8, dir), tinySuite(), cleanOpts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	keyed, err := filepath.Glob(filepath.Join(dir, "tiny-*.prof"))
-	if err != nil || len(keyed) != 1 {
-		t.Fatalf("keyed files = %v (err %v), want exactly one", keyed, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "tiny.prof")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("bare name was written (stat err %v)", err)
+	files, err := filepath.Glob(filepath.Join(dir, "*"))
+	if want := filepath.Join(dir, st.Key().String()+".art"); err != nil || len(files) != 1 || files[0] != want {
+		t.Fatalf("files = %v (err %v), want exactly %s", files, err, want)
 	}
 
 	// Same options, fresh process: the keyed artifact satisfies the
 	// miss from disk.
-	if _, out, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), cleanOpts); err != nil || out.Tier != stage.TierDisk {
+	if _, out, err := ResolveProfile(ctx, stage.NewStore(8, dir), tinySuite(), cleanOpts); err != nil || out.Tier != stage.TierDisk {
 		t.Fatalf("warm clean resolve: out=%+v err=%v, want disk hit", out, err)
 	}
 
 	// A fault-keyed resolve over the same directory must re-measure,
 	// not adopt the clean artifact.
 	cm := &countingMeasurer{}
-	faultOpts := StageOptions{Options: Options{Seed: 1, Measurer: cm}, MeasurerKey: "fault:deadbeef", DiskName: "tiny.prof"}
-	if _, out, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), faultOpts); err != nil {
+	faultOpts := StageOptions{Options: Options{Seed: 1, Measurer: cm}, MeasurerKey: "fault:deadbeef"}
+	if _, out, err := ResolveProfile(ctx, stage.NewStore(8, dir), tinySuite(), faultOpts); err != nil {
 		t.Fatal(err)
 	} else if out.Tier != "" {
 		t.Error("fault-keyed resolve adopted a clean disk artifact")
@@ -492,7 +521,7 @@ func TestDiskArtifactsKeyedByOptions(t *testing.T) {
 	}
 
 	// A different seed must re-measure too.
-	if _, out, err := NewEngine(stage.NewStore(8, dir)).Profile(ctx, tinySuite(), StageOptions{Options: Options{Seed: 2}, DiskName: "tiny.prof"}); err != nil {
+	if _, out, err := ResolveProfile(ctx, stage.NewStore(8, dir), tinySuite(), StageOptions{Options: Options{Seed: 2}}); err != nil {
 		t.Fatal(err)
 	} else if out.Tier != "" {
 		t.Error("different-seed resolve adopted another seed's artifact")
@@ -552,8 +581,8 @@ func TestStagedConcurrentResolve(t *testing.T) {
 func BenchmarkSweepKWarm(b *testing.B) {
 	ctx := context.Background()
 	cold := &countingMeasurer{}
-	coldEng := NewEngine(stage.NewStore(256, ""))
-	coldSt, _, err := coldEng.Profile(ctx, tinySuite(), StageOptions{Options: Options{Seed: 1, Measurer: cold}, MeasurerKey: "counting"})
+	coldStore := stage.NewStore(256, "")
+	coldSt, _, err := ResolveProfile(ctx, coldStore, tinySuite(), StageOptions{Options: Options{Seed: 1, Measurer: cold}, MeasurerKey: "counting"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -563,17 +592,17 @@ func BenchmarkSweepKWarm(b *testing.B) {
 	coldInv := cold.n.Load()
 
 	warm := &countingMeasurer{}
-	eng := NewEngine(stage.NewStore(256, ""))
+	store := stage.NewStore(256, "")
 	opts := StageOptions{Options: Options{Seed: 1, Measurer: warm}, MeasurerKey: "counting"}
-	if _, _, err := eng.Profile(ctx, tinySuite(), opts); err != nil {
+	if _, _, err := ResolveProfile(ctx, store, tinySuite(), opts); err != nil {
 		b.Fatal(err)
 	}
-	base := eng.Store().Stats()
+	base := store.Stats()
 	warmBefore := warm.n.Load()
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, _, err := eng.Profile(ctx, tinySuite(), opts)
+		st, _, err := ResolveProfile(ctx, store, tinySuite(), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -584,7 +613,7 @@ func BenchmarkSweepKWarm(b *testing.B) {
 	b.StopTimer()
 
 	warmInv := warm.n.Load() - warmBefore
-	hits := eng.Store().Stats().Total.Hits - base.Total.Hits
+	hits := store.Stats().Total.Hits - base.Total.Hits
 	if hits <= 1 {
 		b.Fatalf("warm sweep hit the stage cache %d times, want > 1", hits)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // TestArtifactEndpoint pins the peer-fetch read path over HTTP: the
-// index lists what the node resolved, every served artifact
+// index lists what the node's disk holds, every served artifact
 // frame-verifies, unknown keys are 404s, and malformed keys are 400s.
 func TestArtifactEndpoint(t *testing.T) {
 	s := New(Config{
@@ -56,7 +56,7 @@ func TestArtifactEndpoint(t *testing.T) {
 		}
 	}
 
-	// A well-formed key this node never resolved: 404, so the fetching
+	// A well-formed key this node's disk does not hold: 404, so the fetching
 	// peer falls through to compute.
 	miss := strings.Repeat("ab", 32)
 	if resp, err := http.Get(ts.URL + "/v1/artifacts/" + miss); err != nil {

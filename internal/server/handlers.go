@@ -440,42 +440,23 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
-// validArtifactKey reports whether key has the canonical stage.Key
-// shape: 64 lowercase hex characters (a SHA-256 digest).
-func validArtifactKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // handleArtifact serves one stage artifact's framed bytes — the
 // peer-fetch endpoint a cold node's HTTPBackend calls before
 // recomputing. The body is the at-rest frame (header + payload)
 // verbatim, so the fetching node verifies integrity itself; the read
 // runs through this node's disk tier, so a tripped disk breaker
-// degrades the endpoint to 404s instead of error storms. Keys this
-// node has not resolved are plain 404s — the peer falls through to
+// degrades the endpoint to 404s instead of error storms. A key the
+// disk tier does not hold is a plain 404 — the peer falls through to
 // compute.
 func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !validArtifactKey(key) {
+	key := stage.Key(r.PathValue("key"))
+	if !key.Valid() {
 		writeError(w, http.StatusBadRequest, "artifact key must be 64 lowercase hex characters")
 		return
 	}
-	data, err := s.registry.store.FetchFramed(r.Context(), stage.Key(key))
+	data, err := s.registry.store.FetchFramed(r.Context(), key)
 	if err != nil {
-		if errors.Is(err, stage.ErrNotFound) {
-			writeError(w, http.StatusNotFound, "artifact %s not available on this node", key)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, "fetching artifact %s: %v", key, err)
+		writeError(w, http.StatusNotFound, "artifact %s not available on this node", key)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -485,7 +466,8 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleArtifactIndex lists the artifact keys this node can serve over
-// /v1/artifacts/{key} — the index a peer (or an operator) enumerates.
+// /v1/artifacts/{key} — every artifact its disk tier holds, the index
+// a peer (or an operator) enumerates.
 func (s *Server) handleArtifactIndex(w http.ResponseWriter, r *http.Request) {
 	keys := s.registry.store.Keys()
 	out := struct {

@@ -23,12 +23,12 @@ import (
 // contract).
 //
 // Persistence and memoization live in the pipeline's stage store: the
-// registry resolves builds through a pipeline.Engine, which loads a
-// previously saved profile from the store's disk directory and saves
-// fresh builds back under key-qualified <suite>-<key>.prof names. The
-// registry keeps its own flight anyway, because stage.Store.Resolve
-// runs a compute under its first caller's ctx and a build must outlive
-// the request that started it.
+// registry resolves builds through pipeline.ResolveProfile, which
+// loads a previously saved profile from the store's disk directory and
+// saves fresh builds back as <key>.art files, named by the profile's
+// content address. The registry keeps its own flight anyway, because
+// stage.Store.Resolve runs a compute under its first caller's ctx and
+// a build must outlive the request that started it.
 //
 // Resilience: failed and degraded builds share one recovery path. A
 // failed build counts against the suite's circuit breaker; a build
@@ -46,7 +46,6 @@ type registry struct {
 	measurer    fault.Measurer
 	measurerKey string
 	store       *stage.Store
-	engine      *pipeline.Engine
 	breakers    *breakerSet
 
 	// ctx is the registry's lifetime: builds run detached from any
@@ -94,7 +93,6 @@ func newRegistry(cfg Config, breakers *breakerSet) *registry {
 	if size <= 0 {
 		size = 512
 	}
-	store := stage.NewStore(size, cfg.ProfileDir, cfg.Peers...)
 	ctx, stop := context.WithCancel(context.Background())
 	return &registry{
 		programs:    programs,
@@ -102,8 +100,7 @@ func newRegistry(cfg Config, breakers *breakerSet) *registry {
 		workers:     cfg.Workers,
 		measurer:    cfg.Measurer,
 		measurerKey: cfg.MeasurerKey,
-		store:       store,
-		engine:      pipeline.NewEngine(store),
+		store:       stage.NewStore(size, cfg.ProfileDir, cfg.Peers...),
 		breakers:    breakers,
 		ctx:         ctx,
 		stop:        stop,
@@ -118,13 +115,11 @@ func (r *registry) Close() { r.stop() }
 
 func suiteKey(suite string) string { return "suite:" + suite }
 
-// stageOpts assembles the engine inputs for one suite. DiskName seeds
-// the engine's key-qualified <suite>-<key>.prof layout.
-func (r *registry) stageOpts(suite string) pipeline.StageOptions {
+// stageOpts assembles the stage-graph inputs every suite shares.
+func (r *registry) stageOpts() pipeline.StageOptions {
 	return pipeline.StageOptions{
 		Options:     pipeline.Options{Seed: r.seed, Workers: r.workers, Measurer: r.measurer},
 		MeasurerKey: r.measurerKey,
-		DiskName:    suite + ".prof",
 	}
 }
 
@@ -231,7 +226,7 @@ func anyMarked(row []bool) bool {
 	return false
 }
 
-// buildStaged resolves the suite through the stage graph. The engine
+// buildStaged resolves the suite through the stage graph. The store
 // handles disk (load-or-build-then-save, with degraded profiles kept
 // off disk); the registry only translates the outcome into its
 // counters.
@@ -240,7 +235,7 @@ func (r *registry) buildStaged(suite string) (*pipeline.Staged, error) {
 	if err != nil {
 		return nil, err
 	}
-	st, out, err := r.engine.Profile(r.ctx, progs, r.stageOpts(suite))
+	st, out, err := pipeline.ResolveProfile(r.ctx, r.store, progs, r.stageOpts())
 	if err != nil {
 		return nil, fmt.Errorf("server: profiling %s: %w", suite, err)
 	}

@@ -23,14 +23,10 @@ func TestRegistryPersistsProfiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	prof := st.Profile()
-	// Profiles persist only under the key-qualified name, never the
-	// bare <suite>.prof.
-	keyed, err := filepath.Glob(filepath.Join(dir, "tiny-*.prof"))
-	if err != nil || len(keyed) != 1 {
-		t.Fatalf("keyed profile files = %v (err %v), want exactly one", keyed, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "tiny.prof")); !os.IsNotExist(err) {
-		t.Fatalf("bare filename was written (stat err %v)", err)
+	// The profile persists as exactly one file, named by its key.
+	keyed, err := filepath.Glob(filepath.Join(dir, "*"))
+	if want := filepath.Join(dir, st.Key().String()+".art"); err != nil || len(keyed) != 1 || keyed[0] != want {
+		t.Fatalf("profile files = %v (err %v), want exactly %s", keyed, err, want)
 	}
 
 	// A second registry over the same directory loads instead of
@@ -62,7 +58,7 @@ func TestRegistryRebuildsOnCorruptCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.Close()
-	keyed, err := filepath.Glob(filepath.Join(dir, "tiny-*.prof"))
+	keyed, err := filepath.Glob(filepath.Join(dir, "*.art"))
 	if err != nil || len(keyed) != 1 {
 		t.Fatalf("keyed profile files = %v (err %v), want exactly one", keyed, err)
 	}

@@ -50,9 +50,10 @@ type Config struct {
 	// (0 = GOMAXPROCS).
 	Workers int
 	// ProfileDir, when set, is the stage store's disk tier: built
-	// profiles persist as framed <dir>/<suite>-<key>.prof artifacts and
-	// load back on restart, and completed job results persist under
-	// <dir>/jobs.
+	// profiles persist as framed <dir>/<key>.art artifacts, named by
+	// their full content address, and load back on restart (this node
+	// serves every such file to peers, whether or not it built it), and
+	// completed job results persist under <dir>/jobs.
 	ProfileDir string
 	// StageCacheSize caps the in-memory stage artifact store shared by
 	// all suites (entries; default 512). Every pipeline stage — from

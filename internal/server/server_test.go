@@ -84,7 +84,7 @@ func seedSuite(t *testing.T, s *Server, suite string, prof *pipeline.Profile) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.registry.served[suite] = s.registry.engine.Adopt(progs, s.registry.stageOpts(suite), prof)
+	s.registry.served[suite] = pipeline.Adopt(s.registry.store, progs, s.registry.stageOpts(), prof)
 }
 
 // newTestServer builds a server over the test suites with the "tiny"

@@ -11,16 +11,26 @@ import (
 	"fgbs/internal/fault"
 )
 
+// artExt ends every artifact file's name: the disk tier stores key k's
+// bytes as <dir>/<k>.art, so the directory itself indexes the keys
+// this node holds and no caller ever names a file.
+const artExt = ".art"
+
 // diskDevice is the durable byte device: one file per artifact under
 // a shared directory, each published by Publish.
 type diskDevice struct {
 	dir string
 }
 
-// get reads ref's file. A missing file is a clean miss (ErrNotFound);
+// path is key's artifact file.
+func (d *diskDevice) path(key Key) string {
+	return filepath.Join(d.dir, key.String()+artExt)
+}
+
+// get reads key's file. A missing file is a clean miss (ErrNotFound);
 // any other failure is an I/O error for the breaker.
-func (d *diskDevice) get(ctx context.Context, ref Ref) ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(d.dir, ref.Name))
+func (d *diskDevice) get(ctx context.Context, key Key) ([]byte, error) {
+	data, err := os.ReadFile(d.path(key))
 	switch {
 	case err == nil:
 		return data, nil
@@ -31,11 +41,11 @@ func (d *diskDevice) get(ctx context.Context, ref Ref) ([]byte, error) {
 	}
 }
 
-// put writes data under ref.Name durably: encode-before-open already
+// put writes data as key's file durably: encode-before-open already
 // happened upstream, so a failed write never publishes anything and
 // the error feeds the breaker.
-func (d *diskDevice) put(ctx context.Context, ref Ref, data []byte) (bool, error) {
-	if err := Publish(d.dir, ref.Name, data, fault.CrashMidArtifactWrite, fault.CrashBeforeRename); err != nil {
+func (d *diskDevice) put(ctx context.Context, key Key, data []byte) (bool, error) {
+	if err := Publish(d.dir, key.String()+artExt, data, fault.CrashMidArtifactWrite, fault.CrashBeforeRename); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -102,32 +112,32 @@ func Publish(dir, name string, data []byte, midWrite, beforeRename string) error
 	return nil
 }
 
-// quarantine moves the corrupt artifact aside as <path>.corrupt — kept
-// for forensics, never silently deleted, and out of the load path so
-// the next resolve recomputes.
-func (d *diskDevice) quarantine(ref Ref) {
-	path := filepath.Join(d.dir, ref.Name)
+// quarantine moves the corrupt artifact aside as <key>.art.corrupt —
+// kept for forensics, never silently deleted, and out of the load path
+// so the next resolve recomputes.
+func (d *diskDevice) quarantine(key Key) {
+	path := d.path(key)
 	os.Rename(path, path+".corrupt") // a missing file has nothing to move aside
 }
 
-// entries counts the published artifacts in the directory (tmp and
-// quarantined files excluded). It reads the directory on every call;
-// callers are stats paths, not hot paths.
-func (d *diskDevice) entries() int {
+// keys lists the artifacts published in the directory: every
+// <valid key>.art file. Tmp files, quarantined *.corrupt files, the
+// jobs/ directory and any other name are not artifacts. os.ReadDir
+// sorts by name, and every listed name is a fixed-length key plus the
+// same extension, so the keys come back sorted. The scan reads the
+// directory on every call; callers are the artifact index and stats
+// paths, not hot paths.
+func (d *diskDevice) keys() []Key {
 	ents, err := os.ReadDir(d.dir)
 	if err != nil {
-		return 0
+		return nil
 	}
-	n := 0
+	var keys []Key
 	for _, e := range ents {
-		if e.IsDir() {
-			continue
+		name, ok := strings.CutSuffix(e.Name(), artExt)
+		if k := Key(name); ok && !e.IsDir() && k.Valid() {
+			keys = append(keys, k)
 		}
-		name := e.Name()
-		if filepath.Ext(name) == ".corrupt" || strings.Contains(name, ".tmp") {
-			continue
-		}
-		n++
 	}
-	return n
+	return keys
 }

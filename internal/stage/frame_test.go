@@ -85,7 +85,7 @@ func FuzzUnframe(f *testing.F) {
 // fresh artifact replaces the corrupt one on disk.
 func TestQuarantine(t *testing.T) {
 	dir := t.TempDir()
-	codec := testCodec{name: "art.txt", persist: true}
+	codec := testCodec{persist: true}
 	ctx := context.Background()
 	s := NewStore(4, dir)
 	if _, _, err := s.Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
@@ -95,7 +95,7 @@ func TestQuarantine(t *testing.T) {
 	}
 
 	// Corrupt the published artifact the way a torn write would.
-	path := filepath.Join(dir, "art.txt")
+	path := artPath(dir, testKey(1))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +140,8 @@ func TestQuarantine(t *testing.T) {
 // resolve recomputes and republishes a framed artifact.
 func TestUnframedDiskArtifactQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	codec := testCodec{name: "art.txt", persist: true}
-	path := filepath.Join(dir, "art.txt")
+	codec := testCodec{persist: true}
+	path := artPath(dir, testKey(1))
 	if err := os.WriteFile(path, []byte("unframed-artifact"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -177,17 +177,17 @@ func TestDiskBreaker(t *testing.T) {
 	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	codec := testCodec{name: "art.txt", persist: true}
+	codec := testCodec{persist: true}
 	ctx := context.Background()
 	s := NewStore(4, dir)
 	// Tier ops are driven through put directly so each call is exactly
 	// one breaker-gated operation; Resolve interleaves a load and a
 	// save per miss, which would obscure the pacing arithmetic.
 	tier := s.tiers[0]
-	ref := Ref{Key: testKey(1), Name: codec.Filename()}
+	key := testKey(1)
 
 	for i := 0; i < diskBreakerThreshold; i++ {
-		tier.put(ctx, ref, []byte("v"))
+		tier.put(ctx, key, []byte("v"))
 	}
 	disk := func() TierStats { return s.Stats().Tiers[TierDisk] }
 	if got := disk().State; got != TierDegraded {
@@ -198,13 +198,13 @@ func TestDiskBreaker(t *testing.T) {
 	// While open, ops are skipped between probes: the next
 	// diskProbeInterval-1 puts must not touch the device at all.
 	for i := 0; i < diskProbeInterval-1; i++ {
-		tier.put(ctx, ref, []byte(fmt.Sprintf("v%d", i)))
+		tier.put(ctx, key, []byte(fmt.Sprintf("v%d", i)))
 	}
 	if got := disk().Errors; got != errsAtTrip {
 		t.Errorf("skipped ops still hit the disk: errors %d → %d", errsAtTrip, got)
 	}
 	// The next op is the probe; the disk is still broken, so it fails.
-	tier.put(ctx, ref, []byte("probe"))
+	tier.put(ctx, key, []byte("probe"))
 	if got := disk().Errors; got != errsAtTrip+1 {
 		t.Errorf("probe did not hit the disk: errors %d → %d", errsAtTrip, got)
 	}
@@ -234,14 +234,14 @@ func TestDiskBreaker(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < diskProbeInterval; i++ {
-		tier.put(ctx, ref, []byte("recovered"))
+		tier.put(ctx, key, []byte("recovered"))
 	}
 	if got := disk().State; got != TierOK {
 		t.Errorf("disk state after repair = %q, want %q", got, TierOK)
 	}
 	// Closed again: writes flow to disk normally.
-	tier.put(ctx, ref, []byte("recovered"))
-	if _, err := os.Stat(filepath.Join(dir, "art.txt")); err != nil {
+	tier.put(ctx, key, []byte("recovered"))
+	if _, err := os.Stat(artPath(dir, key)); err != nil {
 		t.Errorf("recovered disk has no artifact: %v", err)
 	}
 }

@@ -74,15 +74,15 @@ func (b *HTTPBackend) artifactURL(peer string, key Key) string {
 	return peer + ArtifactPathPrefix + key.String()
 }
 
-// get fetches ref's framed bytes from the first peer that has them. A
+// get fetches key's framed bytes from the first peer that has them. A
 // 404 means that peer does not hold the artifact and the next one is
 // probed; transport failures and non-200 statuses are I/O errors for
 // the breaker (the first such error is returned so the breaker sees
 // the root cause, but later peers are still tried first).
-func (b *HTTPBackend) get(ctx context.Context, ref Ref) ([]byte, error) {
+func (b *HTTPBackend) get(ctx context.Context, key Key) ([]byte, error) {
 	var firstErr error
 	for _, peer := range b.peers {
-		data, err := b.fetch(ctx, peer, ref.Key)
+		data, err := b.fetch(ctx, peer, key)
 		if err == nil {
 			return data, nil
 		}
@@ -131,12 +131,12 @@ func (b *HTTPBackend) fetch(ctx context.Context, peer string, key Key) ([]byte, 
 }
 
 // put is a no-op: the device is read-only (peers pull, nobody pushes).
-func (b *HTTPBackend) put(ctx context.Context, ref Ref, data []byte) (bool, error) {
+func (b *HTTPBackend) put(ctx context.Context, key Key, data []byte) (bool, error) {
 	return false, nil
 }
 
 // quarantine is a no-op: a peer's bytes are not this node's to move.
-func (b *HTTPBackend) quarantine(ref Ref) {}
+func (b *HTTPBackend) quarantine(key Key) {}
 
-// entries is zero: a peer's holdings are not counted here.
-func (b *HTTPBackend) entries() int { return 0 }
+// keys is nil: a peer's holdings are not listed here.
+func (b *HTTPBackend) keys() []Key { return nil }

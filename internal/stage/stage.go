@@ -36,6 +36,22 @@ type Key string
 // keypurity check treats values derived from it as deterministic.
 func (k Key) String() string { return string(k) }
 
+// Valid reports whether k has the canonical shape Key produces: 64
+// lowercase hex characters, a SHA-256 digest. A key from outside the
+// process (a peer-fetch path, a file name) must pass it before it
+// names anything on disk.
+func (k Key) Valid() bool {
+	if len(k) != 2*sha256.Size {
+		return false
+	}
+	for i := 0; i < len(k); i++ {
+		if c := k[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
 // KeyBuilder accumulates a stage's identity and inputs into a digest.
 // Every value is written with a type tag and, for variable-length
 // values, a length prefix, so adjacent fields can never collide by

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -346,13 +345,15 @@ func TestStoreResolvePanicSafety(t *testing.T) {
 	}
 }
 
-// testCodec persists string artifacts as plain text files.
+// testCodec persists string artifacts as plain text.
 type testCodec struct {
-	name    string
 	persist bool
 }
 
-func (c testCodec) Filename() string { return c.name }
+// artPath is the disk tier's file for key under dir.
+func artPath(dir string, key Key) string {
+	return (&diskDevice{dir: dir}).path(key)
+}
 
 func (c testCodec) Encode(dst []byte, v any) ([]byte, error) {
 	return fmt.Append(dst, v), nil
@@ -369,7 +370,7 @@ func (c testCodec) Persist(v any) bool { return c.persist }
 
 func TestStoreDiskRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	codec := testCodec{name: "art.txt", persist: true}
+	codec := testCodec{persist: true}
 	ctx := context.Background()
 	calls := 0
 	compute := func(context.Context) (any, error) {
@@ -405,8 +406,8 @@ func TestStoreDiskRoundtrip(t *testing.T) {
 
 func TestStoreCorruptDiskArtifactRebuilds(t *testing.T) {
 	dir := t.TempDir()
-	codec := testCodec{name: "art.txt", persist: true}
-	if err := os.WriteFile(filepath.Join(dir, "art.txt"), nil, 0o644); err != nil {
+	codec := testCodec{persist: true}
+	if err := os.WriteFile(artPath(dir, testKey(1)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s := NewStore(4, dir)
@@ -431,14 +432,14 @@ func TestStoreCorruptDiskArtifactRebuilds(t *testing.T) {
 
 func TestStoreNoPersistStaysOffDisk(t *testing.T) {
 	dir := t.TempDir()
-	codec := testCodec{name: "art.txt", persist: false}
+	codec := testCodec{persist: false}
 	s := NewStore(4, dir)
 	if _, _, err := s.Resolve(context.Background(), "test", testKey(1), codec, func(context.Context) (any, error) {
 		return "degraded", nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "art.txt")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(artPath(dir, testKey(1))); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("non-persistable artifact reached disk (stat err = %v)", err)
 	}
 }
@@ -449,7 +450,7 @@ func TestStoreNoPersistStaysOffDisk(t *testing.T) {
 // verifiable frame, no staging residue.
 func TestSaveDiskBytesIdentical(t *testing.T) {
 	dir := t.TempDir()
-	codec := testCodec{name: "ident.txt", persist: true}
+	codec := testCodec{persist: true}
 	ctx := context.Background()
 	const payload = "artifact-bytes-0123456789"
 	s := NewStore(4, dir)
@@ -458,7 +459,7 @@ func TestSaveDiskBytesIdentical(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	onDisk, err := os.ReadFile(filepath.Join(dir, "ident.txt"))
+	onDisk, err := os.ReadFile(artPath(dir, testKey(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +490,7 @@ func TestPooledBuffersDoNotLeakAcrossArtifacts(t *testing.T) {
 		"another-small-one",
 	}
 	for i, payload := range payloads {
-		codec := testCodec{name: fmt.Sprintf("leak-%d.txt", i), persist: true}
+		codec := testCodec{persist: true}
 		s := NewStore(4, dir)
 		p := payload
 		if _, _, err := s.Resolve(ctx, "test", testKey(100+i), codec, func(context.Context) (any, error) {

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -15,16 +14,12 @@ import (
 // and devices copy what they keep (see device's put contract).
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// Codec serializes one stage's artifacts for the Store's byte tiers.
-// Stages whose artifacts are not worth persisting (cheap to recompute,
-// or referencing in-memory structures) resolve with a nil Codec and
-// live only in the value LRU.
+// Codec serializes one stage's artifacts for the Store's byte tiers,
+// which address the bytes by the resolve's key alone. Stages whose
+// artifacts are not worth persisting (cheap to recompute, or
+// referencing in-memory structures) resolve with a nil Codec and live
+// only in the value LRU.
 type Codec interface {
-	// Filename is the artifact's name inside a local tier's directory.
-	// Names should be qualified by the artifact's key (the profile
-	// stage embeds a key prefix) so differently-keyed resolves never
-	// share a file.
-	Filename() string
 	// Encode appends the artifact's bytes to dst and returns the
 	// extended slice.
 	Encode(dst []byte, v any) ([]byte, error)
@@ -112,13 +107,13 @@ const diskProbeInterval = 16
 type Store struct {
 	cap   int
 	tiers []*tier
+	disk  *tier // the disk tier, which FetchFramed and Keys read; nil without a directory
 
 	mu       sync.Mutex
 	ll       *list.List            // front = most recently used; guarded by mu
 	items    map[Key]*list.Element // guarded by mu
 	inflight map[Key]*flight       // guarded by mu
 	stages   map[string]*Counters  // guarded by mu
-	refs     map[Key]Ref           // keys a local tier holds, for FetchFramed; guarded by mu
 }
 
 // entry is one LRU slot.
@@ -146,22 +141,21 @@ func NewStore(capacity int, dir string, peers ...string) *Store {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	var tiers []*tier
-	if dir != "" {
-		tiers = append(tiers, &tier{name: TierDisk, dev: &diskDevice{dir: dir}})
-	}
-	if len(peers) > 0 {
-		tiers = append(tiers, &tier{name: TierPeer, dev: newHTTPBackend(peers)})
-	}
-	return &Store{
+	s := &Store{
 		cap:      capacity,
-		tiers:    tiers,
 		ll:       list.New(),
 		items:    make(map[Key]*list.Element),
 		inflight: make(map[Key]*flight),
 		stages:   make(map[string]*Counters),
-		refs:     make(map[Key]Ref),
 	}
+	if dir != "" {
+		s.disk = &tier{name: TierDisk, dev: &diskDevice{dir: dir}}
+		s.tiers = append(s.tiers, s.disk)
+	}
+	if len(peers) > 0 {
+		s.tiers = append(s.tiers, &tier{name: TierPeer, dev: newHTTPBackend(peers)})
+	}
+	return s
 }
 
 // counterLocked returns stage's counter row, creating it on first use.
@@ -252,23 +246,13 @@ func (s *Store) Resolve(ctx context.Context, stage string, key Key, codec Codec,
 	return f.val, f.out, f.err
 }
 
-// servable records that a local tier holds ref's bytes, so
-// FetchFramed (and the Keys index) can serve the artifact.
-func (s *Store) servable(ref Ref) {
-	s.mu.Lock()
-	s.refs[ref.Key] = ref
-	s.mu.Unlock()
-}
-
 // fill satisfies a miss: the byte tiers first (when the stage has a
 // Codec), then compute, writing the fresh artifact through the chain.
 func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, compute func(context.Context) (any, error)) (any, Outcome, error) {
 	tiered := codec != nil && len(s.tiers) > 0
-	var ref Ref
 	if tiered {
-		ref = Ref{Key: key, Name: codec.Filename()}
 		for i, t := range s.tiers {
-			_, payload, err := t.get(ctx, ref)
+			_, payload, err := t.get(ctx, key)
 			if err != nil {
 				// A miss, an I/O failure, or corruption (already
 				// quarantined and counted by the tier):
@@ -281,13 +265,10 @@ func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, co
 				// The frame verified but the codec rejects the payload
 				// (a stale schema): quarantine in the serving tier and
 				// keep falling through.
-				t.quarantine(ref)
+				t.quarantine(key)
 				continue
 			}
-			if t.name != TierPeer {
-				s.servable(ref)
-			}
-			s.put(ctx, s.tiers[:i], ref, payload)
+			s.put(ctx, s.tiers[:i], key, payload)
 			return v, Outcome{Cached: true, Tier: t.name}, nil
 		}
 	}
@@ -299,7 +280,7 @@ func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, co
 	s.counterLocked(stage).Computes++
 	s.mu.Unlock()
 	if tiered && codec.Persist(v) {
-		s.writeThrough(ctx, ref, codec, v)
+		s.writeThrough(ctx, key, codec, v)
 	}
 	return v, Outcome{}, nil
 }
@@ -308,13 +289,10 @@ func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, co
 // the next resolve finds the artifact at the fastest tier that will
 // hold it) or the whole chain (write-through). Failures are the
 // receiving tier's problem (its breaker saw them); the resolve already
-// has its artifact. The peer tier is read-only, so a tier that reports
-// the write is local and the key becomes servable.
-func (s *Store) put(ctx context.Context, tiers []*tier, ref Ref, payload []byte) {
+// has its artifact.
+func (s *Store) put(ctx context.Context, tiers []*tier, key Key, payload []byte) {
 	for _, t := range tiers {
-		if t.put(ctx, ref, payload) {
-			s.servable(ref)
-		}
+		t.put(ctx, key, payload)
 	}
 }
 
@@ -323,7 +301,7 @@ func (s *Store) put(ctx context.Context, tiers []*tier, ref Ref, payload []byte)
 // (the artifact is already in memory; tier copies are an
 // optimization). A failed encode writes nowhere — an unencodable
 // artifact is not a tier failure.
-func (s *Store) writeThrough(ctx context.Context, ref Ref, codec Codec, v any) {
+func (s *Store) writeThrough(ctx context.Context, key Key, codec Codec, v any) {
 	// Encode into a pooled buffer, then hand the bytes to the tiers: a
 	// failed encode never reaches a device, and the frame header needs
 	// the payload's checksum before the first byte leaves the process.
@@ -334,45 +312,37 @@ func (s *Store) writeThrough(ctx context.Context, ref Ref, codec Codec, v any) {
 	if err != nil {
 		return
 	}
-	s.put(ctx, s.tiers, ref, payload)
+	s.put(ctx, s.tiers, key, payload)
 }
 
-// FetchFramed returns the framed bytes of a previously resolved
-// artifact — the peer-fetch endpoint's read path. Only keys a local
-// tier holds are servable (the Ref carries the tier filename); the
-// peer tier is skipped so two daemons pointed at each other never
-// bounce a fetch back and forth. ErrNotFound means this node cannot
-// serve the key.
+// FetchFramed returns the framed bytes the disk tier holds under key
+// — the peer-fetch endpoint's read path. It reads through the tier, so
+// the frame check, quarantine and breaker apply as on a resolve, and
+// it serves any key the directory holds, whether or not this process
+// resolved it. The peer tier is never asked, so two daemons pointed at
+// each other never bounce a fetch back and forth. Every failure,
+// including a malformed key and a store without a directory, is
+// ErrNotFound: this node cannot serve the key.
 func (s *Store) FetchFramed(ctx context.Context, key Key) ([]byte, error) {
-	s.mu.Lock()
-	ref, ok := s.refs[key]
-	s.mu.Unlock()
-	if !ok {
+	if s.disk == nil || !key.Valid() {
 		return nil, ErrNotFound
 	}
-	for _, t := range s.tiers {
-		if t.name == TierPeer {
-			continue
-		}
-		if framed, _, err := t.get(ctx, ref); err == nil {
-			return framed, nil
-		}
+	framed, _, err := s.disk.get(ctx, key)
+	if err != nil {
+		return nil, ErrNotFound
 	}
-	return nil, ErrNotFound
+	return framed, nil
 }
 
 // Keys lists the content addresses this store can serve over
-// FetchFramed, sorted for determinism — the artifact index a peer (or
-// an operator) enumerates.
+// FetchFramed — the artifact index a peer (or an operator)
+// enumerates: every artifact file in the disk tier's directory,
+// sorted. A store without a directory lists none.
 func (s *Store) Keys() []Key {
-	s.mu.Lock()
-	keys := make([]Key, 0, len(s.refs))
-	for k := range s.refs {
-		keys = append(keys, k)
+	if s.disk == nil {
+		return nil
 	}
-	s.mu.Unlock()
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+	return s.disk.dev.keys()
 }
 
 // Delete evicts key from the value LRU; byte-tier artifacts, when any,

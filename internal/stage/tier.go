@@ -34,19 +34,13 @@ const (
 // operation failed and feeds the tier's breaker.
 var ErrNotFound = errors.New("stage: artifact not found")
 
-// Ref names one artifact for the byte tiers. Key is the content
-// address; Name is the codec-chosen filename local tiers store under.
-type Ref struct {
-	Key  Key
-	Name string
-}
-
 // TierStats is one tier's health and traffic row, surfaced under
 // /metricz stages.tiers.
 type TierStats struct {
 	// State is TierOK or TierDegraded (the breaker's view).
 	State string `json:"state"`
-	// Entries is the tier's current artifact count, where knowable.
+	// Entries is the tier's current artifact count, where knowable:
+	// the disk tier's directory scan, zero for the peer tier.
 	Entries int `json:"entries"`
 	// Hits are Gets that returned verified payload bytes.
 	Hits int64 `json:"hits"`
@@ -62,8 +56,8 @@ type TierStats struct {
 }
 
 // device is the storage one tier fronts: the disk directory or the
-// peer list. Devices move opaque bytes; framing, quarantine counting
-// and the breaker belong to the tier.
+// peer list. Devices move opaque bytes addressed by key alone;
+// framing, quarantine counting and the breaker belong to the tier.
 //
 // Contracts: get returns ErrNotFound for a clean miss and must not
 // return bytes the caller may mutate in place. put reports whether
@@ -71,13 +65,14 @@ type TierStats struct {
 // and must copy data if it retains it beyond the call. All methods may
 // be called concurrently.
 type device interface {
-	get(ctx context.Context, ref Ref) ([]byte, error)
-	put(ctx context.Context, ref Ref, data []byte) (bool, error)
+	get(ctx context.Context, key Key) ([]byte, error)
+	put(ctx context.Context, key Key, data []byte) (bool, error)
 	// quarantine moves a corrupt artifact out of the load path, where
 	// the device can.
-	quarantine(ref Ref)
-	// entries counts the artifacts the device holds, where knowable.
-	entries() int
+	quarantine(key Key)
+	// keys lists the artifacts the device holds, sorted, where
+	// knowable (nil otherwise).
+	keys() []Key
 }
 
 // tier is one link of the Store's chain. get verifies the integrity
@@ -112,16 +107,16 @@ type tier struct {
 	quarantined atomic.Int64
 }
 
-// get returns ref's verified bytes, both framed (the wire form the
+// get returns key's verified bytes, both framed (the wire form the
 // peer-fetch endpoint serves) and as the payload the codec decodes.
 // While the breaker is open, skipped gets report a clean miss so the
 // chain falls through to the next tier or to compute.
-func (t *tier) get(ctx context.Context, ref Ref) (framed, payload []byte, err error) {
+func (t *tier) get(ctx context.Context, key Key) (framed, payload []byte, err error) {
 	if !t.allowed() {
 		t.misses.Add(1)
 		return nil, nil, ErrNotFound
 	}
-	data, err := t.dev.get(ctx, ref)
+	data, err := t.dev.get(ctx, key)
 	switch {
 	case errors.Is(err, ErrNotFound):
 		t.inconclusive()
@@ -133,40 +128,37 @@ func (t *tier) get(ctx context.Context, ref Ref) (framed, payload []byte, err er
 	}
 	t.ok()
 	if payload, err = Unframe(data); err != nil {
-		t.quarantine(ref)
+		t.quarantine(key)
 		return nil, nil, fmt.Errorf("stage: corrupt artifact in %s tier: %w", t.name, err)
 	}
 	t.hits.Add(1)
 	return data, payload, nil
 }
 
-// put frames payload and stores it, reporting whether the device
-// wrote it. Failures are the tier's problem (the breaker counts them);
-// the caller already holds the artifact in memory. While the breaker
-// is open, skipped puts report not-written.
-func (t *tier) put(ctx context.Context, ref Ref, payload []byte) bool {
+// put frames payload and stores it. Failures are the tier's problem
+// (the breaker counts them); the caller already holds the artifact in
+// memory. While the breaker is open, skipped puts do nothing.
+func (t *tier) put(ctx context.Context, key Key, payload []byte) {
 	if !t.allowed() {
-		return false
+		return
 	}
-	written, err := t.dev.put(ctx, ref, Frame(payload))
+	written, err := t.dev.put(ctx, key, Frame(payload))
 	switch {
 	case err != nil:
 		t.failed()
-		return false
 	case !written:
 		t.inconclusive()
-		return false
+	default:
+		t.ok()
+		t.writes.Add(1)
 	}
-	t.ok()
-	t.writes.Add(1)
-	return true
 }
 
 // quarantine counts a corrupt artifact — a failed frame check, or a
 // decode failure above the frame — and moves it aside in the device.
-func (t *tier) quarantine(ref Ref) {
+func (t *tier) quarantine(key Key) {
 	t.quarantined.Add(1)
-	t.dev.quarantine(ref)
+	t.dev.quarantine(key)
 }
 
 // allowed reports whether this operation should touch the device.
@@ -227,7 +219,7 @@ func (t *tier) failed() {
 func (t *tier) stats() TierStats {
 	st := TierStats{
 		State:       TierOK,
-		Entries:     t.dev.entries(),
+		Entries:     len(t.dev.keys()),
 		Hits:        t.hits.Load(),
 		Misses:      t.misses.Load(),
 		Writes:      t.writes.Load(),

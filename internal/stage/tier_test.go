@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,10 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 )
-
-func testRef(i int) Ref {
-	return Ref{Key: testKey(i), Name: fmt.Sprintf("art-%d.txt", i)}
-}
 
 // artifactPeer is a stub peer daemon: it serves the framed bytes of
 // the artifacts it holds at /v1/artifacts/{key}, 404s everything else,
@@ -46,7 +41,7 @@ func artifactPeer(t *testing.T, held map[Key]string) (*httptest.Server, *atomic.
 // never sends a request to the peer.
 func TestNewStoreChain(t *testing.T) {
 	ctx := context.Background()
-	codec := testCodec{name: "art.txt", persist: true}
+	codec := testCodec{persist: true}
 	for _, c := range []struct {
 		name      string
 		dir, peer bool
@@ -121,7 +116,7 @@ func TestNewStoreChain(t *testing.T) {
 func TestTierPromotion(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	codec := testCodec{name: "art.txt", persist: true}
+	codec := testCodec{persist: true}
 	peer, requests := artifactPeer(t, map[Key]string{testKey(1): "peer-artifact"})
 	s := NewStore(4, dir, peer.URL)
 	noCompute := func(context.Context) (any, error) {
@@ -132,7 +127,7 @@ func TestTierPromotion(t *testing.T) {
 	if err != nil || v != "peer-artifact" || out.Tier != TierPeer {
 		t.Fatalf("cold resolve: v=%v out=%+v err=%v, want the peer tier", v, out, err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, codec.Filename()))
+	data, err := os.ReadFile(artPath(dir, testKey(1)))
 	if err != nil {
 		t.Fatalf("peer hit not promoted to disk: %v", err)
 	}
@@ -180,8 +175,8 @@ func TestHTTPBackendFetch(t *testing.T) {
 	defer cold.Close()
 
 	peerTier := &tier{name: TierPeer, dev: &HTTPBackend{peers: []string{cold.URL, warm.URL}}}
-	ref := testRef(1)
-	gotFramed, got, err := peerTier.get(ctx, ref)
+	key := testKey(1)
+	gotFramed, got, err := peerTier.get(ctx, key)
 	if err != nil || !bytes.Equal(got, payload) || !bytes.Equal(gotFramed, framed) {
 		t.Fatalf("peer get = %q, %q, %v; want the verified frame and payload", gotFramed, got, err)
 	}
@@ -190,13 +185,11 @@ func TestHTTPBackendFetch(t *testing.T) {
 	}
 
 	missTier := &tier{name: TierPeer, dev: &HTTPBackend{peers: []string{cold.URL}}}
-	if _, _, err := missTier.get(ctx, ref); !errors.Is(err, ErrNotFound) {
+	if _, _, err := missTier.get(ctx, key); !errors.Is(err, ErrNotFound) {
 		t.Errorf("all-miss get err = %v, want ErrNotFound", err)
 	}
-	// The tier is read-only: put reports not-written without an error.
-	if missTier.put(ctx, ref, payload) {
-		t.Error("put on peer tier reported a write, want no-op")
-	}
+	// The tier is read-only: put writes nothing and is no error.
+	missTier.put(ctx, key, payload)
 	if st := missTier.stats(); st.Writes != 0 || st.Errors != 0 {
 		t.Errorf("no-op put moved the row: %+v", st)
 	}
@@ -214,7 +207,7 @@ func TestHTTPBackendCorruptResponseQuarantined(t *testing.T) {
 	}))
 	defer peer.Close()
 	peerTier := &tier{name: TierPeer, dev: &HTTPBackend{peers: []string{peer.URL}}}
-	if _, _, err := peerTier.get(ctx, testRef(1)); err == nil {
+	if _, _, err := peerTier.get(ctx, testKey(1)); err == nil {
 		t.Fatal("torn peer response verified, want a corrupt-artifact error")
 	}
 	if st := peerTier.stats(); st.Quarantined != 1 {
@@ -233,7 +226,7 @@ func TestHTTPBackendCorruptResponseQuarantined(t *testing.T) {
 func TestFetchFramed(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	codec := testCodec{name: "art.txt", persist: true}
+	codec := testCodec{persist: true}
 	s := NewStore(4, dir)
 	if _, _, err := s.Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
 		return "served", nil
@@ -271,7 +264,7 @@ func TestPeerUnframedBodyQuarantined(t *testing.T) {
 	}))
 	defer peer.Close()
 	s := NewStore(4, t.TempDir(), peer.URL)
-	codec := testCodec{name: "art.txt", persist: true}
+	codec := testCodec{persist: true}
 
 	v, out, err := s.Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
 		return "computed", nil
@@ -282,7 +275,7 @@ func TestPeerUnframedBodyQuarantined(t *testing.T) {
 	if q := s.Stats().Tiers[TierPeer].Quarantined; q != 1 {
 		t.Errorf("peer tier quarantined = %d, want 1", q)
 	}
-	if _, _, err := s.tiers[1].get(ctx, Ref{Key: testKey(2), Name: "other.txt"}); err == nil {
+	if _, _, err := s.tiers[1].get(ctx, testKey(2)); err == nil {
 		t.Error("unframed peer body verified, want a corrupt-artifact error")
 	}
 	if st := s.Stats().Tiers[TierPeer]; st.Quarantined != 2 || st.Errors != 0 {
@@ -306,7 +299,7 @@ func TestFetchFramedSkipsRemoteTiers(t *testing.T) {
 	dir := t.TempDir()
 	peer, requests := artifactPeer(t, map[Key]string{testKey(1): "remote"})
 	s := NewStore(4, dir, peer.URL)
-	codec := testCodec{name: "art.txt", persist: true}
+	codec := testCodec{persist: true}
 	if _, _, err := s.Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
 		t.Error("peer tier should have served the resolve")
 		return nil, nil
@@ -322,7 +315,7 @@ func TestFetchFramedSkipsRemoteTiers(t *testing.T) {
 	}
 	// With the disk copy gone, only the peer holds the artifact — and
 	// FetchFramed must not ask it.
-	if err := os.Remove(filepath.Join(dir, codec.Filename())); err != nil {
+	if err := os.Remove(artPath(dir, testKey(1))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.FetchFramed(ctx, testKey(1)); !errors.Is(err, ErrNotFound) {
@@ -330,6 +323,64 @@ func TestFetchFramedSkipsRemoteTiers(t *testing.T) {
 	}
 	if requests.Load() != 1 {
 		t.Errorf("peer served %d requests, want 1 (resolve only, no fetch bounce)", requests.Load())
+	}
+}
+
+// TestRestartedStoreServesDirectory pins the artifact index on the
+// directory itself: a fresh store over a directory another store
+// filled — a daemon restart — serves and lists the artifacts there
+// without resolving any key first. Files that are not <key>.art
+// artifacts (a writer's tmp file, a quarantined copy, a file of the
+// old <suite>-<key prefix>.prof layout, a non-canonical key, the jobs
+// directory) are neither listed, nor counted, nor served.
+func TestRestartedStoreServesDirectory(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	if _, _, err := NewStore(4, dir).Resolve(ctx, "test", testKey(1), testCodec{persist: true}, func(context.Context) (any, error) {
+		return "persisted", nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(artPath(dir, testKey(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	upper := Key(strings.ToUpper(testKey(4).String()))
+	for _, name := range []string{
+		testKey(2).String() + artExt + ".tmp123",
+		testKey(3).String() + artExt + ".corrupt",
+		"nr-" + testKey(5).String()[:12] + ".prof",
+		upper.String() + artExt,
+		"notes.txt",
+		filepath.Join("jobs", testKey(6).String()+artExt),
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, Frame([]byte("planted")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	b := NewStore(4, dir)
+	framed, err := b.FetchFramed(ctx, testKey(1))
+	if err != nil || !bytes.Equal(framed, want) {
+		t.Errorf("restarted FetchFramed = %q, %v; want the framed file", framed, err)
+	}
+	if keys := b.Keys(); !reflect.DeepEqual(keys, []Key{testKey(1)}) {
+		t.Errorf("restarted Keys() = %v, want exactly %v", keys, testKey(1))
+	}
+	if n := b.Stats().Tiers[TierDisk].Entries; n != 1 {
+		t.Errorf("restarted disk tier entries = %d, want 1", n)
+	}
+	for _, k := range []Key{testKey(2), testKey(3), upper, "../" + testKey(1)} {
+		if _, err := b.FetchFramed(ctx, k); !errors.Is(err, ErrNotFound) {
+			t.Errorf("FetchFramed(%q) err = %v, want ErrNotFound", k, err)
+		}
+	}
+	if m := b.Stats().Total.Misses; m != 0 {
+		t.Errorf("restarted store resolved %d keys, want none", m)
 	}
 }
 
@@ -363,7 +414,7 @@ func TestKeysListsOnlyServable(t *testing.T) {
 				dir = t.TempDir()
 			}
 			s := NewStore(4, dir, c.peers...)
-			codec := testCodec{name: "art.txt", persist: c.persist}
+			codec := testCodec{persist: c.persist}
 			s.Resolve(ctx, "test", testKey(1), codec, c.compute)
 			_, fetchErr := s.FetchFramed(ctx, testKey(1))
 			if keys := s.Keys(); c.listed != (len(keys) == 1) || len(keys) > 1 {
