@@ -4,38 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
 )
-
-// Reporters render a Run. The registry maps a format name to its
-// renderer so callers (cmd/fgbs, future services) select output shapes
-// by name, and adding a format is one Register call — the
-// benchrunner/reporters/formats shape.
-
-// Format renders one run.
-type Format func(w io.Writer, r *Run) error
-
-var formats = map[string]Format{
-	"human": Human,
-	"json":  JSON,
-}
-
-// Formats lists the registered format names, sorted.
-func Formats() []string {
-	names := make([]string, 0, len(formats))
-	for name := range formats {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// LookupFormat resolves a format by name.
-func LookupFormat(name string) (Format, bool) {
-	f, ok := formats[name]
-	return f, ok
-}
 
 // Human renders the aligned table a developer reads at the terminal.
 func Human(w io.Writer, r *Run) error {

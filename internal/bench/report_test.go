@@ -85,25 +85,6 @@ func TestReadRunRejectsWrongVersion(t *testing.T) {
 	}
 }
 
-func TestFormatRegistry(t *testing.T) {
-	got := Formats()
-	want := []string{"human", "json"}
-	if len(got) != len(want) {
-		t.Fatalf("Formats() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Formats() = %v, want %v", got, want)
-		}
-	}
-	if _, ok := LookupFormat("human"); !ok {
-		t.Fatal("LookupFormat(human) missed")
-	}
-	if _, ok := LookupFormat("yaml"); ok {
-		t.Fatal("LookupFormat(yaml) hit")
-	}
-}
-
 func TestFormatNS(t *testing.T) {
 	cases := []struct {
 		ns   float64

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"time"
 
+	"fgbs/internal/measure"
 	"fgbs/internal/stats"
 )
 
@@ -23,11 +24,6 @@ const (
 	// QuickReps/QuickWarmup are the CI-gate settings.
 	QuickReps   = 8
 	QuickWarmup = 1
-	// DefaultMADK rejects repetitions more than 3.5 consistent MADs
-	// from the median — the same cut internal/measure applies to
-	// simulated invocations, here absorbing GC pauses and scheduler
-	// noise instead of injected faults.
-	DefaultMADK = 3.5
 )
 
 // Config tunes a Runner.
@@ -41,7 +37,9 @@ type Config struct {
 	// unset, and is recorded in the Run for provenance.
 	Quick bool
 	// MADK is the outlier-rejection threshold in consistent MADs
-	// (0 = default; negative disables rejection).
+	// (0 = measure.DefaultMADK, the §3.4 cut internal/measure applies
+	// to simulated invocations, here absorbing GC pauses and scheduler
+	// noise instead of injected faults; negative disables rejection).
 	MADK float64
 	// Now is the clock; tests inject a scripted one. nil = time.Now.
 	Now func() time.Time
@@ -64,7 +62,7 @@ func (c *Config) fill() {
 	}
 	//fgbs:allow floatcompare exact-zero sentinel: 0 means "use the default", never a computed value
 	if c.MADK == 0 {
-		c.MADK = DefaultMADK
+		c.MADK = measure.DefaultMADK
 	}
 	if c.Now == nil {
 		c.Now = time.Now

@@ -20,6 +20,7 @@ import (
 	"fgbs/internal/fault"
 	"fgbs/internal/features"
 	"fgbs/internal/ir"
+	"fgbs/internal/measure"
 	"fgbs/internal/pipeline"
 	"fgbs/internal/rng"
 	"fgbs/internal/server"
@@ -409,7 +410,7 @@ func init() {
 			op := func() error {
 				med := stats.Median(xs)
 				mad := stats.MAD(xs)
-				keep := stats.MADKeep(xs, 3.5)
+				keep := stats.MADKeep(xs, measure.DefaultMADK)
 				sink.Add(uint64(len(keep)) + uint64(med+mad))
 				return nil
 			}

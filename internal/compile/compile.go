@@ -330,84 +330,3 @@ func maxF(vs ...float64) float64 {
 	}
 	return m
 }
-
-// VecRatios summarizes the fraction of operations vectorized per
-// instruction class across the codelet, weighted by each loop's
-// estimated trip count under params. These feed the MAQAO-style
-// "Vectorization ratio" features and Table 3's "Vec. %" column.
-type VecRatios struct {
-	Mul   float64 // FP multiplications
-	Add   float64 // FP additions/subtractions
-	Other float64 // all remaining ops (FP+INT)
-	Int   float64 // integer ops only
-	All   float64 // every operation class combined
-}
-
-// VecRatios computes vectorization ratios for the lowered codelet
-// using program parameters to weight multiple innermost loops.
-func (c *Codelet) VecRatios(params map[string]int64) VecRatios {
-	var vMul, tMul, vAdd, tAdd, vOther, tOther, vInt, tInt float64
-	for _, l := range c.Loops {
-		w := estTrip(l.Context, params)
-		for _, st := range l.Stmts {
-			v := 0.0
-			if st.Vectorized {
-				v = 1.0
-			}
-			o := st.Ops
-			tMul += w * float64(o.FMul)
-			vMul += w * v * float64(o.FMul)
-			tAdd += w * float64(o.FAdd)
-			vAdd += w * v * float64(o.FAdd)
-			other := float64(o.FDiv+o.FSqrt+o.FSpecial+o.IntOps) + float64(len(st.Mem))
-			tOther += w * other
-			vOther += w * v * other
-			tInt += w * float64(o.IntOps)
-			vInt += w * v * float64(o.IntOps)
-		}
-	}
-	return VecRatios{
-		Mul:   ratio(vMul, tMul),
-		Add:   ratio(vAdd, tAdd),
-		Other: ratio(vOther, tOther),
-		Int:   ratio(vInt, tInt),
-		All:   ratio(vMul+vAdd+vOther, tMul+tAdd+tOther),
-	}
-}
-
-func ratio(num, den float64) float64 {
-	//fgbs:allow floatcompare exact-zero division guard, not a tolerance comparison
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
-// estTrip estimates an innermost loop's trip count with enclosing loop
-// variables bound to the midpoint of their ranges — a static stand-in
-// for triangular loops.
-func estTrip(lc *ir.LoopContext, params map[string]int64) float64 {
-	env := make(map[string]int64, len(params)+len(lc.Outer))
-	for k, v := range params {
-		env[k] = v
-	}
-	for _, v := range lc.Outer {
-		// Midpoint of a typical range; outer vars usually appear in
-		// the innermost bounds of triangular loops.
-		env[v] = 0
-	}
-	// First pass: bind outer vars to 0, evaluate bounds to get a
-	// scale, then bind them to half the innermost trip as a midpoint
-	// heuristic.
-	trip := lc.Loop.TripCount(env)
-	if len(lc.Outer) > 0 {
-		for _, v := range lc.Outer {
-			env[v] = trip / 2
-		}
-		trip = lc.Loop.TripCount(env)
-	}
-	if trip < 1 {
-		trip = 1
-	}
-	return float64(trip)
-}

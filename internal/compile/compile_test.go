@@ -243,21 +243,6 @@ func TestCyclesPositiveOnAllMachines(t *testing.T) {
 	}
 }
 
-func TestVecRatios(t *testing.T) {
-	p, c := fixture(t, reduction)
-	lc := Lower(p, c, arch.Nehalem(), true)
-	r := lc.VecRatios(p.Params)
-	if r.Mul != 1 || r.Add != 1 {
-		t.Errorf("fully vectorized reduction: ratios mul=%g add=%g", r.Mul, r.Add)
-	}
-	p2, c2 := fixture(t, recurrence)
-	lc2 := Lower(p2, c2, arch.Nehalem(), true)
-	r2 := lc2.VecRatios(p2.Params)
-	if r2.All != 0 {
-		t.Errorf("scalar recurrence: vec ratio = %g, want 0", r2.All)
-	}
-}
-
 func TestPortPressureBounded(t *testing.T) {
 	for _, b := range []func(*ir.Program) *ir.Codelet{vecCopy, recurrence, divide, reduction, gather} {
 		p, c := fixture(t, b)

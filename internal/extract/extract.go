@@ -1,18 +1,19 @@
-// Package extract models Step D's codelet extraction: turning a
-// codelet into a standalone microbenchmark the way the CAPS Codelet
-// Finder does — capture the memory accessed by the codelet at its
-// first invocation into a dump, generate a wrapper that reloads the
-// dump and re-runs the codelet, and time it with a reduced invocation
-// count.
+// Package extract holds Step D's two extraction rules (§3.4). The
+// extraction itself — capturing the memory a codelet touches at its
+// first invocation into a dump, the way the CAPS Codelet Finder does,
+// and re-running the codelet from a wrapper that reloads it — is
+// internal/sim's standalone mode (sim.ModeStandalone); the profile step
+// measures every codelet that way once per machine.
 //
-// Two paper rules are implemented here:
+// The two rules:
 //
-//   - Invocation reduction (§3.4): "we select a number of invocations
-//     so that the microbenchmark runs at least during 1 ms with a
-//     minimum of 10 invocations. We then take the median measurement."
-//   - Well-behavedness screening (§3.4): a representative whose
-//     standalone time differs from its original in-application time by
-//     more than 10% is ill-behaved.
+//   - Invocation reduction: "we select a number of invocations so that
+//     the microbenchmark runs at least during 1 ms with a minimum of 10
+//     invocations. We then take the median measurement." BenchSeconds
+//     prices a microbenchmark under it.
+//   - Well-behavedness screening: a representative whose standalone
+//     time differs from its original in-application time by more than
+//     10% is ill-behaved (IllBehaved).
 //
 // Extraction side effects that the paper documents emerge from the
 // simulation modes of internal/sim: the dump reload warms the cache
@@ -21,13 +22,7 @@
 // loses the application context (ill-behaved category 2).
 package extract
 
-import (
-	"math"
-
-	"fgbs/internal/arch"
-	"fgbs/internal/ir"
-	"fgbs/internal/sim"
-)
+import "math"
 
 // Invocation-reduction rule constants. The 1 ms floor is deliberately
 // NOT scaled by arch.CacheScale: it reflects the wall-clock accuracy
@@ -50,69 +45,20 @@ const (
 	IllBehavedTolerance = 0.10
 )
 
-// Microbenchmark is an extracted, standalone-measurable codelet on one
-// machine.
-type Microbenchmark struct {
-	Codelet *ir.Codelet
-	Machine *arch.Machine
-	// Measurement is the standalone (dump-reload, back-to-back)
-	// measurement; Measurement.Seconds is the median per-invocation
-	// time.
-	Measurement *sim.Measurement
-	// Invocations is the reduced invocation count from the 1 ms / 10
-	// invocation rule.
-	Invocations int
-	// BenchSeconds is the total cost of running this microbenchmark:
-	// Invocations x median invocation time.
-	BenchSeconds float64
-	// DumpBytes is the memory-dump size (the codelet's working set).
-	DumpBytes int64
-}
-
-// Options configures extraction.
-type Options struct {
-	// Seed propagates to the simulator's dataset build.
-	Seed uint64
-	// Dataset optionally reuses a prebuilt dataset.
-	Dataset *sim.Dataset
-}
-
-// Extract builds and measures the standalone microbenchmark for
-// codelet c on machine m.
-func Extract(p *ir.Program, c *ir.Codelet, m *arch.Machine, opts Options) (*Microbenchmark, error) {
-	meas, err := sim.Measure(p, c, sim.Options{
-		Machine:     m,
-		Mode:        sim.ModeStandalone,
-		Seed:        opts.Seed,
-		Dataset:     opts.Dataset,
-		ProbeCycles: -1,
-		NoiseAmp:    -1,
-	})
-	if err != nil {
-		return nil, err
+// BenchSeconds is the cost of benchmarking a microbenchmark whose
+// standalone invocation takes sa seconds under the invocation-reduction
+// rule: enough invocations to run at least minBenchSeconds, and never
+// fewer than minInvocations. The paper's rule is (MinBenchSeconds,
+// MinInvocations); ablation A4 varies it.
+func BenchSeconds(sa, minBenchSeconds float64, minInvocations int) float64 {
+	if sa <= 0 {
+		return float64(minInvocations) * sa
 	}
-	inv := ReducedInvocations(meas.Seconds)
-	return &Microbenchmark{
-		Codelet:      c,
-		Machine:      m,
-		Measurement:  meas,
-		Invocations:  inv,
-		BenchSeconds: float64(inv) * meas.Seconds,
-		DumpBytes:    meas.WorkingSetBytes,
-	}, nil
-}
-
-// ReducedInvocations applies the 1 ms / 10 invocation rule to a
-// per-invocation time.
-func ReducedInvocations(secondsPerInvocation float64) int {
-	if secondsPerInvocation <= 0 {
-		return MinInvocations
+	n := math.Ceil(minBenchSeconds / sa)
+	if n < float64(minInvocations) {
+		n = float64(minInvocations)
 	}
-	n := int(math.Ceil(MinBenchSeconds / secondsPerInvocation))
-	if n < MinInvocations {
-		n = MinInvocations
-	}
-	return n
+	return n * sa
 }
 
 // IllBehaved reports whether a standalone time misrepresents the

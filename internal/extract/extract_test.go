@@ -26,19 +26,36 @@ func triad(n int64) (*ir.Program, *ir.Codelet) {
 	return p, c
 }
 
-func TestReducedInvocationsRule(t *testing.T) {
-	// Long invocation: floor of 10.
-	if got := ReducedInvocations(MinBenchSeconds); got != MinInvocations {
-		t.Errorf("long codelet invocations = %d, want %d", got, MinInvocations)
+// measure times c on m the way the profile step does: the standalone
+// (extracted, dump-reload) run or the original in-application one.
+func measure(t *testing.T, p *ir.Program, c *ir.Codelet, m *arch.Machine, mode sim.Mode) *sim.Measurement {
+	t.Helper()
+	meas, err := sim.Measure(p, c, sim.Options{Machine: m, Mode: mode, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Short invocation: enough to fill the time floor.
+	return meas
+}
+
+func TestBenchSecondsRule(t *testing.T) {
+	bench := func(sa float64) float64 { return BenchSeconds(sa, MinBenchSeconds, MinInvocations) }
+	// Long invocation: floor of 10 invocations.
+	if got, want := bench(MinBenchSeconds), MinInvocations*MinBenchSeconds; got != want {
+		t.Errorf("long codelet bench time = %g, want %g", got, want)
+	}
+	// Short invocation: enough invocations to fill the time floor.
 	short := MinBenchSeconds / 100
-	if got := ReducedInvocations(short); got != 100 {
-		t.Errorf("short codelet invocations = %d, want 100", got)
+	if got, want := bench(short), 100*short; got != want {
+		t.Errorf("short codelet bench time = %g, want %g (100 invocations)", got, want)
 	}
 	// Degenerate zero time.
-	if got := ReducedInvocations(0); got != MinInvocations {
-		t.Errorf("zero-time invocations = %d", got)
+	if got := bench(0); got != 0 {
+		t.Errorf("zero-time bench time = %g", got)
+	}
+	// The thresholds are the caller's: a 10x floor needs 10x the
+	// invocations once it binds.
+	if got, want := BenchSeconds(short, 10*MinBenchSeconds, MinInvocations), 1000*short; got != want {
+		t.Errorf("strict rule bench time = %g, want %g (1000 invocations)", got, want)
 	}
 }
 
@@ -59,21 +76,17 @@ func TestIllBehaved(t *testing.T) {
 
 func TestExtractProducesMicrobenchmark(t *testing.T) {
 	p, c := triad(200000)
-	mb, err := Extract(p, c, arch.Reference(), Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	sa := measure(t, p, c, arch.Reference(), sim.ModeStandalone)
+	bench := BenchSeconds(sa.Seconds, MinBenchSeconds, MinInvocations)
+	if bench < MinBenchSeconds*0.99 {
+		t.Errorf("bench time %.3g below the floor", bench)
 	}
-	if mb.Invocations < MinInvocations {
-		t.Errorf("invocations = %d", mb.Invocations)
+	if bench < MinInvocations*sa.Seconds {
+		t.Errorf("bench time %.3g below %d invocations", bench, MinInvocations)
 	}
-	if mb.BenchSeconds < MinBenchSeconds*0.99 {
-		t.Errorf("bench time %.3g below the floor", mb.BenchSeconds)
-	}
-	if mb.DumpBytes != 2*200000*8 {
-		t.Errorf("dump bytes = %d", mb.DumpBytes)
-	}
-	if mb.Measurement.Mode != sim.ModeStandalone {
-		t.Error("extraction did not measure standalone")
+	// The dump holds the codelet's working set: both arrays.
+	if sa.WorkingSetBytes != 2*200000*8 {
+		t.Errorf("dump bytes = %d", sa.WorkingSetBytes)
 	}
 }
 
@@ -82,34 +95,21 @@ func TestExtractionReductionVsOriginal(t *testing.T) {
 	// than the codelet's share of the application run.
 	p, c := triad(200000)
 	m := arch.Reference()
-	mb, err := Extract(p, c, m, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inApp, err := sim.Measure(p, c, sim.Options{Machine: m, Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	originalCost := float64(c.Invocations) * inApp.Seconds
-	if mb.BenchSeconds >= originalCost/2 {
-		t.Errorf("no benchmarking reduction: micro %.3g vs original %.3g", mb.BenchSeconds, originalCost)
+	micro := BenchSeconds(measure(t, p, c, m, sim.ModeStandalone).Seconds, MinBenchSeconds, MinInvocations)
+	originalCost := float64(c.Invocations) * measure(t, p, c, m, sim.ModeInApp).Seconds
+	if micro >= originalCost/2 {
+		t.Errorf("no benchmarking reduction: micro %.3g vs original %.3g", micro, originalCost)
 	}
 }
 
 func TestWellBehavedStreamingCodelet(t *testing.T) {
 	p, c := triad(200000) // working set streams past every cache
 	m := arch.Reference()
-	mb, err := Extract(p, c, m, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inApp, err := sim.Measure(p, c, sim.Options{Machine: m, Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if IllBehaved(mb.Measurement.Seconds, inApp.Seconds) {
+	sa := measure(t, p, c, m, sim.ModeStandalone)
+	inApp := measure(t, p, c, m, sim.ModeInApp)
+	if IllBehaved(sa.Seconds, inApp.Seconds) {
 		t.Errorf("streaming codelet ill-behaved: standalone %.4g vs in-app %.4g",
-			mb.Measurement.Seconds, inApp.Seconds)
+			sa.Seconds, inApp.Seconds)
 	}
 }
 
@@ -117,15 +117,9 @@ func TestContextSensitiveDetectedIllBehaved(t *testing.T) {
 	p, c := triad(200000)
 	c.ContextSensitive = true
 	m := arch.Reference()
-	mb, err := Extract(p, c, m, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inApp, err := sim.Measure(p, c, sim.Options{Machine: m, Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IllBehaved(mb.Measurement.Seconds, inApp.Seconds) {
+	sa := measure(t, p, c, m, sim.ModeStandalone)
+	inApp := measure(t, p, c, m, sim.ModeInApp)
+	if !IllBehaved(sa.Seconds, inApp.Seconds) {
 		t.Error("context-sensitive codelet passed the screening")
 	}
 }

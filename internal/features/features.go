@@ -25,7 +25,6 @@ import (
 	"fgbs/internal/maqao"
 	"fgbs/internal/metrics"
 	"fgbs/internal/sim"
-	"fgbs/internal/stats"
 )
 
 // NumFeatures is the size of the full catalog, matching the paper.
@@ -416,7 +415,7 @@ func fillStructural(v []float64, p *ir.Program, c *ir.Codelet) {
 				stmts++
 			}
 		}
-		tripSum += estTrip(lc, p.Params)
+		tripSum += lc.EstTrip(p.Params)
 	}
 	if total > 0 {
 		v[FStrideUnitShare] = unit / total
@@ -432,27 +431,3 @@ func fillStructural(v []float64, p *ir.Program, c *ir.Codelet) {
 	v[FNumArrays] = float64(len(arrays))
 	v[FDimensionality] = float64(maxDim)
 }
-
-func estTrip(lc *ir.LoopContext, params map[string]int64) float64 {
-	env := make(map[string]int64, len(params)+len(lc.Outer))
-	for k, val := range params {
-		env[k] = val
-	}
-	for _, vv := range lc.Outer {
-		env[vv] = 0
-	}
-	trip := lc.Loop.TripCount(env)
-	if len(lc.Outer) > 0 {
-		for _, vv := range lc.Outer {
-			env[vv] = trip / 2
-		}
-		trip = lc.Loop.TripCount(env)
-	}
-	if trip < 1 {
-		trip = 1
-	}
-	return float64(trip)
-}
-
-// NormalizeMatrix z-scores feature columns across codelets (§3.3).
-func NormalizeMatrix(rows [][]float64) { stats.Normalize(rows) }

@@ -337,6 +337,32 @@ func (l *Loop) TripCount(env map[string]int64) int64 {
 	return n
 }
 
+// EstTrip statically estimates the innermost loop's trip count under
+// params, the weight Step B gives each innermost loop: the enclosing
+// loop variables are first bound to 0 to get a scale, then to half
+// that trip as a midpoint stand-in for triangular nests. The estimate
+// is clamped to at least 1.
+func (lc *LoopContext) EstTrip(params map[string]int64) float64 {
+	env := make(map[string]int64, len(params)+len(lc.Outer))
+	for k, v := range params {
+		env[k] = v
+	}
+	for _, v := range lc.Outer {
+		env[v] = 0
+	}
+	trip := lc.Loop.TripCount(env)
+	if len(lc.Outer) > 0 {
+		for _, v := range lc.Outer {
+			env[v] = trip / 2
+		}
+		trip = lc.Loop.TripCount(env)
+	}
+	if trip < 1 {
+		trip = 1
+	}
+	return float64(trip)
+}
+
 // OpCount tallies the operation mix of a single evaluation of e.
 type OpCount struct {
 	FAdd, FMul, FDiv int64 // floating-point add/sub/min/max, mul, div

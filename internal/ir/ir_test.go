@@ -351,6 +351,37 @@ func TestTripCount(t *testing.T) {
 	}
 }
 
+func TestEstTrip(t *testing.T) {
+	params := map[string]int64{"n": 100, "m": 30}
+	cases := []struct {
+		name string
+		lc   *LoopContext
+		want float64
+	}{
+		// for i in [0,n): for j in [0,m) — the outer variable does
+		// not reach the bounds.
+		{"rectangular", &LoopContext{
+			Loop: &Loop{Var: "j", Lower: AC(0), Upper: AV("m")}, Outer: []string{"i"},
+		}, 30},
+		// for i in [0,n): for j in [i+1,n) — i bound to 0 gives a
+		// scale of 99, then i = 99/2 = 49 gives the midpoint trip.
+		{"triangular", &LoopContext{
+			Loop: &Loop{Var: "j", Lower: AV("i").PlusK(1), Upper: AV("n")}, Outer: []string{"i"},
+		}, 50},
+		{"empty clamped to 1", &LoopContext{
+			Loop: &Loop{Var: "i", Lower: AV("n"), Upper: AV("m")},
+		}, 1},
+	}
+	for _, tc := range cases {
+		if got := tc.lc.EstTrip(params); got != tc.want {
+			t.Errorf("%s: EstTrip = %g, want %g", tc.name, got, tc.want)
+		}
+	}
+	if _, ok := params["i"]; ok {
+		t.Error("EstTrip wrote an outer variable into params")
+	}
+}
+
 func TestCountOps(t *testing.T) {
 	p, c := buildDotProduct(t)
 	_ = p

@@ -10,7 +10,8 @@
 // Here the "binary" is the lowering produced by internal/compile for
 // the reference architecture, so the same quantities are computed from
 // the lowered loops. Metrics for codelets with several innermost loops
-// are aggregated weighted by statically estimated trip counts.
+// are aggregated weighted by statically estimated trip counts
+// (ir.LoopContext.EstTrip).
 package maqao
 
 import (
@@ -103,9 +104,12 @@ func Analyze(p *ir.Program, c *ir.Codelet, m *arch.Machine) Static {
 	var wF32, wFP, wInt, wLoads, wStores, wGather float64
 	var wRegs, wLanes float64
 	var stmtCount, redCount, recCount float64
+	// Vectorized shares of the weighted op counts; wMul, wAddSub and
+	// wInt are the matching totals for the mul, add and int classes.
+	var vMul, vAdd, vOther, tOther, vInt float64
 
 	for _, l := range low.Loops {
-		w := estTripWeight(l.Context, p.Params)
+		w := l.Context.EstTrip(p.Params)
 		totalW += w
 		wInstr += w * l.InstrPerIter
 		wCycles += w * l.CyclesPerIter
@@ -121,6 +125,16 @@ func Analyze(p *ir.Program, c *ir.Codelet, m *arch.Machine) Static {
 		regs := 2.0 // induction + accumulator baseline
 		for _, st := range l.Stmts {
 			o := st.Ops
+			v := 0.0
+			if st.Vectorized {
+				v = 1.0
+			}
+			vMul += w * v * float64(o.FMul)
+			vAdd += w * v * float64(o.FAdd)
+			other := float64(o.FDiv+o.FSqrt+o.FSpecial+o.IntOps) + float64(len(st.Mem))
+			tOther += w * other
+			vOther += w * v * other
+			vInt += w * v * float64(o.IntOps)
 			wDiv += w * float64(o.FDiv)
 			wSpecial += w * float64(o.FSqrt+o.FSpecial)
 			wAddSub += w * float64(o.FAdd)
@@ -200,34 +214,18 @@ func Analyze(p *ir.Program, c *ir.Codelet, m *arch.Machine) Static {
 	}
 	s.RegistersUsed = wRegs / totalW
 
-	r := low.VecRatios(p.Params)
-	s.VecRatioMul = r.Mul
-	s.VecRatioAdd = r.Add
-	s.VecRatioOther = r.Other
-	s.VecRatioInt = r.Int
-	s.VecRatioAll = r.All
+	s.VecRatioMul = ratio(vMul, wMul)
+	s.VecRatioAdd = ratio(vAdd, wAddSub)
+	s.VecRatioOther = ratio(vOther, tOther)
+	s.VecRatioInt = ratio(vInt, wInt)
+	s.VecRatioAll = ratio(vMul+vAdd+vOther, wMul+wAddSub+tOther)
 	return s
 }
 
-// estTripWeight mirrors compile's static trip estimate to weight
-// multiple innermost loops.
-func estTripWeight(lc *ir.LoopContext, params map[string]int64) float64 {
-	env := make(map[string]int64, len(params)+len(lc.Outer))
-	for k, v := range params {
-		env[k] = v
+func ratio(num, den float64) float64 {
+	//fgbs:allow floatcompare exact-zero division guard, not a tolerance comparison
+	if den == 0 {
+		return 0
 	}
-	for _, v := range lc.Outer {
-		env[v] = 0
-	}
-	trip := lc.Loop.TripCount(env)
-	if len(lc.Outer) > 0 {
-		for _, v := range lc.Outer {
-			env[v] = trip / 2
-		}
-		trip = lc.Loop.TripCount(env)
-	}
-	if trip < 1 {
-		trip = 1
-	}
-	return float64(trip)
+	return num / den
 }

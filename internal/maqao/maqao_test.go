@@ -56,6 +56,38 @@ func TestVectorizedLoopHasNoSD(t *testing.T) {
 	}
 }
 
+// TestVectorizationRatios checks the trip-weighted vectorization ratios at
+// their two ends: a vectorized dot-product reduction has every mul and
+// add in vector form, and a loop-carried recurrence has none.
+func TestVectorizationRatios(t *testing.T) {
+	p, c := build(t, "dot", func(p *ir.Program) *ir.Loop {
+		p.AddArray("x", ir.F64, ir.AV("n"))
+		p.AddArray("y", ir.F64, ir.AV("n"))
+		p.AddScalar("s", ir.F64)
+		return &ir.Loop{Var: "i", Lower: ir.AC(0), Upper: ir.AV("n"), Body: []ir.Stmt{
+			&ir.Assign{LHS: p.Ref("s"), RHS: ir.Add(p.LoadE("s"), ir.Mul(p.LoadE("x", ir.V("i")), p.LoadE("y", ir.V("i"))))},
+		}}
+	})
+	s := Analyze(p, c, arch.Nehalem())
+	if s.VecRatioMul != 1 || s.VecRatioAdd != 1 {
+		t.Errorf("fully vectorized reduction: ratios mul=%g add=%g", s.VecRatioMul, s.VecRatioAdd)
+	}
+	p2, c2 := build(t, "rec", func(p *ir.Program) *ir.Loop {
+		p.AddArray("a", ir.F64, ir.AV("n"))
+		p.AddArray("b", ir.F64, ir.AV("n"))
+		return &ir.Loop{Var: "i", Lower: ir.AC(1), Upper: ir.AV("n"), Body: []ir.Stmt{
+			&ir.Assign{
+				LHS: p.Ref("a", ir.V("i")),
+				RHS: ir.Add(ir.Mul(p.LoadE("a", ir.Sub(ir.V("i"), ir.CI(1))), ir.CF(0.5)), p.LoadE("b", ir.V("i"))),
+			},
+		}}
+	})
+	s2 := Analyze(p2, c2, arch.Nehalem())
+	if s2.VecRatioAll != 0 {
+		t.Errorf("scalar recurrence: vec ratio = %g, want 0", s2.VecRatioAll)
+	}
+}
+
 func TestScalarDPLoopReportsSD(t *testing.T) {
 	p, c := build(t, "rec", func(p *ir.Program) *ir.Loop {
 		p.AddArray("a", ir.F64, ir.AV("n"))

@@ -5,6 +5,7 @@ import (
 	"fgbs/internal/features"
 	"fgbs/internal/predict"
 	"fgbs/internal/represent"
+	"fgbs/internal/stats"
 )
 
 // Step C: feature normalization (§3.3) and Ward hierarchical
@@ -22,7 +23,7 @@ func (p *Profile) NormalizedPoints(mask features.Mask) [][]float64 {
 	for i, row := range pts {
 		out[i] = append([]float64(nil), row...)
 	}
-	features.NormalizeMatrix(out)
+	stats.Normalize(out)
 	return out
 }
 

@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"fgbs/internal/arch"
@@ -190,16 +189,6 @@ func (p *Profile) reduction(sub *Subset, t int) predict.ReductionBreakdown {
 // invocation-reduction rule (ablation A4 varies the 1 ms / 10
 // invocation thresholds).
 func (p *Profile) ReductionWithRule(sub *Subset, t int, minBenchSeconds float64, minInvocations int) predict.ReductionBreakdown {
-	rule := func(sa float64) float64 {
-		if sa <= 0 {
-			return float64(minInvocations)
-		}
-		n := math.Ceil(minBenchSeconds / sa)
-		if n < float64(minInvocations) {
-			n = float64(minInvocations)
-		}
-		return n
-	}
 	full := 0.0
 	for _, a := range p.Apps() {
 		full += a.AppTimes(p.TargetInApp[t])
@@ -207,12 +196,12 @@ func (p *Profile) ReductionWithRule(sub *Subset, t int, minBenchSeconds float64,
 	reducedAll := 0.0
 	for i := range p.Codelets {
 		sa := p.TargetStandalone[t][i]
-		reducedAll += rule(sa) * sa
+		reducedAll += extract.BenchSeconds(sa, minBenchSeconds, minInvocations)
 	}
 	reps := 0.0
 	for _, r := range sub.Selection.Reps {
 		sa := p.TargetStandalone[t][r]
-		reps += rule(sa) * sa
+		reps += extract.BenchSeconds(sa, minBenchSeconds, minInvocations)
 	}
 	return predict.Reduction(full, reducedAll, reps)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"fgbs/internal/arch"
 	"fgbs/internal/extract"
@@ -225,28 +226,12 @@ func newProfileDetected(ctx context.Context, ps []*ir.Program, cs []*ir.Codelet,
 // even one that ran under fault escalation — serializes identically to
 // a fault-unaware one.
 func (p *Profile) trimFailureMarkers() {
-	if !anyTrue(p.RefFailed) {
+	if !slices.Contains(p.RefFailed, true) {
 		p.RefFailed = nil
 	}
-	any := false
-	for _, row := range p.TargetFailed {
-		if anyTrue(row) {
-			any = true
-			break
-		}
-	}
-	if !any {
+	if !slices.ContainsFunc(p.TargetFailed, func(row []bool) bool { return slices.Contains(row, true) }) {
 		p.TargetFailed = nil
 	}
-}
-
-func anyTrue(bs []bool) bool {
-	for _, b := range bs {
-		if b {
-			return true
-		}
-	}
-	return false
 }
 
 // N returns the codelet count.

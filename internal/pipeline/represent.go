@@ -17,35 +17,19 @@ func (p *Profile) finishSubset(mask features.Mask, k int, d *cluster.Dendrogram,
 	if cfg.IgnoreScreening {
 		ill = make([]bool, p.N())
 	}
+	sel, err := represent.Select(pts, labels, ill)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.RepStrategy == RepFirst {
-		return p.firstMemberSubset(mask, k, d, pts, labels, ill)
-	}
-	sel, err := represent.Select(pts, labels, ill)
-	if err != nil {
-		return nil, err
-	}
-	model, err := predict.NewModel(p.RefInApp, sel.Labels, sel.Reps)
-	if err != nil {
-		return nil, err
-	}
-	return &Subset{
-		Mask: mask, RequestedK: k, Dendro: d, Points: pts,
-		Selection: sel, Model: model,
-	}, nil
-}
-
-// firstMemberSubset implements RepFirst: the lowest-indexed eligible
-// member of each cluster, with the same dissolution semantics.
-func (p *Profile) firstMemberSubset(mask features.Mask, k int, d *cluster.Dendrogram, pts [][]float64, labels []int, ill []bool) (*Subset, error) {
-	sel, err := represent.Select(pts, labels, ill)
-	if err != nil {
-		return nil, err
-	}
-	for c := range sel.Reps {
-		for i, l := range sel.Labels {
-			if l == c && !ill[i] {
-				sel.Reps[c] = i
-				break
+		// Same clusters and dissolutions; each representative becomes
+		// the cluster's lowest-indexed eligible member.
+		for c := range sel.Reps {
+			for i, l := range sel.Labels {
+				if l == c && !ill[i] {
+					sel.Reps[c] = i
+					break
+				}
 			}
 		}
 	}

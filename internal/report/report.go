@@ -273,23 +273,3 @@ func Figure8(w io.Writer, p *pipeline.Profile, cross, per []pipeline.PerAppPoint
 	}
 	return t.Flush()
 }
-
-// Dendrogram renders the merge history as indented text.
-func Dendrogram(w io.Writer, p *pipeline.Profile, sub *pipeline.Subset) error {
-	if sub.Dendro == nil {
-		fmt.Fprintln(w, "(no dendrogram: externally provided partition)")
-		return nil
-	}
-	for i, m := range sub.Dendro.Merges {
-		fmt.Fprintf(w, "merge %2d: %s + %s (height %.3f, size %d)\n",
-			i, nodeName(p, sub, m.A), nodeName(p, sub, m.B), m.Height, m.Size)
-	}
-	return nil
-}
-
-func nodeName(p *pipeline.Profile, sub *pipeline.Subset, id int) string {
-	if id < p.N() {
-		return p.Codelets[id].Name
-	}
-	return fmt.Sprintf("#%d", id)
-}

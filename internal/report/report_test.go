@@ -216,31 +216,6 @@ func TestFigures(t *testing.T) {
 	}
 }
 
-func TestDendrogram(t *testing.T) {
-	p, sub, _ := fixture(t)
-	var buf bytes.Buffer
-	if err := Dendrogram(&buf, p, sub); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "merge") || !strings.Contains(out, "demo_") {
-		t.Errorf("dendrogram output:\n%s", out)
-	}
-	// External partitions carry no dendrogram.
-	labels := make([]int, p.N())
-	ext, err := p.SubsetFromLabels(features.DefaultMask(), labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := Dendrogram(&buf, p, ext); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "no dendrogram") {
-		t.Error("missing no-dendrogram notice")
-	}
-}
-
 func TestCSVExports(t *testing.T) {
 	p, _, ev := fixture(t)
 	var buf bytes.Buffer

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -207,23 +208,14 @@ func (r *registry) build(suite string, f *flight) {
 // profile: one for the reference machine if any ground-truth
 // measurement was lost, one per target with lost measurements.
 func (r *registry) tripDataBreakers(suite string, prof *pipeline.Profile) {
-	if anyMarked(prof.RefFailed) {
+	if slices.Contains(prof.RefFailed, true) {
 		r.breakers.trip("ref:" + suite)
 	}
 	for t, m := range prof.Targets {
-		if t < len(prof.TargetFailed) && anyMarked(prof.TargetFailed[t]) {
+		if t < len(prof.TargetFailed) && slices.Contains(prof.TargetFailed[t], true) {
 			r.breakers.trip("target:" + suite + "/" + m.Name)
 		}
 	}
-}
-
-func anyMarked(row []bool) bool {
-	for _, v := range row {
-		if v {
-			return true
-		}
-	}
-	return false
 }
 
 // buildStaged resolves the suite through the stage graph. The store

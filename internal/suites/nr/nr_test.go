@@ -117,12 +117,12 @@ func TestAllWellBehavedOnReference(t *testing.T) {
 				errs[i] = err.Error()
 				return
 			}
-			mb, err := extract.Extract(p, c, ref, extract.Options{Seed: 1})
+			sa, err := sim.Measure(p, c, sim.Options{Machine: ref, Mode: sim.ModeStandalone, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
 			if err != nil {
 				errs[i] = err.Error()
 				return
 			}
-			if extract.IllBehaved(mb.Measurement.Seconds, inApp.Seconds) {
+			if extract.IllBehaved(sa.Seconds, inApp.Seconds) {
 				errs[i] = c.Name + " is ill-behaved on the reference"
 			}
 			if inApp.Counters.Cycles < 25000 {
