@@ -33,7 +33,6 @@ import (
 	"fgbs/internal/ir"
 	"fgbs/internal/rng"
 	"fgbs/internal/sim"
-	"fgbs/internal/stats"
 )
 
 // Measurer is the measurement path: anything that can produce a
@@ -329,7 +328,7 @@ func (in *Injector) stream(machine, codelet string, mode sim.Mode, attempt int) 
 // machine-down episodes and injected failures surface as errors,
 // delays and hangs consume real time (bounded by ctx), and noise and
 // outliers perturb the invocation times of an otherwise-successful
-// measurement, re-deriving the median exactly as the simulator does.
+// measurement, re-deriving the median with sim's own rule.
 func (in *Injector) Measure(ctx context.Context, p *ir.Program, c *ir.Codelet, opts sim.Options) (*sim.Measurement, error) {
 	machine := ""
 	if opts.Machine != nil {
@@ -386,8 +385,7 @@ func (in *Injector) Measure(ctx context.Context, p *ir.Program, c *ir.Codelet, o
 }
 
 // perturb scales the measurement's invocation times by per-invocation
-// noise and outlier factors, then re-derives the median summary the
-// same way sim.Measure does.
+// noise and outlier factors, then re-derives the median summary.
 func (in *Injector) perturb(meas *sim.Measurement, rule *Rule, r *rng.RNG) {
 	if rule.NoiseAmp <= 0 && rule.OutlierRate <= 0 {
 		return
@@ -418,21 +416,5 @@ func (in *Injector) perturb(meas *sim.Measurement, rule *Rule, r *rng.RNG) {
 	if outliers > 0 {
 		in.count(func(s *Stats) { s.Outliers += outliers })
 	}
-
-	times := make([]float64, len(meas.Invocations))
-	for i, inv := range meas.Invocations {
-		times[i] = inv.Seconds
-	}
-	meas.Seconds = stats.Median(times)
-	bestIdx, bestDiff := 0, -1.0
-	for i, inv := range meas.Invocations {
-		d := inv.Seconds - meas.Seconds
-		if d < 0 {
-			d = -d
-		}
-		if bestDiff < 0 || d < bestDiff {
-			bestIdx, bestDiff = i, d
-		}
-	}
-	meas.Counters = meas.Invocations[bestIdx].Counters
+	meas.PickMedian(nil)
 }

@@ -44,7 +44,6 @@ func (c tierCodec) Decode(data []byte) (any, error) {
 	}
 	return s, nil
 }
-func (c tierCodec) Persist(any) bool { return true }
 
 func TestPeerTierBreaker(t *testing.T) {
 	ctx := context.Background()

@@ -66,14 +66,9 @@ type Config struct {
 	MADK float64
 	// MaxAttempts bounds tries per measurement (0 = default).
 	MaxAttempts int
-	// BaseBackoff/MaxBackoff shape the retry delays (0 = defaults).
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
 	// AttemptTimeout is the per-attempt deadline (0 = default;
 	// negative disables the per-attempt deadline).
 	AttemptTimeout time.Duration
-	// JitterSeed drives the deterministic backoff jitter.
-	JitterSeed uint64
 	// Sleep waits between retries; tests inject an instant sleeper.
 	// nil uses a real timer honoring ctx.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -89,12 +84,6 @@ func (c *Config) fill() {
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = DefaultMaxAttempts
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = DefaultBaseBackoff
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = DefaultMaxBackoff
 	}
 	if c.AttemptTimeout == 0 {
 		c.AttemptTimeout = DefaultAttemptTimeout
@@ -190,14 +179,14 @@ func (r *Robust) Stats() Stats {
 // backoff returns the delay before retry number attempt (1-based),
 // exponential with deterministic jitter in [0.5, 1.5) of the base
 // value. The jitter stream hashes the measurement identity, so a
-// replay with the same seed backs off identically.
-func (r *Robust) backoff(codelet, machine string, mode sim.Mode, attempt int) time.Duration {
-	d := r.cfg.BaseBackoff << (attempt - 1)
-	if d > r.cfg.MaxBackoff || d <= 0 {
-		d = r.cfg.MaxBackoff
+// replay backs off identically.
+func backoff(codelet, machine string, mode sim.Mode, attempt int) time.Duration {
+	d := DefaultBaseBackoff << (attempt - 1)
+	if d > DefaultMaxBackoff || d <= 0 {
+		d = DefaultMaxBackoff
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "backoff|%d|%s|%s|%d|%d", r.cfg.JitterSeed, codelet, machine, mode, attempt)
+	fmt.Fprintf(h, "backoff|%s|%s|%d|%d", codelet, machine, mode, attempt)
 	jitter := 0.5 + rng.New(h.Sum64()).Float64()
 	return time.Duration(float64(d) * jitter)
 }
@@ -236,7 +225,7 @@ func (r *Robust) Measure(ctx context.Context, p *ir.Program, c *ir.Codelet, opts
 			break
 		}
 		r.retries.Add(1)
-		if err := r.cfg.Sleep(ctx, r.backoff(c.Name, machine, opts.Mode, attempt)); err != nil {
+		if err := r.cfg.Sleep(ctx, backoff(c.Name, machine, opts.Mode, attempt)); err != nil {
 			return nil, err
 		}
 	}
@@ -277,21 +266,6 @@ func (r *Robust) summarize(meas *sim.Measurement) *sim.Measurement {
 		return meas
 	}
 	r.rejected.Add(int64(len(times) - len(keep)))
-	kept := make([]float64, len(keep))
-	for j, i := range keep {
-		kept[j] = times[i]
-	}
-	meas.Seconds = stats.Median(kept)
-	bestIdx, bestDiff := keep[0], -1.0
-	for _, i := range keep {
-		d := times[i] - meas.Seconds
-		if d < 0 {
-			d = -d
-		}
-		if bestDiff < 0 || d < bestDiff {
-			bestIdx, bestDiff = i, d
-		}
-	}
-	meas.Counters = meas.Invocations[bestIdx].Counters
+	meas.PickMedian(keep)
 	return meas
 }

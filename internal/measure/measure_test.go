@@ -178,22 +178,21 @@ func TestMADRejectsInjectedOutliers(t *testing.T) {
 }
 
 func TestBackoffIsExponentialBoundedAndDeterministic(t *testing.T) {
-	r := New(nil, Config{BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond})
 	var prev time.Duration
 	for attempt := 1; attempt <= 6; attempt++ {
-		d := r.backoff("c", "m", sim.ModeInApp, attempt)
-		if d <= 0 || d > time.Duration(1.5*float64(8*time.Millisecond)) {
+		d := backoff("c", "m", sim.ModeInApp, attempt)
+		if d <= 0 || d > time.Duration(1.5*float64(DefaultMaxBackoff)) {
 			t.Errorf("attempt %d: backoff %v out of bounds", attempt, d)
 		}
 		if attempt <= 3 && d <= prev/4 {
 			t.Errorf("attempt %d: backoff %v not growing from %v", attempt, d, prev)
 		}
 		prev = d
-		if again := r.backoff("c", "m", sim.ModeInApp, attempt); again != d {
+		if again := backoff("c", "m", sim.ModeInApp, attempt); again != d {
 			t.Errorf("backoff not deterministic: %v vs %v", d, again)
 		}
 	}
-	if r.backoff("c", "m", sim.ModeInApp, 1) == r.backoff("c2", "m", sim.ModeInApp, 1) {
+	if backoff("c", "m", sim.ModeInApp, 1) == backoff("c2", "m", sim.ModeInApp, 1) {
 		t.Errorf("jitter identical across identities")
 	}
 }

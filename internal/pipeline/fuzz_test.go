@@ -23,6 +23,7 @@ func FuzzDecodeProfile(f *testing.F) {
 	enc := encodeProfile(f, clean)
 	f.Add(enc)
 	f.Add(encodeProfile(f, degradedProfile(f)))
+	f.Add(encodeProfile(f, reorderedProfile(clean)))
 	f.Add(enc[:len(enc)/2])
 	f.Add(enc[:profileHeaderLen])
 	f.Add(enc[:len(enc)-1])

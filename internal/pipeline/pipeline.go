@@ -61,11 +61,11 @@ type Options struct {
 	Seed uint64
 	// Workers bounds concurrent measurements (0 = GOMAXPROCS).
 	Workers int
-	// Measurer replaces the raw simulator on the measurement path —
-	// typically a measure.Robust stacked over a fault.Injector. nil
-	// keeps the direct simulator call, byte-identical to earlier
-	// releases. With a non-nil Measurer, measurement failures no longer
-	// abort the profile: they escalate into the §3.4 screening
-	// machinery (see Profile.RefFailed / Profile.TargetFailed).
+	// Measurer replaces the clean simulator (fault.Sim, the nil
+	// default) on the measurement path — typically a measure.Robust
+	// stacked over a fault.Injector. With a non-nil Measurer,
+	// measurement failures no longer abort the profile: they escalate
+	// into the §3.4 screening machinery (see Profile.RefFailed /
+	// Profile.TargetFailed).
 	Measurer fault.Measurer
 }

@@ -9,6 +9,7 @@ import (
 	"fgbs/internal/arch"
 	"fgbs/internal/extract"
 	"fgbs/internal/fanout"
+	"fgbs/internal/fault"
 	"fgbs/internal/features"
 	"fgbs/internal/ir"
 	"fgbs/internal/maqao"
@@ -138,22 +139,21 @@ func newProfileDetected(ctx context.Context, ps []*ir.Program, cs []*ir.Codelet,
 		datasets[p] = ds
 	}
 
-	measure := func(i int, m *arch.Machine, mode sim.Mode) (*sim.Measurement, error) {
-		o := sim.Options{
-			Machine: m, Mode: mode, Seed: opts.Seed,
-			Dataset: datasets[ps[i]], ProbeCycles: -1, NoiseAmp: -1,
-		}
-		if opts.Measurer != nil {
-			return opts.Measurer.Measure(ctx, ps[i], cs[i], o)
-		}
-		return sim.Measure(ps[i], cs[i], o)
-	}
-
-	// With a fault-aware Measurer, a measurement that exhausted its
+	// With a caller's Measurer, a measurement that exhausted its
 	// retries degrades the codelet instead of aborting the whole
 	// profile. Cancellation still aborts: a dying server is not a
 	// flaky target.
 	escalate := opts.Measurer != nil
+	measurer := opts.Measurer
+	if measurer == nil {
+		measurer = fault.Sim{}
+	}
+	measure := func(i int, m *arch.Machine, mode sim.Mode) (*sim.Measurement, error) {
+		return measurer.Measure(ctx, ps[i], cs[i], sim.Options{
+			Machine: m, Mode: mode, Seed: opts.Seed,
+			Dataset: datasets[ps[i]], ProbeCycles: -1, NoiseAmp: -1,
+		})
+	}
 	if escalate {
 		pr.RefFailed = make([]bool, n)
 		for range opts.Targets {

@@ -252,10 +252,10 @@ func (r *profileReader) machine() *arch.Machine {
 }
 
 // decodeProfile decodes a binary profile against a detected codelet
-// inventory (ps, cs: Detect's aligned output), binding each serialized
-// codelet to the suite's by (app, name). The suite must contain exactly
-// the serialized codelets, in any program order. data is only read;
-// the profile keeps no reference to it.
+// inventory (ps, cs: Detect's aligned output), binding the serialized
+// codelets to the suite's by position. The suite must list exactly the
+// serialized codelets, in the same order. data is only read; the
+// profile keeps no reference to it.
 func decodeProfile(data []byte, ps []*ir.Program, cs []*ir.Codelet) (*Profile, error) {
 	if !bytes.HasPrefix(data, []byte(profileMagic)) {
 		return nil, fmt.Errorf("pipeline: not a binary profile (bad magic)")
@@ -352,37 +352,22 @@ func decodeProfile(data []byte, ps []*ir.Program, cs []*ir.Codelet) (*Profile, e
 	return p, nil
 }
 
-// bindCodelets reads the N (app, codelet) name pairs and binds each to
-// the suite's codelet of that name. The encoder writes Detect order,
-// so position j is tried first; any other order falls back to an
-// index. Every suite codelet must be bound exactly once.
+// bindCodelets reads the N (app, codelet) name pairs and binds the
+// pair at position j to the suite's codelet j. The profile compute
+// writes Detect order and the detect key hashes programs and codelets
+// in order, so an artifact filed under its key lists them in exactly
+// that order; any other order is rejected.
 func bindCodelets(r *profileReader, p *Profile, ps []*ir.Program, cs []*ir.Codelet) error {
-	type id struct{ app, name string }
-	var index map[id]int
-	bound := make([]bool, len(cs))
 	for j := range p.Codelets {
 		app, name := r.name(), r.name()
 		if r.err != nil {
 			return r.err
 		}
-		i := j
-		if string(app) != ps[i].Name || string(name) != cs[i].Name {
-			if index == nil {
-				index = make(map[id]int, len(cs))
-				for k := range cs {
-					index[id{ps[k].Name, cs[k].Name}] = k
-				}
-			}
-			var ok bool
-			if i, ok = index[id{string(app), string(name)}]; !ok {
-				return fmt.Errorf("pipeline: profile codelet %s/%s not in suite", app, name)
-			}
+		if string(app) != ps[j].Name || string(name) != cs[j].Name {
+			return fmt.Errorf("pipeline: profile codelet %d is %s/%s, suite has %s/%s there",
+				j, app, name, ps[j].Name, cs[j].Name)
 		}
-		if bound[i] {
-			return fmt.Errorf("pipeline: profile lists codelet %s/%s twice", app, name)
-		}
-		bound[i] = true
-		p.Progs[j], p.Codelets[j] = ps[i], cs[i]
+		p.Progs[j], p.Codelets[j] = ps[j], cs[j]
 	}
 	return nil
 }

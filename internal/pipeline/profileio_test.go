@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -70,6 +71,33 @@ func degradedProfile(tb testing.TB) *Profile {
 		tb.Fatal("degraded fixture lacks a failure marker")
 	}
 	return degradedProf
+}
+
+// reorderedProfile is a clean p with its first two codelets swapped
+// in every per-codelet slice: a consistent profile of the same suite,
+// listed out of Detect order.
+func reorderedProfile(p *Profile) *Profile {
+	q := *p
+	q.Progs = swapFirstTwo(p.Progs)
+	q.Codelets = swapFirstTwo(p.Codelets)
+	q.RefInApp = swapFirstTwo(p.RefInApp)
+	q.RefStandalone = swapFirstTwo(p.RefStandalone)
+	q.IllBehaved = swapFirstTwo(p.IllBehaved)
+	q.Discarded = swapFirstTwo(p.Discarded)
+	q.Features = swapFirstTwo(p.Features)
+	q.TargetInApp = make([][]float64, len(p.TargetInApp))
+	q.TargetStandalone = make([][]float64, len(p.TargetStandalone))
+	for t := range p.Targets {
+		q.TargetInApp[t] = swapFirstTwo(p.TargetInApp[t])
+		q.TargetStandalone[t] = swapFirstTwo(p.TargetStandalone[t])
+	}
+	return &q
+}
+
+func swapFirstTwo[T any](s []T) []T {
+	s = slices.Clone(s)
+	s[0], s[1] = s[1], s[0]
+	return s
 }
 
 func TestProfileRoundTrip(t *testing.T) {
@@ -230,13 +258,20 @@ func TestReadProfileRejectsGarbage(t *testing.T) {
 		"flag byte 2":     edit(func(b []byte) []byte { b[flagsAt] = 2; return b }),
 		"unknown machine": edit(func(b []byte) []byte { b[nameAt+4] = 'X'; return b }),
 	}
-	// A suite codelet bound twice (and so another never) is rejected
-	// even though every name is in the suite.
+	// A suite codelet listed twice (and so another never) is rejected
+	// at the position of the repeat, even though every name is in the
+	// suite.
 	dup := *tinyProfile(t)
 	dup.Codelets = append([]*ir.Codelet(nil), dup.Codelets...)
 	dup.Codelets[1] = dup.Codelets[0]
-	if _, err := decodeProfile(encodeProfile(t, &dup), ps, cs); err == nil || !strings.Contains(err.Error(), "twice") {
-		t.Errorf("duplicate codelet: error = %v, want a 'twice' rejection", err)
+	if _, err := decodeProfile(encodeProfile(t, &dup), ps, cs); err == nil || !strings.Contains(err.Error(), "codelet 1 is") {
+		t.Errorf("duplicate codelet: error = %v, want a position-1 rejection", err)
+	}
+	// A valid profile of the same suite listed out of Detect order
+	// cannot have been filed under the suite's key: it is rejected at
+	// the first position that differs.
+	if _, err := decodeProfile(encodeProfile(t, reorderedProfile(tinyProfile(t))), ps, cs); err == nil || !strings.Contains(err.Error(), "codelet 0 is") {
+		t.Errorf("reordered codelets: error = %v, want a position-0 rejection", err)
 	}
 	for name, data := range cases {
 		if _, err := decodeProfile(data, ps, cs); err == nil {

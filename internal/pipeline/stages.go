@@ -153,18 +153,24 @@ func (c profileCodec) Decode(data []byte) (any, error) {
 	return decodeProfile(data, c.det.ps, c.det.cs)
 }
 
-// Persist keeps degraded profiles off disk: a restart should retry the
-// failed measurements, not resurrect the outage.
-func (c profileCodec) Persist(v any) bool {
-	return !v.(*Profile).Degraded()
+// degradedBuild carries a degraded profile out of the profile
+// compute as a failure, because the store keeps a failed compute
+// nowhere: a degraded profile is served to the resolve and to every
+// caller coalesced onto it, but neither memoized nor written to a byte
+// tier, so the next resolve (a half-open recovery probe, say) retries
+// the measurements instead of resurrecting the outage.
+type degradedBuild struct {
+	prof *Profile
 }
+
+func (e *degradedBuild) Error() string { return "pipeline: degraded profile build" }
 
 // ResolveProfile resolves the Detect and Profile stages for progs
 // through store, computing them only when no stored artifact matches.
 // The profile persists through the store's byte tiers, when it has
-// any. The Outcome reports how the profile stage was satisfied
-// (memory/coalesced/disk/peer vs computed). Any number of callers may
-// share one store.
+// any; a degraded profile is returned but stored nowhere. The Outcome
+// reports how the profile stage was satisfied (memory/coalesced/disk/
+// peer vs computed). Any number of callers may share one store.
 func ResolveProfile(ctx context.Context, store *stage.Store, progs []*ir.Program, opts StageOptions) (*Staged, stage.Outcome, error) {
 	if opts.Measurer != nil && opts.MeasurerKey == "" {
 		return nil, stage.Outcome{}, errUnkeyedMeasurer
@@ -187,19 +193,20 @@ func ResolveProfile(ctx context.Context, store *stage.Store, progs []*ir.Program
 	// calling NewProfileContext, which would re-run Detect: Detect runs
 	// exactly once per detect key, cold or warm.
 	v, out, err := store.Resolve(ctx, "profile", pk, profileCodec{det: det}, func(ctx context.Context) (any, error) {
-		return newProfileDetected(ctx, det.ps, det.cs, opts.Options)
+		prof, err := newProfileDetected(ctx, det.ps, det.cs, opts.Options)
+		if err == nil && prof.Degraded() {
+			return nil, &degradedBuild{prof: prof}
+		}
+		return prof, err
 	})
+	var db *degradedBuild
+	if errors.As(err, &db) {
+		v, err = db.prof, nil
+	}
 	if err != nil {
 		return nil, out, err
 	}
 	prof := v.(*Profile)
-	if prof.Degraded() {
-		// A degraded profile is served but never memoized — the memory
-		// analogue of profileCodec.Persist: the next resolve (a
-		// half-open recovery probe, say) must retry the measurements,
-		// not resurrect the outage from the LRU.
-		store.Delete(pk)
-	}
 	return &Staged{store: store, prof: prof, key: stagedKey(pk, prof)}, out, nil
 }
 
@@ -247,7 +254,9 @@ type Staged struct {
 // Profile returns the underlying profile.
 func (s *Staged) Profile() *Profile { return s.prof }
 
-// Key returns the profile stage's content address.
+// Key returns the key the derived stages resolve under: the profile
+// stage's content address for a clean profile, and a per-build key for
+// a degraded one (see stagedKey).
 func (s *Staged) Key() stage.Key { return s.key }
 
 // Subset is Profile.Subset through the stage graph: Evaluate with no

@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fgbs/internal/arch"
 	"fgbs/internal/fault"
@@ -480,6 +482,93 @@ func TestDegradedAdoptionsGetDistinctKeys(t *testing.T) {
 	}
 	if got := store.Stats().Total.Hits; got != hits {
 		t.Errorf("second degraded adoption hit %d of the first one's artifacts", got-hits)
+	}
+}
+
+// gatedMeasurer is flakyMeasurer held at a gate: the first
+// measurement closes started, and every measurement waits for release.
+type gatedMeasurer struct {
+	flakyMeasurer
+	n       atomic.Int64
+	once    sync.Once
+	started chan struct{}
+	release chan struct{}
+}
+
+func (m *gatedMeasurer) Measure(ctx context.Context, p *ir.Program, c *ir.Codelet, opts sim.Options) (*sim.Measurement, error) {
+	m.n.Add(1)
+	m.once.Do(func() { close(m.started) })
+	<-m.release
+	return m.flakyMeasurer.Measure(ctx, p, c, opts)
+}
+
+// TestCoalescedDegradedBuildStoredNowhere: two callers coalesced on one
+// degraded build both get its profile from a single build, and
+// afterwards neither the value LRU nor the disk tier holds it — the
+// store's own rule for a failed compute, with no window in which a
+// third resolve could be served the degraded profile.
+func TestCoalescedDegradedBuildStoredNowhere(t *testing.T) {
+	newMeasurer := func() *gatedMeasurer {
+		return &gatedMeasurer{flakyMeasurer: flakyMeasurer{broken: "beta_gather"},
+			started: make(chan struct{}), release: make(chan struct{})}
+	}
+	ctx := context.Background()
+	// One monolithic build's measurement count, for comparison.
+	solo := newMeasurer()
+	close(solo.release)
+	if _, err := NewProfileContext(ctx, chaosSuite(), Options{Seed: 1, Measurer: solo}); err != nil {
+		t.Fatal(err)
+	}
+
+	gm := newMeasurer()
+	dir := t.TempDir()
+	store := stage.NewStore(16, dir)
+	opts := StageOptions{Options: Options{Seed: 1, Measurer: gm}, MeasurerKey: "gated"}
+	var sts [2]*Staged
+	var outs [2]stage.Outcome
+	var errs [2]error
+	var wg sync.WaitGroup
+	resolve := func(i int) {
+		defer wg.Done()
+		sts[i], outs[i], errs[i] = ResolveProfile(ctx, store, chaosSuite(), opts)
+	}
+	wg.Add(1)
+	go resolve(0)
+	<-gm.started // the build is in flight; the second caller must join it
+	wg.Add(1)
+	go resolve(1)
+	for store.Stats().Stages["profile"].Joined == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	close(gm.release)
+	wg.Wait()
+
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+		if !sts[i].Profile().Degraded() {
+			t.Fatalf("caller %d got a clean profile", i)
+		}
+	}
+	if sts[0].Profile() != sts[1].Profile() {
+		t.Error("coalesced callers got different profiles")
+	}
+	if outs[0].Cached || !outs[1].Cached {
+		t.Errorf("outcomes = %+v, want the builder's computed and the joiner's cached", outs)
+	}
+	if n, want := gm.n.Load(), solo.n.Load(); n != want {
+		t.Errorf("coalesced resolves ran %d measurements, want one build's %d", n, want)
+	}
+	if c := store.Stats().Stages["profile"]; c.Computes != 1 || c.Joined != 1 {
+		t.Errorf("profile counters = %+v, want 1 compute and 1 join", c)
+	}
+	pk := profileKey(detectKey(chaosSuite()), opts.Options, opts.MeasurerKey)
+	if _, ok := store.Get(pk); ok {
+		t.Error("degraded profile memoized in the value LRU")
+	}
+	if _, err := os.Stat(filepath.Join(dir, pk.String()+".art")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("degraded profile reached disk (stat err = %v)", err)
 	}
 }
 

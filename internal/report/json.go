@@ -1,8 +1,10 @@
 package report
 
 import (
+	"cmp"
 	"encoding/json"
 	"io"
+	"slices"
 
 	"fgbs/internal/pipeline"
 )
@@ -195,13 +197,11 @@ func NewSelectJSON(p *pipeline.Profile, sub *pipeline.Subset, evals []*pipeline.
 			Reduction:               ev.Reduction.Total,
 		})
 	}
-	// Insertion sort by predicted speedup, best first: the list is a
-	// handful of machines, and stability keeps ties in target order.
-	for i := 1; i < len(sj.Ranking); i++ {
-		for j := i; j > 0 && sj.Ranking[j].GeoMeanPredictedSpeedup > sj.Ranking[j-1].GeoMeanPredictedSpeedup; j-- {
-			sj.Ranking[j], sj.Ranking[j-1] = sj.Ranking[j-1], sj.Ranking[j]
-		}
-	}
+	// By predicted speedup, best first; stability keeps ties in target
+	// order.
+	slices.SortStableFunc(sj.Ranking, func(a, b SelectEntryJSON) int {
+		return cmp.Compare(b.GeoMeanPredictedSpeedup, a.GeoMeanPredictedSpeedup)
+	})
 	if len(sj.Ranking) > 0 {
 		sj.BestPredicted = sj.Ranking[0].Target
 		best := 0
@@ -215,13 +215,18 @@ func NewSelectJSON(p *pipeline.Profile, sub *pipeline.Subset, evals []*pipeline.
 	}
 
 	// Per-application winners: fastest predicted vs. fastest measured
-	// whole-application time across the targets.
+	// whole-application time across the targets. A degraded entry's
+	// sums count failed measurements as zeros, so it never wins; an app
+	// degraded on every target has no winners and does not agree.
 	if len(evals) > 0 {
 		for a := range evals[0].Apps {
 			w := AppWinnerJSON{App: evals[0].Apps[a].Name}
 			predBest, realBest := 0.0, 0.0
 			for _, ev := range evals {
 				ae := ev.Apps[a]
+				if ae.Degraded {
+					continue
+				}
 				if w.PredictedWinner == "" || ae.PredSec < predBest {
 					w.PredictedWinner, predBest = ev.Target.Name, ae.PredSec
 				}
@@ -229,7 +234,7 @@ func NewSelectJSON(p *pipeline.Profile, sub *pipeline.Subset, evals []*pipeline.
 					w.MeasuredWinner, realBest = ev.Target.Name, ae.ActualSec
 				}
 			}
-			w.Agree = w.PredictedWinner == w.MeasuredWinner
+			w.Agree = w.PredictedWinner != "" && w.PredictedWinner == w.MeasuredWinner
 			sj.Apps = append(sj.Apps, w)
 		}
 	}

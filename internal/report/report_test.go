@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"fgbs/internal/features"
 	"fgbs/internal/ir"
 	"fgbs/internal/pipeline"
+	"fgbs/internal/represent"
 )
 
 // Fixture: a small heterogeneous suite profiled once per test binary.
@@ -286,5 +288,47 @@ func TestDendrogramTree(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "no dendrogram") {
 		t.Error("missing fallback notice")
+	}
+}
+
+// TestSelectJSONSkipsDegradedApps: a degraded AppEval sums its failed
+// measurements as zeros, so it must never win an application; an app
+// degraded on every target has no winners and does not agree. The
+// ranking keeps predicted-speedup ties in target order.
+func TestSelectJSONSkipsDegradedApps(t *testing.T) {
+	ms := arch.Targets()
+	app := func(name string, pred, actual float64, degraded bool) pipeline.AppEval {
+		return pipeline.AppEval{Name: name, PredSec: pred, ActualSec: actual, Degraded: degraded}
+	}
+	evals := []*pipeline.Eval{
+		{Target: ms[0], GeoMeanPredictedSpeedup: 1.5, GeoMeanRealSpeedup: 1, Apps: []pipeline.AppEval{
+			app("clean", 2, 2, false), app("partial", 0.1, 0.1, true), app("lost", 0, 0, true),
+		}},
+		{Target: ms[1], GeoMeanPredictedSpeedup: 2, GeoMeanRealSpeedup: 3, Apps: []pipeline.AppEval{
+			app("clean", 1, 1, false), app("partial", 5, 4, false), app("lost", 0, 0, true),
+		}},
+		{Target: ms[2], GeoMeanPredictedSpeedup: 1.5, GeoMeanRealSpeedup: 2, Apps: []pipeline.AppEval{
+			app("clean", 3, 3, false), app("partial", 4, 5, false), app("lost", 0, 0, true),
+		}},
+	}
+	sj := NewSelectJSON(nil, &pipeline.Subset{Selection: &represent.Selection{K: 2}}, evals)
+
+	var ranking []string
+	for _, e := range sj.Ranking {
+		ranking = append(ranking, e.Target)
+	}
+	if want := []string{ms[1].Name, ms[0].Name, ms[2].Name}; !slices.Equal(ranking, want) {
+		t.Errorf("ranking = %v, want %v", ranking, want)
+	}
+	if sj.BestPredicted != ms[1].Name || sj.BestMeasured != ms[1].Name || !sj.Agree {
+		t.Errorf("best predicted/measured = %s/%s agree=%v, want %s twice", sj.BestPredicted, sj.BestMeasured, sj.Agree, ms[1].Name)
+	}
+	want := []AppWinnerJSON{
+		{App: "clean", PredictedWinner: ms[1].Name, MeasuredWinner: ms[1].Name, Agree: true},
+		{App: "partial", PredictedWinner: ms[2].Name, MeasuredWinner: ms[1].Name},
+		{App: "lost"},
+	}
+	if !slices.Equal(sj.Apps, want) {
+		t.Errorf("apps = %+v\nwant   %+v", sj.Apps, want)
 	}
 }

@@ -176,7 +176,7 @@ func Measure(p *ir.Program, c *ir.Codelet, opts Options) (*Measurement, error) {
 			Index: k, Seconds: ctr.Seconds, Counters: ctr,
 		})
 	}
-	meas.pickMedian()
+	meas.PickMedian(nil)
 	return meas, nil
 }
 
@@ -254,17 +254,27 @@ func setup(p *ir.Program, c *ir.Codelet, opts *Options) (*prepared, *cache.Hiera
 	return pr, h, meas, nil
 }
 
-// pickMedian sets Seconds to the median invocation time and attaches
-// the counters of the invocation closest to it.
-func (meas *Measurement) pickMedian() {
-	times := make([]float64, len(meas.Invocations))
-	for i, inv := range meas.Invocations {
-		times[i] = inv.Seconds
+// PickMedian sets Seconds to the median time of the invocations at
+// the indices in keep (ascending; nil keeps them all) and Counters to
+// the counters of the kept invocation closest to that median, the
+// lowest index on ties. Every layer that re-derives a measurement's
+// summary (fault injection, MAD rejection) calls it, so the rule has
+// one owner.
+func (meas *Measurement) PickMedian(keep []int) {
+	if keep == nil {
+		keep = make([]int, len(meas.Invocations))
+		for i := range keep {
+			keep[i] = i
+		}
+	}
+	times := make([]float64, len(keep))
+	for j, i := range keep {
+		times[j] = meas.Invocations[i].Seconds
 	}
 	meas.Seconds = stats.Median(times)
-	bestIdx, bestDiff := 0, -1.0
-	for i, inv := range meas.Invocations {
-		d := inv.Seconds - meas.Seconds
+	bestIdx, bestDiff := keep[0], -1.0
+	for j, i := range keep {
+		d := times[j] - meas.Seconds
 		if d < 0 {
 			d = -d
 		}

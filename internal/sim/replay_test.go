@@ -51,7 +51,7 @@ func measureWalkingEvery(p *ir.Program, c *ir.Codelet, opts Options) (*Measureme
 			Index: k, Seconds: ctr.Seconds, Counters: ctr,
 		})
 	}
-	meas.pickMedian()
+	meas.PickMedian(nil)
 	return meas, nil
 }
 

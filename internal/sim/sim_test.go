@@ -356,6 +356,40 @@ func TestMedianOverInvocations(t *testing.T) {
 	}
 }
 
+// TestPickMedian pins the one median rule every measurement layer
+// shares: Seconds is the median over the kept invocations, Counters the
+// kept invocation closest to it, the lowest index on ties.
+func TestPickMedian(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		times   []float64
+		keep    []int
+		seconds float64
+		counter int
+	}{
+		{name: "all, odd", times: []float64{3, 1, 2}, seconds: 2, counter: 2},
+		{name: "all, tie", times: []float64{1, 3, 2, 4}, seconds: 2.5, counter: 1},
+		{name: "kept subset, tie", times: []float64{1, 100, 3, 5, 4}, keep: []int{0, 2, 3, 4}, seconds: 3.5, counter: 2},
+		{name: "kept subset, one", times: []float64{7, 100}, keep: []int{1}, seconds: 100, counter: 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			meas := &Measurement{}
+			for i, s := range c.times {
+				meas.Invocations = append(meas.Invocations, Invocation{
+					Index: i, Seconds: s, Counters: Counters{Seconds: s, Cycles: float64(i)},
+				})
+			}
+			meas.PickMedian(c.keep)
+			if meas.Seconds != c.seconds {
+				t.Errorf("Seconds = %g, want %g", meas.Seconds, c.seconds)
+			}
+			if got := int(meas.Counters.Cycles); got != c.counter {
+				t.Errorf("Counters from invocation %d, want %d", got, c.counter)
+			}
+		})
+	}
+}
+
 func TestTriangularLoopRuns(t *testing.T) {
 	p := ir.NewProgram("tri")
 	p.SetParam("n", 300)

@@ -85,7 +85,7 @@ func FuzzUnframe(f *testing.F) {
 // fresh artifact replaces the corrupt one on disk.
 func TestQuarantine(t *testing.T) {
 	dir := t.TempDir()
-	codec := testCodec{persist: true}
+	codec := testCodec{}
 	ctx := context.Background()
 	s := NewStore(4, dir)
 	if _, _, err := s.Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
@@ -140,7 +140,7 @@ func TestQuarantine(t *testing.T) {
 // resolve recomputes and republishes a framed artifact.
 func TestUnframedDiskArtifactQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	codec := testCodec{persist: true}
+	codec := testCodec{}
 	path := artPath(dir, testKey(1))
 	if err := os.WriteFile(path, []byte("unframed-artifact"), 0o644); err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestDiskBreaker(t *testing.T) {
 	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	codec := testCodec{persist: true}
+	codec := testCodec{}
 	ctx := context.Background()
 	s := NewStore(4, dir)
 	// Tier ops are driven through put directly so each call is exactly

@@ -346,9 +346,7 @@ func TestStoreResolvePanicSafety(t *testing.T) {
 }
 
 // testCodec persists string artifacts as plain text.
-type testCodec struct {
-	persist bool
-}
+type testCodec struct{}
 
 // artPath is the disk tier's file for key under dir.
 func artPath(dir string, key Key) string {
@@ -366,11 +364,9 @@ func (c testCodec) Decode(data []byte) (any, error) {
 	return string(data), nil
 }
 
-func (c testCodec) Persist(v any) bool { return c.persist }
-
 func TestStoreDiskRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	codec := testCodec{persist: true}
+	codec := testCodec{}
 	ctx := context.Background()
 	calls := 0
 	compute := func(context.Context) (any, error) {
@@ -406,7 +402,7 @@ func TestStoreDiskRoundtrip(t *testing.T) {
 
 func TestStoreCorruptDiskArtifactRebuilds(t *testing.T) {
 	dir := t.TempDir()
-	codec := testCodec{persist: true}
+	codec := testCodec{}
 	if err := os.WriteFile(artPath(dir, testKey(1)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -430,17 +426,27 @@ func TestStoreCorruptDiskArtifactRebuilds(t *testing.T) {
 	}
 }
 
-func TestStoreNoPersistStaysOffDisk(t *testing.T) {
+// TestStoreFailedComputeStaysOffDisk pins the one rule that keeps an
+// artifact out of reuse: a compute that returns an error is stored
+// nowhere, not even on a disk-backed store, yet it still counts as a
+// compute, so Misses - Computes stays the count of tier-served misses.
+func TestStoreFailedComputeStaysOffDisk(t *testing.T) {
 	dir := t.TempDir()
-	codec := testCodec{persist: false}
 	s := NewStore(4, dir)
-	if _, _, err := s.Resolve(context.Background(), "test", testKey(1), codec, func(context.Context) (any, error) {
-		return "degraded", nil
-	}); err != nil {
-		t.Fatal(err)
+	errFailed := errors.New("compute failed")
+	if _, _, err := s.Resolve(context.Background(), "test", testKey(1), testCodec{}, func(context.Context) (any, error) {
+		return "partial", errFailed
+	}); !errors.Is(err, errFailed) {
+		t.Fatalf("err = %v, want the compute's error", err)
 	}
 	if _, err := os.Stat(artPath(dir, testKey(1))); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("non-persistable artifact reached disk (stat err = %v)", err)
+		t.Errorf("failed compute reached disk (stat err = %v)", err)
+	}
+	if _, ok := s.Get(testKey(1)); ok {
+		t.Error("failed compute reached the value LRU")
+	}
+	if c := s.Stats().Stages["test"]; c.Misses != 1 || c.Computes != 1 {
+		t.Errorf("counters = %+v, want 1 miss and 1 compute", c)
 	}
 }
 
@@ -450,7 +456,7 @@ func TestStoreNoPersistStaysOffDisk(t *testing.T) {
 // verifiable frame, no staging residue.
 func TestSaveDiskBytesIdentical(t *testing.T) {
 	dir := t.TempDir()
-	codec := testCodec{persist: true}
+	codec := testCodec{}
 	ctx := context.Background()
 	const payload = "artifact-bytes-0123456789"
 	s := NewStore(4, dir)
@@ -490,7 +496,7 @@ func TestPooledBuffersDoNotLeakAcrossArtifacts(t *testing.T) {
 		"another-small-one",
 	}
 	for i, payload := range payloads {
-		codec := testCodec{persist: true}
+		codec := testCodec{}
 		s := NewStore(4, dir)
 		p := payload
 		if _, _, err := s.Resolve(ctx, "test", testKey(100+i), codec, func(context.Context) (any, error) {

@@ -27,10 +27,6 @@ type Codec interface {
 	// data is only valid during the call: a codec copies what it
 	// keeps. Any error means "rebuild", never "fail".
 	Decode(data []byte) (any, error)
-	// Persist reports whether v should be written at all — the hook
-	// that keeps degraded profiles off disk (a restart should retry the
-	// measurements, not resurrect the outage).
-	Persist(v any) bool
 }
 
 // Counters is one hit/miss row, either a per-stage breakdown entry or
@@ -44,8 +40,9 @@ type Counters struct {
 	// Misses that entered fill (tier probe, then compute).
 	Misses int64 `json:"misses"`
 	// Computes are misses no tier could satisfy: the stage's compute
-	// function actually ran. Misses - Computes = misses served from a
-	// byte tier (each tier's hits are under Stats.Tiers).
+	// function ran and returned, with or without an error. Misses -
+	// Computes = misses served from a byte tier (each tier's hits are
+	// under Stats.Tiers).
 	Computes int64 `json:"computes"`
 }
 
@@ -78,8 +75,9 @@ const (
 
 // Outcome reports how one Resolve was satisfied.
 type Outcome struct {
-	// Cached means compute did not run: the value came from the LRU,
-	// from a coalesced in-flight computation, or from a byte tier.
+	// Cached means this caller's compute did not run: the value came
+	// from the LRU, from a coalesced in-flight computation (whose error,
+	// if it failed, the caller shares), or from a byte tier.
 	Cached bool
 	// Tier names the byte tier that served the artifact ("" when it
 	// came from the value LRU, a coalesced flight, or compute).
@@ -173,7 +171,8 @@ func (s *Store) counterLocked(stage string) *Counters {
 // Resolve returns the artifact stored under key, computing and storing
 // it on a miss. Exactly one caller runs compute per key at a time;
 // concurrent resolves of the same key wait for that caller's outcome.
-// A failed compute is not stored — the flight is dropped so a later
+// A failed compute is stored nowhere, neither in the value LRU nor in
+// a byte tier: its coalesced waiters get the same error, and a later
 // Resolve retries. ctx bounds this caller's wait and is the context
 // compute runs under; a caller whose ctx expires while coalesced gives
 // up alone, without aborting the computing caller.
@@ -197,10 +196,7 @@ func (s *Store) Resolve(ctx context.Context, stage string, key Key, codec Codec,
 		case <-ctx.Done():
 			return nil, Outcome{}, ctx.Err()
 		}
-		if f.err != nil {
-			return nil, Outcome{}, f.err
-		}
-		return f.val, Outcome{Cached: true, Tier: f.out.Tier}, nil
+		return f.val, Outcome{Cached: true, Tier: f.out.Tier}, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	s.inflight[key] = f
@@ -273,13 +269,13 @@ func (s *Store) fill(ctx context.Context, stage string, key Key, codec Codec, co
 		}
 	}
 	v, err := compute(ctx)
-	if err != nil {
-		return nil, Outcome{}, err
-	}
 	s.mu.Lock()
 	s.counterLocked(stage).Computes++
 	s.mu.Unlock()
-	if tiered && codec.Persist(v) {
+	if err != nil {
+		return nil, Outcome{}, err
+	}
+	if tiered {
 		s.writeThrough(ctx, key, codec, v)
 	}
 	return v, Outcome{}, nil

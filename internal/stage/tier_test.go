@@ -41,7 +41,7 @@ func artifactPeer(t *testing.T, held map[Key]string) (*httptest.Server, *atomic.
 // never sends a request to the peer.
 func TestNewStoreChain(t *testing.T) {
 	ctx := context.Background()
-	codec := testCodec{persist: true}
+	codec := testCodec{}
 	for _, c := range []struct {
 		name      string
 		dir, peer bool
@@ -116,7 +116,7 @@ func TestNewStoreChain(t *testing.T) {
 func TestTierPromotion(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	codec := testCodec{persist: true}
+	codec := testCodec{}
 	peer, requests := artifactPeer(t, map[Key]string{testKey(1): "peer-artifact"})
 	s := NewStore(4, dir, peer.URL)
 	noCompute := func(context.Context) (any, error) {
@@ -226,7 +226,7 @@ func TestHTTPBackendCorruptResponseQuarantined(t *testing.T) {
 func TestFetchFramed(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	codec := testCodec{persist: true}
+	codec := testCodec{}
 	s := NewStore(4, dir)
 	if _, _, err := s.Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
 		return "served", nil
@@ -264,7 +264,7 @@ func TestPeerUnframedBodyQuarantined(t *testing.T) {
 	}))
 	defer peer.Close()
 	s := NewStore(4, t.TempDir(), peer.URL)
-	codec := testCodec{persist: true}
+	codec := testCodec{}
 
 	v, out, err := s.Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
 		return "computed", nil
@@ -299,7 +299,7 @@ func TestFetchFramedSkipsRemoteTiers(t *testing.T) {
 	dir := t.TempDir()
 	peer, requests := artifactPeer(t, map[Key]string{testKey(1): "remote"})
 	s := NewStore(4, dir, peer.URL)
-	codec := testCodec{persist: true}
+	codec := testCodec{}
 	if _, _, err := s.Resolve(ctx, "test", testKey(1), codec, func(context.Context) (any, error) {
 		t.Error("peer tier should have served the resolve")
 		return nil, nil
@@ -336,7 +336,7 @@ func TestFetchFramedSkipsRemoteTiers(t *testing.T) {
 func TestRestartedStoreServesDirectory(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
-	if _, _, err := NewStore(4, dir).Resolve(ctx, "test", testKey(1), testCodec{persist: true}, func(context.Context) (any, error) {
+	if _, _, err := NewStore(4, dir).Resolve(ctx, "test", testKey(1), testCodec{}, func(context.Context) (any, error) {
 		return "persisted", nil
 	}); err != nil {
 		t.Fatal(err)
@@ -386,9 +386,8 @@ func TestRestartedStoreServesDirectory(t *testing.T) {
 
 // TestKeysListsOnlyServable pins the artifact index against its read
 // path: Keys lists a key only once a local tier holds its bytes, so
-// every listed key is one FetchFramed can serve. A failed compute, an
-// artifact its codec declines to persist and a key only a peer holds
-// are all unlisted.
+// every listed key is one FetchFramed can serve. A failed compute and
+// a key only a peer holds are both unlisted.
 func TestKeysListsOnlyServable(t *testing.T) {
 	ctx := context.Background()
 	fail := func(context.Context) (any, error) { return nil, errors.New("compute failed") }
@@ -398,15 +397,13 @@ func TestKeysListsOnlyServable(t *testing.T) {
 		name    string
 		dir     bool
 		peers   []string
-		persist bool
 		compute func(context.Context) (any, error)
 		listed  bool
 	}{
-		{name: "failed compute", dir: true, persist: true, compute: fail},
-		{name: "not persisted", dir: true, persist: false, compute: ok},
-		{name: "peer only", peers: []string{peer.URL}, persist: true, compute: fail},
-		{name: "written through", dir: true, persist: true, compute: ok, listed: true},
-		{name: "promoted from peer", dir: true, peers: []string{peer.URL}, persist: true, compute: fail, listed: true},
+		{name: "failed compute", dir: true, compute: fail},
+		{name: "peer only", peers: []string{peer.URL}, compute: fail},
+		{name: "written through", dir: true, compute: ok, listed: true},
+		{name: "promoted from peer", dir: true, peers: []string{peer.URL}, compute: fail, listed: true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var dir string
@@ -414,8 +411,7 @@ func TestKeysListsOnlyServable(t *testing.T) {
 				dir = t.TempDir()
 			}
 			s := NewStore(4, dir, c.peers...)
-			codec := testCodec{persist: c.persist}
-			s.Resolve(ctx, "test", testKey(1), codec, c.compute)
+			s.Resolve(ctx, "test", testKey(1), testCodec{}, c.compute)
 			_, fetchErr := s.FetchFramed(ctx, testKey(1))
 			if keys := s.Keys(); c.listed != (len(keys) == 1) || len(keys) > 1 {
 				t.Errorf("Keys() = %v, want listed=%v (FetchFramed err = %v)", keys, c.listed, fetchErr)
