@@ -115,10 +115,13 @@ go test -run '^$' -fuzz '^FuzzLevelMatchesReference$' -fuzztime 10s ./internal/c
 # The simulator's differential fuzz: sim.Measure, which replays an
 # invocation whose start state (cache words with dirty bits, parameter
 # values) repeats the last walked one and jumps an innermost loop over
-# a line run after an iteration that hits L1 on every ref, against the
-# oracle kept in the test code, which walks every iteration of every
-# invocation (measureWalkingEvery with runEveryIteration). Inputs are
-# every machine, both modes and fuzzed invocation counts and seeds over
+# a line run after an iteration that hits L1 on every ref, and
+# sim.MeasureGroup, which walks once for all machines of an L1 geometry
+# over shared cache levels, against the oracle kept in the test code,
+# which walks every iteration of every invocation on one machine
+# (measureWalkingEvery with runEveryIteration). Inputs are every
+# machine, fuzzed machine groups (duplicates included), both modes and
+# fuzzed invocation counts and seeds over
 # every corpus family, a composed app, a NAS codelet with dataset
 # variation, an in-place sweep and the line-run kernels (refs sharing
 # an L1 set up to ways+1 lines, negative, zero and line-sized strides,

@@ -47,6 +47,29 @@ type CacheLevel struct {
 	LatencyCycles float64
 }
 
+// SameGeometry reports whether c and o have equal size, ways and line
+// size: two such levels fed the same accesses hold the same lines.
+func (c CacheLevel) SameGeometry(o CacheLevel) bool {
+	return c.SizeBytes == o.SizeBytes && c.Ways == o.Ways && c.LineBytes == o.LineBytes
+}
+
+// GroupByGeometry partitions the indices of levels into groups of equal
+// geometry (SameGeometry), in order of first appearance.
+func GroupByGeometry(levels []CacheLevel) [][]int {
+	var groups [][]int
+next:
+	for i, l := range levels {
+		for g, group := range groups {
+			if levels[group[0]].SameGeometry(l) {
+				groups[g] = append(group, i)
+				continue next
+			}
+		}
+		groups = append(groups, []int{i})
+	}
+	return groups
+}
+
 // Machine is one system model.
 type Machine struct {
 	Name string

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -91,6 +90,16 @@ func benchSuite() []*ir.Program {
 // benchMask is the feature mask the pipeline specs cluster under.
 var benchMask = features.DefaultMask()
 
+// benchProfile profiles benchSuite at seed 1 and returns the profile
+// with the store's codec for it.
+func benchProfile(ctx context.Context) (*pipeline.Profile, stage.Codec, error) {
+	prof, err := pipeline.NewProfileContext(ctx, benchSuite(), pipeline.Options{Seed: 1})
+	if err != nil {
+		return nil, nil, err
+	}
+	return prof, pipeline.ProfileCodec(prof.Progs, prof.Codelets), nil
+}
+
 // countingMeasurer wraps the clean simulator and counts invocations;
 // the warm-sweep spec asserts the count stays flat while stages hit.
 type countingMeasurer struct {
@@ -100,6 +109,38 @@ type countingMeasurer struct {
 func (m *countingMeasurer) Measure(ctx context.Context, p *ir.Program, c *ir.Codelet, opts sim.Options) (*sim.Measurement, error) {
 	m.n.Add(1)
 	return fault.Sim{}.Measure(ctx, p, c, opts)
+}
+
+// nasMeasured is one codelet measured by the sim specs, with its
+// options.
+type nasMeasured struct {
+	p    *ir.Program
+	c    *ir.Codelet
+	opts sim.Options
+}
+
+// nasMeasureWork returns LU's lu_rhs_x stencil, LU's lu_l2norm
+// reduction and CG's indirect cg_matvec, each measured in-app on the
+// reference machine at seed 1 over a prebuilt dataset.
+func nasMeasureWork() ([]nasMeasured, error) {
+	want := map[string]bool{"lu_rhs_x": true, "lu_l2norm": true, "cg_matvec": true}
+	var work []nasMeasured
+	for _, p := range []*ir.Program{nas.LU(), nas.CG()} {
+		ds, err := sim.BuildDataset(p, 1)
+		if err != nil {
+			return nil, err
+		}
+		opts := sim.Options{Machine: arch.Reference(), Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1, Dataset: ds}
+		for _, c := range p.Codelets {
+			if want[c.Name] {
+				work = append(work, nasMeasured{p, c, opts})
+			}
+		}
+	}
+	if len(work) != len(want) {
+		return nil, fmt.Errorf("found %d of the NAS codelets %v", len(work), want)
+	}
+	return work, nil
 }
 
 func init() {
@@ -170,27 +211,9 @@ func init() {
 		Name: "sim/measure-nas",
 		Doc:  "sim.Measure in-app on NAS codelets: a unit-stride stencil, a stride-1 reduction and CG's indirect matvec",
 		Setup: func(ctx context.Context) (*Instance, error) {
-			type measured struct {
-				p    *ir.Program
-				c    *ir.Codelet
-				opts sim.Options
-			}
-			want := map[string]bool{"lu_rhs_x": true, "lu_l2norm": true, "cg_matvec": true}
-			var work []measured
-			for _, p := range []*ir.Program{nas.LU(), nas.CG()} {
-				ds, err := sim.BuildDataset(p, 1)
-				if err != nil {
-					return nil, err
-				}
-				opts := sim.Options{Machine: arch.Reference(), Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1, Dataset: ds}
-				for _, c := range p.Codelets {
-					if want[c.Name] {
-						work = append(work, measured{p, c, opts})
-					}
-				}
-			}
-			if len(work) != len(want) {
-				return nil, fmt.Errorf("found %d of the NAS codelets %v", len(work), want)
+			work, err := nasMeasureWork()
+			if err != nil {
+				return nil, err
 			}
 			op := func() error {
 				for _, w := range work {
@@ -199,6 +222,35 @@ func init() {
 						return err
 					}
 					sink.Add(uint64(m.Counters.LevelHits[0]))
+				}
+				return nil
+			}
+			return &Instance{Op: op}, nil
+		},
+	})
+
+	Register(Spec{
+		Name: "sim/measure-group",
+		Doc:  "sim.MeasureGroup on the sim/measure-nas codelets: the reference and the three targets in one call, both modes",
+		Setup: func(ctx context.Context) (*Instance, error) {
+			work, err := nasMeasureWork()
+			if err != nil {
+				return nil, err
+			}
+			machines := arch.All()
+			op := func() error {
+				for _, w := range work {
+					for _, mode := range []sim.Mode{sim.ModeInApp, sim.ModeStandalone} {
+						opts := w.opts
+						opts.Mode = mode
+						ms, err := sim.MeasureGroup(w.p, w.c, machines, opts)
+						if err != nil {
+							return err
+						}
+						for _, m := range ms {
+							sink.Add(uint64(m.Counters.LevelHits[0]))
+						}
+					}
 				}
 				return nil
 			}
@@ -292,46 +344,48 @@ func init() {
 
 	Register(Spec{
 		Name: "stage/codec-roundtrip",
-		Doc:  "profile artifact through the store's disk codec: encode to disk, decode back",
+		Doc:  "profile artifact through the store's codec in memory: encode, decode back",
 		Setup: func(ctx context.Context) (*Instance, error) {
-			progs := benchSuite()
-			prof, err := pipeline.NewProfileContext(ctx, progs, pipeline.Options{Seed: 1})
+			prof, codec, err := benchProfile(ctx)
 			if err != nil {
 				return nil, err
 			}
-			dir, err := os.MkdirTemp("", "fgbs-bench-codec-*")
-			if err != nil {
-				return nil, err
-			}
-			store := stage.NewStore(8, dir)
-			codec := pipeline.ProfileCodec(prof.Progs, prof.Codelets)
-			key := stage.NewKey("bench-codec", 1).Str("profile").Key()
-			// The disk tier's file for key.
-			path := filepath.Join(dir, key.String()+".art")
+			var buf []byte
 			op := func() error {
-				// Encode: a computed artifact persists through the codec.
-				store.Delete(key)
-				if err := os.RemoveAll(path); err != nil {
+				var err error
+				if buf, err = codec.Encode(buf[:0], prof); err != nil {
 					return err
 				}
-				if _, _, err := store.Resolve(ctx, "bench-codec", key, codec, func(context.Context) (any, error) {
-					return prof, nil
-				}); err != nil {
-					return err
-				}
-				// Decode: evicting the memory copy forces the disk read.
-				store.Delete(key)
-				v, out, err := store.Resolve(ctx, "bench-codec", key, codec, func(context.Context) (any, error) {
-					return nil, fmt.Errorf("decode path must not recompute")
-				})
+				v, err := codec.Decode(buf)
 				if err != nil {
 					return err
 				}
-				if out.Tier != stage.TierDisk {
-					return fmt.Errorf("second resolve not served from disk")
-				}
 				sink.Add(uint64(v.(*pipeline.Profile).N()))
 				return nil
+			}
+			return &Instance{Op: op}, nil
+		},
+	})
+
+	Register(Spec{
+		Name: "stage/publish",
+		Doc:  "durable write of the framed profile artifact stage/codec-roundtrip encodes: tmp file, fsync, rename, directory fsync",
+		Setup: func(ctx context.Context) (*Instance, error) {
+			prof, codec, err := benchProfile(ctx)
+			if err != nil {
+				return nil, err
+			}
+			payload, err := codec.Encode(nil, prof)
+			if err != nil {
+				return nil, err
+			}
+			data := stage.Frame(payload)
+			dir, err := os.MkdirTemp("", "fgbs-bench-publish-*")
+			if err != nil {
+				return nil, err
+			}
+			op := func() error {
+				return stage.Publish(dir, "bench.art", data, "", "")
 			}
 			return &Instance{Op: op, Cleanup: func() { os.RemoveAll(dir) }}, nil
 		},
@@ -543,12 +597,10 @@ func init() {
 		Name: "stage/peer-fetch",
 		Doc:  "peer tier fetch: profile artifact served over HTTP from a warm peer, frame-verified, never recomputed",
 		Setup: func(ctx context.Context) (*Instance, error) {
-			progs := benchSuite()
-			prof, err := pipeline.NewProfileContext(ctx, progs, pipeline.Options{Seed: 1})
+			prof, codec, err := benchProfile(ctx)
 			if err != nil {
 				return nil, err
 			}
-			codec := pipeline.ProfileCodec(prof.Progs, prof.Codelets)
 			key := stage.NewKey("bench-peer", 1).Str("profile").Key()
 			payload, err := codec.Encode(nil, prof)
 			if err != nil {

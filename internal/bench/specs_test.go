@@ -23,9 +23,11 @@ func TestRegistryShape(t *testing.T) {
 		"pipeline/ksweep-warm",
 		"server/evaluate-miss",
 		"sim/bottleneck",
+		"sim/measure-group",
 		"sim/measure-nas",
 		"stage/codec-roundtrip",
 		"stage/key-hash",
+		"stage/publish",
 		"stage/restart-read",
 		"stats/median-mad",
 	}

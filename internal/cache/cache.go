@@ -7,13 +7,15 @@
 // through this simulator configured with each machine's geometry from
 // internal/arch.
 //
-// The model is a single-threaded, inclusive, write-allocate,
-// write-back hierarchy with true-LRU replacement per set — simple,
-// deterministic and sufficient for the capacity/locality distinctions
-// the method relies on (L1-resident vs. streaming vs. LLC-resident
-// working sets). Each set is a run of packed line<<1|dirty words in
-// most-recently-used-first order: a lookup is one scan and the victim
-// is the tail word.
+// The model is a single-threaded, write-allocate, write-back hierarchy
+// with true-LRU replacement per set — simple, deterministic and
+// sufficient for the capacity/locality distinctions the method relies
+// on (L1-resident vs. streaming vs. LLC-resident working sets). It is
+// not inclusive: a level's eviction never invalidates another level's
+// line, so machines whose levels from L1 down have equal geometry can
+// share those levels (see Hierarchy). Each set is a run of packed
+// line<<1|dirty words in most-recently-used-first order: a lookup is
+// one scan and the victim is the tail word.
 package cache
 
 import (
@@ -26,7 +28,6 @@ import (
 
 // Level is one simulated cache level.
 type Level struct {
-	name      string
 	ways      int
 	lineShift uint
 	setMask   int64
@@ -40,6 +41,15 @@ type Level struct {
 	Misses int64
 	// Writebacks counts dirty evictions (write-back traffic).
 	Writebacks int64
+
+	// The Hierarchy that owns the level counts the misses and dirty
+	// evictions its write-back touches caused (see Hierarchy.Access),
+	// which are not DRAM traffic, and stamps the level with the tick
+	// of the last access that hit it.
+	touchMisses, touchWritebacks int64
+	hitTick                      uint64
+
+	spec arch.CacheLevel
 }
 
 // NewLevel builds a level from arch geometry.
@@ -56,7 +66,7 @@ func NewLevel(cl arch.CacheLevel) (*Level, error) {
 		return nil, fmt.Errorf("cache %s: set count %d not a power of two", cl.Name, sets)
 	}
 	l := &Level{
-		name:      cl.Name,
+		spec:      cl,
 		ways:      cl.Ways,
 		lineShift: uint(bits.TrailingZeros64(uint64(cl.LineBytes))),
 		setMask:   sets - 1,
@@ -67,7 +77,7 @@ func NewLevel(cl arch.CacheLevel) (*Level, error) {
 }
 
 // Name returns the level's name (L1, L2, ...).
-func (l *Level) Name() string { return l.name }
+func (l *Level) Name() string { return l.spec.Name }
 
 // set returns the ways of the set (non-negative) addr maps to, and
 // addr's line.
@@ -129,63 +139,186 @@ func (l *Level) Flush() {
 // cache contents.
 func (l *Level) ResetCounters() {
 	l.Hits, l.Misses, l.Writebacks = 0, 0, 0
+	l.touchMisses, l.touchWritebacks = 0, 0
 }
 
-// Hierarchy chains the levels of one machine.
+// Hierarchy simulates the cache hierarchies of one or more machines
+// that share an L1 geometry, as one tree of levels. A level is shared
+// by every machine whose levels from L1 down to it have equal
+// geometry (size, ways, line size): fills happen on demand only and
+// no eviction reaches another level's contents, so a level's state
+// and counters depend only on its geometry and on the accesses that
+// reach it, and those are equal for every such machine. For one
+// machine the tree is its chain of levels.
 type Hierarchy struct {
-	Levels []*Level
-	// MemAccesses counts line fills that reached DRAM.
-	MemAccesses int64
-	// MemWritebacks counts dirty lines written back to DRAM.
-	MemWritebacks int64
-	lineBytes     int64
+	// Levels lists every distinct level in depth-first order, L1
+	// first. Machine 0's levels come first, in order; for one machine
+	// they are all of them.
+	Levels    []*Level
+	lineBytes int64
+
+	// Indexed like Levels: the indices of the levels right below
+	// each, and the index past its subtree.
+	children [][]int
+	skip     []int
+	tick     uint64 // counts the accesses that missed L1
+	l1Hit    bool   // the last access hit L1
+
+	machines [][]*Level // each machine's levels, L1 first
 }
 
-// NewHierarchy builds the full hierarchy for machine m.
-func NewHierarchy(m *arch.Machine) (*Hierarchy, error) {
-	h := &Hierarchy{}
-	for _, cl := range m.Caches {
-		l, err := NewLevel(cl)
-		if err != nil {
-			return nil, fmt.Errorf("cache: machine %s: %w", m.Name, err)
-		}
-		h.Levels = append(h.Levels, l)
+// NewHierarchy builds the hierarchy of machines ms, which must all
+// have the same L1 geometry. Machine i is the i-th of ms; a machine
+// may be listed more than once.
+func NewHierarchy(ms ...*arch.Machine) (*Hierarchy, error) {
+	if len(ms) == 0 {
+		return nil, fmt.Errorf("cache: no machine given")
 	}
-	h.lineBytes = m.Caches[0].LineBytes
+	all := make([]int, len(ms))
+	for i, m := range ms {
+		if len(m.Caches) == 0 {
+			return nil, fmt.Errorf("cache: machine %s has no cache levels", m.Name)
+		}
+		if !m.Caches[0].SameGeometry(ms[0].Caches[0]) {
+			return nil, fmt.Errorf("cache: machine %s: L1 geometry differs from machine %s's", m.Name, ms[0].Name)
+		}
+		all[i] = i
+	}
+	h := &Hierarchy{
+		lineBytes: ms[0].Caches[0].LineBytes,
+		machines:  make([][]*Level, len(ms)),
+	}
+	if err := h.grow(ms, all, 0); err != nil {
+		return nil, err
+	}
 	return h, nil
 }
 
-// LineBytes returns the hierarchy's line size.
-func (h *Hierarchy) LineBytes() int64 { return h.lineBytes }
-
-// Access sends one reference down the hierarchy and returns the index
-// of the level that hit (0 = L1), or len(Levels) if it went to memory.
-//
-// A miss in level i is looked up in level i+1; fills propagate back up
-// (every level on the path allocates the line, keeping the hierarchy
-// inclusive). Dirty victims are written back to the next level — with
-// a known quirk, kept because fixing it moves every profile byte (see
-// DESIGN.md): the write-back passes the demand addr, not the victim's
-// line, so it fills the demand line one level down, the demand lookup
-// then hits there, and MemAccesses undercounts store streams.
-func (h *Hierarchy) Access(addr int64, write bool) int {
-	for i, l := range h.Levels {
-		hit, dirtyEvict := l.Access(addr, write)
-		if dirtyEvict {
-			if i+1 < len(h.Levels) {
-				// A write touch of the next level (demand addr, see
-				// above); its own eviction is not propagated.
-				_, _ = h.Levels[i+1].Access(addr, true)
-			} else {
-				h.MemWritebacks++
-			}
-		}
-		if hit {
-			return i
+// grow appends the level at depth d that machines ms[i], i in members,
+// share, then the levels below it, depth first.
+func (h *Hierarchy) grow(ms []*arch.Machine, members []int, d int) error {
+	first := ms[members[0]]
+	l, err := NewLevel(first.Caches[d])
+	if err != nil {
+		return fmt.Errorf("cache: machine %s: %w", first.Name, err)
+	}
+	at := len(h.Levels)
+	h.Levels = append(h.Levels, l)
+	h.children = append(h.children, nil)
+	h.skip = append(h.skip, 0)
+	var below []int
+	for _, i := range members {
+		h.machines[i] = append(h.machines[i], l)
+		if d+1 < len(ms[i].Caches) {
+			below = append(below, i)
 		}
 	}
-	h.MemAccesses++
-	return len(h.Levels)
+	next := make([]arch.CacheLevel, len(below))
+	for j, i := range below {
+		next[j] = ms[i].Caches[d+1]
+	}
+	for _, group := range arch.GroupByGeometry(next) {
+		for j := range group {
+			group[j] = below[group[j]]
+		}
+		h.children[at] = append(h.children[at], len(h.Levels))
+		if err := h.grow(ms, group, d+1); err != nil {
+			return err
+		}
+	}
+	h.skip[at] = len(h.Levels)
+	return nil
+}
+
+// LineBytes returns the L1 line size.
+func (h *Hierarchy) LineBytes() int64 { return h.lineBytes }
+
+// MachineLevels returns machine i's levels, L1 first. Machines share
+// the levels they have in common.
+func (h *Hierarchy) MachineLevels(i int) []*Level { return h.machines[i] }
+
+// MemAccesses returns how many of machine i's line fills reached
+// DRAM: the demand misses of its last level.
+func (h *Hierarchy) MemAccesses(i int) int64 {
+	last := h.machines[i][len(h.machines[i])-1]
+	return last.Misses - last.touchMisses
+}
+
+// MemWritebacks returns how many of machine i's dirty lines were
+// written back to DRAM: the dirty demand evictions of its last level.
+func (h *Hierarchy) MemWritebacks(i int) int64 {
+	last := h.machines[i][len(h.machines[i])-1]
+	return last.Writebacks - last.touchWritebacks
+}
+
+// Served returns the index of machine i's level that served the last
+// access (0 = L1), or its level count if the access went to memory.
+func (h *Hierarchy) Served(i int) int {
+	if h.l1Hit {
+		return 0
+	}
+	for k, l := range h.machines[i] {
+		if l.hitTick == h.tick {
+			return k
+		}
+	}
+	return len(h.machines[i])
+}
+
+// Access sends one reference down the hierarchy and returns the index
+// of the level that served it on machine 0 (see Served for the
+// others). L1 is shared, so 0 means every machine hit L1.
+//
+// A miss in a level is looked up in each level below it; fills
+// propagate back up (every level on the path allocates the line).
+// Dirty victims are written back to each level below — with a known
+// quirk, kept because fixing it moves every profile byte (see
+// DESIGN.md): the write-back passes the demand addr, not the victim's
+// line, so it fills the demand line one level down, the demand lookup
+// then hits there, and DRAM fills undercount store streams.
+//
+// Levels are visited depth first, skipping the subtree of every level
+// that hit, so a level is looked up exactly when every level above it
+// missed. Machine 0's levels are the first ones visited.
+func (h *Hierarchy) Access(addr int64, write bool) int {
+	hit, dirtyEvict := h.Levels[0].Access(addr, write)
+	if h.l1Hit = hit; hit {
+		return 0
+	}
+	h.tick++
+	served := len(h.machines[0])
+	for i := 0; ; {
+		if dirtyEvict {
+			h.touch(i, addr)
+		}
+		next := i + 1
+		if hit {
+			h.Levels[i].hitTick = h.tick
+			served = min(served, i)
+			next = h.skip[i]
+		}
+		if next == len(h.Levels) {
+			return served
+		}
+		i = next
+		hit, dirtyEvict = h.Levels[i].Access(addr, write)
+	}
+}
+
+// touch writes the dirty victim of Levels[i] back to each level right
+// below it: a write of the demand addr (see Access), whose own
+// eviction is not propagated.
+func (h *Hierarchy) touch(i int, addr int64) {
+	for _, c := range h.children[i] {
+		l := h.Levels[c]
+		hit, dirtyEvict := l.Access(addr, true)
+		if !hit {
+			l.touchMisses++
+		}
+		if dirtyEvict {
+			l.touchWritebacks++
+		}
+	}
 }
 
 // AppendState appends every level's packed set words, dirty bits
@@ -230,8 +363,6 @@ func (h *Hierarchy) ResetCounters() {
 	for _, l := range h.Levels {
 		l.ResetCounters()
 	}
-	h.MemAccesses = 0
-	h.MemWritebacks = 0
 }
 
 // Preload streams the byte range [base, base+size) through the

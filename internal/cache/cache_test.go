@@ -145,8 +145,8 @@ func TestHierarchyLevels(t *testing.T) {
 	if lvl := h.Access(0, false); lvl != 0 {
 		t.Errorf("warm access level = %d, want 0", lvl)
 	}
-	if h.MemAccesses != 1 {
-		t.Errorf("MemAccesses = %d", h.MemAccesses)
+	if h.MemAccesses(0) != 1 {
+		t.Errorf("MemAccesses = %d", h.MemAccesses(0))
 	}
 }
 
@@ -160,12 +160,12 @@ func TestHierarchyL2Resident(t *testing.T) {
 		h.Access(a, false)
 	}
 	l2Before := h.Levels[1].Hits
-	memBefore := h.MemAccesses
+	memBefore := h.MemAccesses(0)
 	for a := int64(0); a < ws; a += 64 {
 		h.Access(a, false)
 	}
-	if h.MemAccesses != memBefore {
-		t.Errorf("second pass went to memory %d times", h.MemAccesses-memBefore)
+	if h.MemAccesses(0) != memBefore {
+		t.Errorf("second pass went to memory %d times", h.MemAccesses(0)-memBefore)
 	}
 	if h.Levels[1].Hits == l2Before {
 		t.Error("no L2 hits on second pass over L2-resident set")
@@ -280,7 +280,7 @@ func TestCounterConservation(t *testing.T) {
 		// Every L1 miss must be accounted for downstream: hits at
 		// deeper levels plus memory accesses, modulo write-back
 		// traffic which adds accesses (never removes).
-		deeper := h.MemAccesses
+		deeper := h.MemAccesses(0)
 		for _, l := range h.Levels[1:] {
 			deeper += l.Hits
 		}
@@ -299,11 +299,96 @@ func TestDeterminism(t *testing.T) {
 		for i := 0; i < 50000; i++ {
 			h.Access(r.Int63n(1<<22), r.Bool(0.25))
 		}
-		return h.Levels[0].Misses, h.Levels[len(h.Levels)-1].Misses, h.MemAccesses
+		return h.Levels[0].Misses, h.Levels[len(h.Levels)-1].Misses, h.MemAccesses(0)
 	}
 	a1, b1, c1 := run()
 	a2, b2, c2 := run()
 	if a1 != a2 || b1 != b2 || c1 != c2 {
 		t.Error("cache simulation not deterministic")
+	}
+}
+
+// A hierarchy shared by machines gives each machine exactly what its
+// own hierarchy gives: the serving level of every access, every
+// counter of its levels, its DRAM traffic and its levels' contents.
+func TestSharedHierarchyMatchesOwn(t *testing.T) {
+	prefix := arch.Nehalem()
+	prefix.Name = "Nehalem L1-L2"
+	prefix.Caches = prefix.Caches[:2]
+	tiny := func(name string, l2Ways int) *arch.Machine {
+		return smallMachine(name, 64, [3]int{2, l2Ways, 4})
+	}
+	groups := [][]*arch.Machine{
+		{arch.Nehalem(), arch.Core2(), arch.SandyBridge()},
+		{arch.SandyBridge(), prefix, arch.Nehalem(), arch.NehalemNoVec()},
+		{arch.Core2(), arch.Core2()},
+		{arch.Atom()},
+		{tiny("a", 1), tiny("b", 2), tiny("c", 1)},
+	}
+	for g, ms := range groups {
+		shared, err := NewHierarchy(ms...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var own []*Hierarchy
+		for _, m := range ms {
+			own = append(own, newHier(t, m))
+		}
+		r := rng.New(uint64(g) + 1)
+		span := ms[0].LastLevelSize() * 4
+		const steps = 30000
+		for step := 0; step < steps; step++ {
+			switch k := r.Intn(1000); {
+			case k < 2:
+				shared.Flush()
+				for _, h := range own {
+					h.Flush()
+				}
+			case k < 4:
+				shared.ResetCounters()
+				for _, h := range own {
+					h.ResetCounters()
+				}
+			case k < 5:
+				base, size := r.Int63n(span), r.Int63n(span/8)+1
+				shared.Preload(base, size)
+				for _, h := range own {
+					h.Preload(base, size)
+				}
+			default:
+				addr, write := r.Int63n(span), r.Bool(0.3)
+				if k < 500 {
+					addr = int64(step*8) % span
+				}
+				first := shared.Access(addr, write)
+				for i, h := range own {
+					if got, want := shared.Served(i), h.Access(addr, write); got != want || i == 0 && first != want {
+						t.Fatalf("group %d step %d: %s served at %d (Access %d), want %d", g, step, ms[i].Name, got, first, want)
+					}
+				}
+			}
+			for i, h := range own {
+				if shared.MemAccesses(i) != h.MemAccesses(0) || shared.MemWritebacks(i) != h.MemWritebacks(0) {
+					t.Fatalf("group %d step %d: %s memory accesses/writebacks = %d/%d, want %d/%d", g, step, ms[i].Name,
+						shared.MemAccesses(i), shared.MemWritebacks(i), h.MemAccesses(0), h.MemWritebacks(0))
+				}
+				for j, l := range shared.MachineLevels(i) {
+					w := h.Levels[j]
+					contents := step%1000 == 0 || step == steps-1
+					if l.Hits != w.Hits || l.Misses != w.Misses || l.Writebacks != w.Writebacks || contents && !reflect.DeepEqual(l.words, w.words) {
+						t.Fatalf("group %d step %d: %s %s differs from its own hierarchy's", g, step, ms[i].Name, w.Name())
+					}
+				}
+			}
+		}
+	}
+	if _, err := NewHierarchy(arch.Nehalem(), arch.Atom()); err == nil {
+		t.Error("machines with different L1s share a hierarchy")
+	}
+	if h := newHier(t, arch.Nehalem()); len(h.Levels) != 3 {
+		t.Errorf("one machine's hierarchy has %d levels, want its 3", len(h.Levels))
+	}
+	if h, _ := NewHierarchy(arch.Nehalem(), arch.SandyBridge(), arch.Core2()); len(h.Levels) != 5 {
+		t.Errorf("Nehalem, Sandy Bridge and Core 2 share %d levels, want 5 (L1, L2, two L3s, Core 2's L2)", len(h.Levels))
 	}
 }

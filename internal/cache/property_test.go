@@ -50,7 +50,7 @@ func TestMemoryTrafficBounded(t *testing.T) {
 		}
 		last := h.Levels[len(h.Levels)-1]
 		// Every DRAM fill corresponds to a miss at the last level.
-		return h.MemAccesses <= last.Misses
+		return h.MemAccesses(0) <= last.Misses
 	}, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
@@ -69,12 +69,12 @@ func TestResidencyProperty(t *testing.T) {
 		for a := int64(0); a < ws; a += 64 {
 			h.Access(a, false)
 		}
-		before := h.MemAccesses
+		before := h.MemAccesses(0)
 		for a := int64(0); a < ws; a += 64 {
 			h.Access(a, false)
 		}
-		if h.MemAccesses != before {
-			t.Errorf("%s: %d DRAM accesses on a resident second pass", m.Name, h.MemAccesses-before)
+		if h.MemAccesses(0) != before {
+			t.Errorf("%s: %d DRAM accesses on a resident second pass", m.Name, h.MemAccesses(0)-before)
 		}
 	}
 }

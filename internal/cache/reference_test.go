@@ -255,9 +255,9 @@ func (d *diffHarness) resetCounters() {
 // address at every level.
 func (d *diffHarness) check(probes ...int64) {
 	d.tb.Helper()
-	if d.h.MemAccesses != d.ref.MemAccesses || d.h.MemWritebacks != d.ref.MemWritebacks {
+	if d.h.MemAccesses(0) != d.ref.MemAccesses || d.h.MemWritebacks(0) != d.ref.MemWritebacks {
 		d.fail("memory accesses/writebacks = %d/%d, want %d/%d",
-			d.h.MemAccesses, d.h.MemWritebacks, d.ref.MemAccesses, d.ref.MemWritebacks)
+			d.h.MemAccesses(0), d.h.MemWritebacks(0), d.ref.MemAccesses, d.ref.MemWritebacks)
 	}
 	for i := range d.ls {
 		name := d.m.Caches[i].Name

@@ -43,8 +43,11 @@ type Measurer interface {
 	Measure(ctx context.Context, p *ir.Program, c *ir.Codelet, opts sim.Options) (*sim.Measurement, error)
 }
 
-// Sim is the clean Measurer: the raw simulator with no faults. It is
-// the default bottom of every measurement stack.
+// Sim is the clean Measurer: the raw simulator with no faults, one
+// sim.Measure call per machine. It is the default bottom of every
+// measurement stack. A pipeline given no Measurer does not use it: it
+// measures all machines of a codelet with one sim.MeasureGroup call,
+// which gives the same measurements.
 type Sim struct{}
 
 // Measure runs the simulator, honoring ctx between nothing — the

@@ -7,8 +7,11 @@ import (
 	"sync"
 	"testing"
 
+	"fgbs/internal/corpus"
 	"fgbs/internal/fault"
+	"fgbs/internal/ir"
 	"fgbs/internal/measure"
+	"fgbs/internal/suites/nas"
 )
 
 // TestSweepKWorkersMatchSerial is the determinism gate for the
@@ -170,6 +173,47 @@ func TestProfileWorkersByteIdentical(t *testing.T) {
 				want = got
 			} else if !bytes.Equal(got, want) {
 				t.Errorf("%s: workers=%d profile bytes differ from workers=1", c.name, workers)
+			}
+		}
+	}
+}
+
+// Without a Measurer the profile measures each codelet on every machine
+// with one sim.MeasureGroup call per mode; with one, it asks the
+// Measurer once per machine. A Measurer that passes straight through
+// to the simulator must give the same profile bytes at any worker
+// count, on the syn-smoke corpus and, without -race (under which its
+// four builds take about six minutes), on NAS.
+func TestGroupedProfileMatchesPerMachine(t *testing.T) {
+	syn, err := corpus.BuildSuite("syn-smoke")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type suite struct {
+		name  string
+		progs []*ir.Program
+	}
+	suites := []suite{{"syn-smoke", syn}}
+	if !raceDetectorEnabled {
+		suites = append(suites, suite{"nas", nas.Suite()})
+	}
+	for _, suite := range suites {
+		var want []byte
+		for _, workers := range []int{1, 4} {
+			for _, measurer := range []fault.Measurer{nil, fault.Sim{}} {
+				prof, err := NewProfile(suite.progs, Options{Seed: 1, Workers: workers, Measurer: measurer})
+				if err != nil {
+					t.Fatalf("%s workers=%d measurer=%T: %v", suite.name, workers, measurer, err)
+				}
+				got, err := prof.AppendBinary(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want == nil {
+					want = got
+				} else if !bytes.Equal(got, want) {
+					t.Errorf("%s workers=%d measurer=%T: profile bytes differ from the grouped one-worker build", suite.name, workers, measurer)
+				}
 			}
 		}
 	}

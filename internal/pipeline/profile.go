@@ -9,7 +9,6 @@ import (
 	"fgbs/internal/arch"
 	"fgbs/internal/extract"
 	"fgbs/internal/fanout"
-	"fgbs/internal/fault"
 	"fgbs/internal/features"
 	"fgbs/internal/ir"
 	"fgbs/internal/maqao"
@@ -144,15 +143,11 @@ func newProfileDetected(ctx context.Context, ps []*ir.Program, cs []*ir.Codelet,
 	// profile. Cancellation still aborts: a dying server is not a
 	// flaky target.
 	escalate := opts.Measurer != nil
-	measurer := opts.Measurer
-	if measurer == nil {
-		measurer = fault.Sim{}
-	}
-	measure := func(i int, m *arch.Machine, mode sim.Mode) (*sim.Measurement, error) {
-		return measurer.Measure(ctx, ps[i], cs[i], sim.Options{
+	simOpts := func(i int, m *arch.Machine, mode sim.Mode) sim.Options {
+		return sim.Options{
 			Machine: m, Mode: mode, Seed: opts.Seed,
 			Dataset: datasets[ps[i]], ProbeCycles: -1, NoiseAmp: -1,
-		})
+		}
 	}
 	if escalate {
 		pr.RefFailed = make([]bool, n)
@@ -160,9 +155,35 @@ func newProfileDetected(ctx context.Context, ps []*ir.Program, cs []*ir.Codelet,
 			pr.TargetFailed = append(pr.TargetFailed, make([]bool, n))
 		}
 	}
+	machines := append([]*arch.Machine{pr.Ref}, pr.Targets...)
 
 	err := fanout.Run(ctx, n, opts.Workers, func(i int) error {
-		refIn, err := measure(i, pr.Ref, sim.ModeInApp)
+		// measure returns codelet i's measurement on machines[j]. A
+		// caller's Measurer is asked per machine, in the order below;
+		// without one, each mode is measured on every machine by one
+		// sim.MeasureGroup call up front, which walks the codelet once
+		// per L1 geometry instead of once per machine.
+		measure := func(j int, mode sim.Mode) (*sim.Measurement, error) {
+			return opts.Measurer.Measure(ctx, ps[i], cs[i], simOpts(i, machines[j], mode))
+		}
+		if !escalate {
+			var grouped [2][]*sim.Measurement
+			for _, mode := range []sim.Mode{sim.ModeInApp, sim.ModeStandalone} {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				ms, err := sim.MeasureGroup(ps[i], cs[i], machines, simOpts(i, nil, mode))
+				if err != nil {
+					return err
+				}
+				grouped[mode] = ms
+			}
+			measure = func(j int, mode sim.Mode) (*sim.Measurement, error) {
+				return grouped[mode][j], nil
+			}
+		}
+
+		refIn, err := measure(0, sim.ModeInApp)
 		if err != nil {
 			if escalate && ctx.Err() == nil {
 				// The reference in-app time anchors everything
@@ -183,7 +204,7 @@ func newProfileDetected(ctx context.Context, ps []*ir.Program, cs []*ir.Codelet,
 		st := maqao.Analyze(ps[i], cs[i], pr.Ref)
 		pr.Features[i] = features.Assemble(ps[i], cs[i], refIn, st)
 
-		refSa, err := measure(i, pr.Ref, sim.ModeStandalone)
+		refSa, err := measure(0, sim.ModeStandalone)
 		if err != nil {
 			if !escalate || ctx.Err() != nil {
 				return err
@@ -198,11 +219,11 @@ func newProfileDetected(ctx context.Context, ps []*ir.Program, cs []*ir.Codelet,
 			pr.IllBehaved[i] = extract.IllBehaved(refSa.Seconds, refIn.Seconds)
 		}
 
-		for t, m := range pr.Targets {
-			tin, err := measure(i, m, sim.ModeInApp)
+		for t := range pr.Targets {
+			tin, err := measure(t+1, sim.ModeInApp)
 			if err == nil {
 				var tsa *sim.Measurement
-				if tsa, err = measure(i, m, sim.ModeStandalone); err == nil {
+				if tsa, err = measure(t+1, sim.ModeStandalone); err == nil {
 					pr.TargetInApp[t][i] = tin.Seconds
 					pr.TargetStandalone[t][i] = tsa.Seconds
 					continue

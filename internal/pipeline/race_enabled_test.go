@@ -1,0 +1,7 @@
+//go:build race
+
+package pipeline
+
+// raceDetectorEnabled reports whether this test binary was built with
+// -race.
+const raceDetectorEnabled = true

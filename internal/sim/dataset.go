@@ -66,6 +66,24 @@
 // already set. An L1 hit exposes no latency, so no float tally moves. A
 // loop with an indirect ref walks every iteration.
 //
+// Nor is every machine walked on its own. MeasureGroup walks once for
+// all the machines that share an L1 geometry, and Measure is its
+// one-machine case. The access stream (addresses, loop control,
+// indirect indices) comes from the program and its dataset alone, so
+// it is computed once per walk and fed to one cache.Hierarchy, in
+// which a level is shared by every machine whose levels from L1 down
+// to it have equal geometry. That is exact too: a level shared by equal
+// geometry prefixes sees exactly the accesses each machine's own level
+// would see, so it holds the same lines and counts the same events.
+// What differs between machines stays per machine: costs per
+// iteration, latency exposure and tables, float tallies (each adds in
+// the order a walk of that machine alone adds it), noise and the median
+// pick. A line run is skipped only when every ref hit the walk's one
+// L1, which is the condition for each machine alone. An invocation is
+// replayed only when the whole walk's start state repeats; a machine
+// that alone would have replayed is walked again instead, and walking
+// again from a start state gives the tallies replay would.
+//
 // Every float product that feeds a sum is rounded explicitly
 // (float64(x*y) + z), so no architecture fuses it into a multiply-add:
 // the tallies do not depend on GOARCH.

@@ -62,7 +62,9 @@ type Options struct {
 	Dataset *Dataset
 }
 
-func (o *Options) fill() {
+// ready fills o's defaults and builds its dataset for p if it has
+// none.
+func (o *Options) ready(p *ir.Program) error {
 	if o.Invocations <= 0 {
 		o.Invocations = DefaultInvocations
 	}
@@ -72,6 +74,14 @@ func (o *Options) fill() {
 	if o.NoiseAmp < 0 {
 		o.NoiseAmp = DefaultNoiseAmp
 	}
+	if o.Dataset == nil {
+		ds, err := BuildDataset(p, o.Seed)
+		if err != nil {
+			return err
+		}
+		o.Dataset = ds
+	}
+	return nil
 }
 
 // Counters aggregates one invocation's simulated hardware events, the
@@ -128,56 +138,108 @@ type Measurement struct {
 
 // Measure simulates codelet c of program p under opts.
 func Measure(p *ir.Program, c *ir.Codelet, opts Options) (*Measurement, error) {
-	pr, h, meas, err := setup(p, c, &opts)
+	ms, err := MeasureGroup(p, c, []*arch.Machine{opts.Machine}, opts)
 	if err != nil {
 		return nil, err
 	}
+	return ms[0], nil
+}
 
-	varyCell := pr.cells[c.VaryParam]
-	baseVary := int64(0)
-	if varyCell != nil {
-		baseVary = *varyCell
+// MeasureGroup simulates codelet c of program p on each of machines
+// under opts (whose Machine it ignores) and returns one Measurement
+// per machine, in order, each equal to what Measure returns for that
+// machine. Machines with one L1 geometry are measured in one walk (see
+// the package comment).
+func MeasureGroup(p *ir.Program, c *ir.Codelet, machines []*arch.Machine, opts Options) ([]*Measurement, error) {
+	if len(machines) == 0 {
+		return nil, fmt.Errorf("sim: no machine given")
 	}
+	l1s := make([]arch.CacheLevel, len(machines))
+	for i, m := range machines {
+		switch {
+		case m == nil:
+			return nil, fmt.Errorf("sim: no machine given")
+		case len(m.Caches) == 0:
+			return nil, fmt.Errorf("sim: machine %s has no cache levels", m.Name)
+		}
+		l1s[i] = m.Caches[0]
+	}
+	if err := opts.ready(p); err != nil {
+		return nil, err
+	}
+	out := make([]*Measurement, len(machines))
+	for _, walk := range arch.GroupByGeometry(l1s) {
+		ms := make([]*arch.Machine, len(walk))
+		for j, i := range walk {
+			ms[j] = machines[i]
+		}
+		meas, err := measureWalk(p, c, ms, opts)
+		if err != nil {
+			return nil, err
+		}
+		for j, i := range walk {
+			out[i] = meas[j]
+		}
+	}
+	return out, nil
+}
 
-	// Each walk's tallies stay in e and in h's counters until the next
-	// walk. An invocation whose start state equals the last walked
-	// one's is not walked again: it gets that walk's tallies (see the
-	// package comment for why this is exact).
+// measureWalk measures c on machines ms, which share an L1 geometry,
+// walking the loop nest once per walked invocation for all of them.
+// Each walk's tallies stay in e and in h's counters until the next
+// walk. An invocation whose start state equals the last walked one's
+// is not walked again: it gets that walk's tallies (see the package
+// comment for why this is exact).
+func measureWalk(p *ir.Program, c *ir.Codelet, ms []*arch.Machine, opts Options) ([]*Measurement, error) {
+	pr, h, out, err := setup(p, c, ms, opts)
+	if err != nil {
+		return nil, err
+	}
 	var e *execState
 	var walked []int64 // the last walk's start state
 	for k := 0; k < opts.Invocations; k++ {
-		if opts.Mode == ModeInApp {
-			// Between two in-app invocations the rest of the
-			// application has trashed the cache — unless the codelet
-			// works on the application's shared arrays, which the
-			// neighboring codelets keep warm.
-			if !c.WarmInApp {
-				h.Flush()
-			}
-			if varyCell != nil && c.DatasetVariation > 0 {
-				scale := 1 - float64(c.DatasetVariation*float64(k%3))
-				if scale < 0.05 {
-					scale = 0.05
-				}
-				*varyCell = int64(float64(baseVary) * scale)
-			}
-		}
+		pr.begin(k, h, opts.Mode)
 		if e == nil || !pr.startsAt(walked, h) {
 			walked = pr.appendStart(walked[:0], h)
 			h.ResetCounters()
-			e = &execState{h: h}
+			e = &execState{h: h, t: make([]tally, len(ms))}
 			for _, n := range pr.root {
 				n.run(e)
 			}
 		}
-
-		ctr := assemble(e, pr, opts, k)
-		meas.Invocations = append(meas.Invocations, Invocation{
-			Index: k, Seconds: ctr.Seconds, Counters: ctr,
-		})
+		for i, meas := range out {
+			ctr := assemble(e, pr, i, opts, k)
+			meas.Invocations = append(meas.Invocations, Invocation{
+				Index: k, Seconds: ctr.Seconds, Counters: ctr,
+			})
+		}
 	}
-	meas.PickMedian(nil)
-	return meas, nil
+	for _, meas := range out {
+		meas.PickMedian(nil)
+	}
+	return out, nil
+}
+
+// begin readies h and the parameters for invocation k.
+func (pr *prepared) begin(k int, h *cache.Hierarchy, mode Mode) {
+	if mode != ModeInApp {
+		return
+	}
+	// Between two in-app invocations the rest of the application has
+	// trashed the cache — unless the codelet works on the
+	// application's shared arrays, which the neighboring codelets keep
+	// warm.
+	c := pr.codelet
+	if !c.WarmInApp {
+		h.Flush()
+	}
+	if pr.vary != nil && c.DatasetVariation > 0 {
+		scale := 1 - float64(c.DatasetVariation*float64(k%3))
+		if scale < 0.05 {
+			scale = 0.05
+		}
+		*pr.vary = int64(float64(pr.baseVary) * scale)
+	}
 }
 
 // appendStart appends the start state of an invocation about to run
@@ -203,30 +265,17 @@ func (pr *prepared) startsAt(state []int64, h *cache.Hierarchy) bool {
 	return h.HasState(state[len(pr.params):])
 }
 
-// setup fills opts' defaults and readies one measurement: c compiled
-// for the machine, the machine's hierarchy (holding the memory dump in
-// standalone mode) and a Measurement with no invocations yet.
-func setup(p *ir.Program, c *ir.Codelet, opts *Options) (*prepared, *cache.Hierarchy, *Measurement, error) {
-	if opts.Machine == nil {
-		return nil, nil, nil, fmt.Errorf("sim: no machine given")
-	}
-	opts.fill()
-
+// setup readies one walk under ready opts: c compiled for machines
+// ms, their hierarchy (holding the memory dump in standalone mode) and
+// one Measurement per machine with no invocations yet.
+func setup(p *ir.Program, c *ir.Codelet, ms []*arch.Machine, opts Options) (*prepared, *cache.Hierarchy, []*Measurement, error) {
 	ds := opts.Dataset
-	if ds == nil {
-		var err error
-		ds, err = BuildDataset(p, opts.Seed)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-	}
-
-	pr, err := prepare(p, c, opts.Machine, ds, opts.Mode == ModeInApp)
+	pr, err := prepare(p, c, ms, ds, opts.Mode == ModeInApp)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 
-	h, err := cache.NewHierarchy(opts.Machine)
+	h, err := cache.NewHierarchy(ms...)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -245,13 +294,16 @@ func setup(p *ir.Program, c *ir.Codelet, opts *Options) (*prepared, *cache.Hiera
 		}
 	}
 
-	meas := &Measurement{
-		Codelet:         c,
-		Machine:         opts.Machine,
-		Mode:            opts.Mode,
-		WorkingSetBytes: ds.WorkingSetBytes(c),
+	out := make([]*Measurement, len(ms))
+	for i, m := range ms {
+		out[i] = &Measurement{
+			Codelet:         c,
+			Machine:         m,
+			Mode:            opts.Mode,
+			WorkingSetBytes: ds.WorkingSetBytes(c),
+		}
 	}
-	return pr, h, meas, nil
+	return pr, h, out, nil
 }
 
 // PickMedian sets Seconds to the median time of the invocations at
@@ -285,30 +337,32 @@ func (meas *Measurement) PickMedian(keep []int) {
 	meas.Counters = meas.Invocations[bestIdx].Counters
 }
 
-// assemble combines the walk's raw tallies into Counters under the
-// machine's cost model.
-func assemble(e *execState, pr *prepared, opts Options, invocation int) Counters {
-	m := pr.machine
+// assemble combines machine i's raw tallies from walk e into Counters
+// under its cost model.
+func assemble(e *execState, pr *prepared, i int, opts Options, invocation int) Counters {
+	m := pr.machines[i]
+	t := &e.t[i]
+	levels := e.h.MachineLevels(i)
 	line := float64(e.h.LineBytes())
 
 	var ctr Counters
-	ctr.Instructions = e.instr
-	ctr.Ops = e.ops
-	ctr.VecFPOps = e.vecFPOps
-	ctr.MemLoads = e.memLoads
-	ctr.MemStores = e.memStores
-	ctr.LevelHits = make([]int64, len(e.h.Levels))
-	ctr.LevelMisses = make([]int64, len(e.h.Levels))
-	for i, l := range e.h.Levels {
-		ctr.LevelHits[i] = l.Hits
-		ctr.LevelMisses[i] = l.Misses
+	ctr.Instructions = t.instr
+	ctr.Ops = t.ops
+	ctr.VecFPOps = t.vecFPOps
+	ctr.MemLoads = t.memLoads
+	ctr.MemStores = t.memStores
+	ctr.LevelHits = make([]int64, len(levels))
+	ctr.LevelMisses = make([]int64, len(levels))
+	for j, l := range levels {
+		ctr.LevelHits[j] = l.Hits
+		ctr.LevelMisses[j] = l.Misses
 	}
-	ctr.MemAccesses = e.h.MemAccesses
-	ctr.MemWritebacks = e.h.MemWritebacks
+	ctr.MemAccesses = e.h.MemAccesses(i)
+	ctr.MemWritebacks = e.h.MemWritebacks(i)
 
-	ctr.ComputeCycles = e.computeCycles
+	ctr.ComputeCycles = t.computeCycles
 	ctr.BandwidthCycles = float64(ctr.MemAccesses+ctr.MemWritebacks) * line / m.MemBWBytesPerCycle
-	ctr.ExposedLatCycles = e.exposedLat
+	ctr.ExposedLatCycles = t.exposedLat
 	ctr.ProbeCycles = opts.ProbeCycles
 
 	core := ctr.ComputeCycles

@@ -13,14 +13,16 @@ import (
 // that hardware prefetchers are assumed to track.
 const prefetchableStrideBytes = 128
 
-// prepared is a codelet compiled against one machine and one dataset,
-// ready to be walked invocation by invocation.
+// prepared is a codelet compiled against the machines of one walk and
+// one dataset, ready to be walked invocation by invocation. The loop
+// nest, its address closures and the variable cells exist once; what
+// differs between machines (costs per iteration, latency exposure and
+// latency tables) is kept per machine, indexed like machines.
 type prepared struct {
-	prog    *ir.Program
-	codelet *ir.Codelet
-	machine *arch.Machine
-	lowered *compile.Codelet
-	ds      *Dataset
+	prog     *ir.Program
+	codelet  *ir.Codelet
+	machines []*arch.Machine
+	ds       *Dataset
 
 	// cells maps every variable (params + loop vars) to a storage
 	// cell read by compiled closures.
@@ -29,17 +31,27 @@ type prepared struct {
 	// start state that lives outside the cache. Their order is fixed
 	// once built, which is all comparing start states needs.
 	params []*int64
-	root   []node
+	// vary is the cell of the codelet's VaryParam (nil if it has
+	// none), and baseVary its declared value.
+	vary     *int64
+	baseVary int64
+	root     []node
 
-	// latPenalty[lvl] is the extra load-to-use latency of a hit at
-	// cache level lvl relative to L1; the last entry is for DRAM.
-	latPenalty []float64
+	// lat[m][lvl] is machine m's extra load-to-use latency of a hit at
+	// its cache level lvl relative to its L1; the last entry is for
+	// DRAM.
+	lat [][]float64
 }
 
-// execState accumulates one invocation's costs.
+// execState accumulates one invocation's costs on every machine of a
+// walk.
 type execState struct {
 	h *cache.Hierarchy
+	t []tally // indexed like prepared.machines
+}
 
+// tally is one machine's costs in an execState.
+type tally struct {
 	computeCycles float64
 	exposedLat    float64
 	instr         float64
@@ -75,9 +87,11 @@ func (n *outerNode) run(e *execState) {
 // refPlan is one memory reference of an innermost loop body.
 type refPlan struct {
 	write bool
-	// exposure scales miss penalties by how much of them this machine
-	// exposes for this access pattern.
-	exposure float64
+	// penalty[m][lvl] is the latency machine m exposes for this
+	// reference when its level lvl serves it: its latency penalty
+	// (prepared.lat), scaled by how much of it the machine exposes for
+	// this access pattern.
+	penalty [][]float64
 
 	// Affine path: address = start (computed per loop entry with the
 	// inner variable at its lower bound) advanced by strideBytes per
@@ -102,37 +116,25 @@ type innerNode struct {
 	// line-run batching (see the package comment).
 	affine bool
 
-	perIterCycles float64
-	perIterInstr  float64
+	// An iteration's operations and memory references come from the
+	// program alone, so they are the same on every machine.
 	perIterOps    ir.OpCount
-	perIterVecFP  float64
 	perIterLoads  float64 // memory references read per iteration
 	perIterStores float64 // memory references written per iteration
-	lat           []float64
+	// cost[m] is an iteration's compute cost on machine m.
+	cost []iterCost
+}
+
+// iterCost is one machine's lowering of an innermost-loop iteration.
+type iterCost struct {
+	cycles, instr, vecFP float64
 }
 
 // run walks the loop, skipping line runs (see the package comment).
-// Products are rounded before they are summed so that no architecture
-// fuses them.
 func (n *innerNode) run(e *execState) {
 	lo, hi := n.lo(), n.hi()
-	trips := hi - lo
-	if trips <= 0 {
+	if !n.enter(e, lo, hi) {
 		return
-	}
-	ft := float64(trips)
-	e.computeCycles += float64(ft * n.perIterCycles)
-	e.instr += float64(ft * n.perIterInstr)
-	e.ops = e.ops.Plus(scaleOps(n.perIterOps, trips))
-	e.vecFPOps += float64(ft * n.perIterVecFP)
-	e.memLoads += float64(ft * n.perIterLoads)
-	e.memStores += float64(ft * n.perIterStores)
-
-	*n.cell = lo
-	for k := range n.refs {
-		if n.refs[k].affine {
-			n.addrBuf[k] = n.refs[k].startFn()
-		}
 	}
 	mask := e.h.LineBytes() - 1
 	for i := lo; i < hi; i++ {
@@ -147,10 +149,9 @@ func (n *innerNode) run(e *execState) {
 			} else {
 				a = rp.addrFn()
 			}
-			lvl := e.h.Access(a, rp.write)
-			if lvl > 0 {
+			if lvl := e.h.Access(a, rp.write); lvl > 0 {
 				allHit = false
-				e.exposedLat += float64(n.lat[lvl] * rp.exposure)
+				n.expose(e, k, lvl)
 			}
 		}
 		if allHit {
@@ -165,6 +166,49 @@ func (n *innerNode) run(e *execState) {
 		}
 	}
 	*n.cell = hi - 1
+}
+
+// enter charges every machine of e for the iterations [lo, hi) of one
+// entry into the loop, and sets each affine ref's first address. It
+// reports whether the loop runs at all. Products are rounded before
+// they are summed so that no architecture fuses them.
+func (n *innerNode) enter(e *execState, lo, hi int64) bool {
+	trips := hi - lo
+	if trips <= 0 {
+		return false
+	}
+	ft := float64(trips)
+	ops := scaleOps(n.perIterOps, trips)
+	loads, stores := float64(ft*n.perIterLoads), float64(ft*n.perIterStores)
+	for m := range e.t {
+		t, c := &e.t[m], &n.cost[m]
+		t.computeCycles += float64(ft * c.cycles)
+		t.instr += float64(ft * c.instr)
+		t.ops = t.ops.Plus(ops)
+		t.vecFPOps += float64(ft * c.vecFP)
+		t.memLoads += loads
+		t.memStores += stores
+	}
+	*n.cell = lo
+	for k := range n.refs {
+		if n.refs[k].affine {
+			n.addrBuf[k] = n.refs[k].startFn()
+		}
+	}
+	return true
+}
+
+// expose charges every machine of e the latency it exposes for ref k's
+// access just made, which missed L1 and was served by machine 0's level
+// lvl.
+func (n *innerNode) expose(e *execState, k, lvl int) {
+	penalty := n.refs[k].penalty
+	for m := range e.t {
+		if m > 0 {
+			lvl = e.h.Served(m)
+		}
+		e.t[m].exposedLat += penalty[m][lvl]
+	}
 }
 
 // lineRun returns how many further iterations, at most limit, every ref
@@ -194,17 +238,16 @@ func scaleOps(o ir.OpCount, k int64) ir.OpCount {
 	}
 }
 
-// prepare lowers codelet c for machine m (in the given compilation
-// context) and compiles its loop nest into runnable nodes against
-// dataset ds.
-func prepare(p *ir.Program, c *ir.Codelet, m *arch.Machine, ds *Dataset, inApp bool) (*prepared, error) {
+// prepare lowers codelet c for each of machines ms (in the given
+// compilation context) and compiles its loop nest into runnable nodes
+// against dataset ds.
+func prepare(p *ir.Program, c *ir.Codelet, ms []*arch.Machine, ds *Dataset, inApp bool) (*prepared, error) {
 	pr := &prepared{
-		prog:    p,
-		codelet: c,
-		machine: m,
-		lowered: compile.Lower(p, c, m, inApp),
-		ds:      ds,
-		cells:   make(map[string]*int64),
+		prog:     p,
+		codelet:  c,
+		machines: ms,
+		ds:       ds,
+		cells:    make(map[string]*int64),
 	}
 	for name, v := range p.Params {
 		cell := new(int64)
@@ -212,26 +255,30 @@ func prepare(p *ir.Program, c *ir.Codelet, m *arch.Machine, ds *Dataset, inApp b
 		pr.cells[name] = cell
 		pr.params = append(pr.params, cell)
 	}
-
-	// Latency penalty table, indexed by hit level (L1 = 0).
-	l1 := m.Caches[0].LatencyCycles
-	pr.latPenalty = make([]float64, len(m.Caches)+1)
-	for i, cl := range m.Caches {
-		pr.latPenalty[i] = cl.LatencyCycles - l1
+	// Each machine's lowering of every innermost ir loop, and its
+	// latency penalty table, indexed by hit level (L1 = 0).
+	lowered := make(map[*ir.Loop][]*compile.Loop)
+	for _, m := range ms {
+		for _, ll := range compile.Lower(p, c, m, inApp).Loops {
+			lowered[ll.Context.Loop] = append(lowered[ll.Context.Loop], ll)
+		}
+		l1 := m.Caches[0].LatencyCycles
+		lat := make([]float64, len(m.Caches)+1)
+		for i, cl := range m.Caches {
+			lat[i] = cl.LatencyCycles - l1
+		}
+		lat[len(m.Caches)] = m.MemLatencyCycles - l1
+		pr.lat = append(pr.lat, lat)
 	}
-	pr.latPenalty[len(m.Caches)] = m.MemLatencyCycles - l1
 
-	// Map innermost ir loops to their lowering.
-	loweredByLoop := make(map[*ir.Loop]*compile.Loop, len(pr.lowered.Loops))
-	for _, ll := range pr.lowered.Loops {
-		loweredByLoop[ll.Context.Loop] = ll
-	}
-
-	root, err := pr.buildLoop(c.Loop, loweredByLoop)
+	root, err := pr.buildLoop(c.Loop, lowered)
 	if err != nil {
-		return nil, fmt.Errorf("sim: codelet %q on %s: %w", c.Name, m.Name, err)
+		return nil, fmt.Errorf("sim: codelet %q on %s: %w", c.Name, ms[0].Name, err)
 	}
 	pr.root = []node{root}
+	if cell := pr.cells[c.VaryParam]; cell != nil {
+		pr.vary, pr.baseVary = cell, *cell
+	}
 	return pr, nil
 }
 
@@ -274,23 +321,18 @@ func (pr *prepared) affineFn(a ir.Affine) func() int64 {
 	}
 }
 
-func (pr *prepared) buildLoop(l *ir.Loop, lowered map[*ir.Loop]*compile.Loop) (node, error) {
+func (pr *prepared) buildLoop(l *ir.Loop, lowered map[*ir.Loop][]*compile.Loop) (node, error) {
 	cell := pr.cellFor(l.Var)
 	lo := pr.affineFn(l.Lower)
 	hi := pr.affineFn(l.Upper)
 
-	if ll, isInner := lowered[l]; isInner {
-		in := &innerNode{
-			cell: cell, lo: lo, hi: hi,
-			perIterCycles: ll.CyclesPerIter,
-			perIterInstr:  ll.InstrPerIter,
-			lat:           pr.latPenalty,
-		}
-		for _, st := range ll.Stmts {
+	if lls, isInner := lowered[l]; isInner {
+		in := &innerNode{cell: cell, lo: lo, hi: hi}
+		// compile.Lower builds a statement's operations and memory
+		// references from the program alone, so the first machine's
+		// lowering gives every machine's.
+		for _, st := range lls[0].Stmts {
 			in.perIterOps = in.perIterOps.Plus(st.Ops)
-			if st.Vectorized {
-				in.perIterVecFP += float64(st.Ops.FPOps())
-			}
 			for _, mr := range st.Mem {
 				rp, err := pr.buildRef(mr, l.Var)
 				if err != nil {
@@ -303,6 +345,15 @@ func (pr *prepared) buildLoop(l *ir.Loop, lowered map[*ir.Loop]*compile.Loop) (n
 					in.perIterLoads++
 				}
 			}
+		}
+		for _, ll := range lls {
+			c := iterCost{cycles: ll.CyclesPerIter, instr: ll.InstrPerIter}
+			for _, st := range ll.Stmts {
+				if st.Vectorized {
+					c.vecFP += float64(st.Ops.FPOps())
+				}
+			}
+			in.cost = append(in.cost, c)
 		}
 		in.addrBuf = make([]int64, len(in.refs))
 		in.affine = true
@@ -343,15 +394,20 @@ func (pr *prepared) buildRef(mr compile.MemRef, inner string) (refPlan, error) {
 
 	// Miss-latency exposure: out-of-order cores hide Overlap of it;
 	// prefetchers hide PrefetchEff of the rest on sequential streams.
-	m := pr.machine
-	exposure := 1 - m.Overlap
 	sequential := mr.Stride.Kind == ir.StrideAffine &&
 		absI64(mr.Stride.Bytes) <= prefetchableStrideBytes ||
 		mr.Stride.Kind == ir.StrideConst
-	if sequential {
-		exposure *= 1 - m.PrefetchEff
+	for i, m := range pr.machines {
+		exposure := 1 - m.Overlap
+		if sequential {
+			exposure *= 1 - m.PrefetchEff
+		}
+		penalty := make([]float64, len(pr.lat[i]))
+		for lvl, lat := range pr.lat[i] {
+			penalty[lvl] = float64(lat * exposure)
+		}
+		rp.penalty = append(rp.penalty, penalty)
 	}
-	rp.exposure = exposure
 
 	if lin, ok := pr.prog.LinearIndex(mr.Ref); ok {
 		rp.affine = true

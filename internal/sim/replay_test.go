@@ -14,39 +14,26 @@ import (
 )
 
 // measureWalkingEvery is Measure as it was before invocations whose
-// start state repeats were replayed and before line runs were batched:
-// every invocation walks the loop nest, and every iteration of every
-// innermost loop goes through the hierarchy (walkEveryIteration). It is
-// kept as the oracle Measure is checked against.
+// start state repeats were replayed, before line runs were batched and
+// before machines shared walks: opts.Machine alone, every invocation
+// walks the loop nest, and every iteration of every innermost loop goes
+// through the hierarchy (walkEveryIteration). It is kept as the oracle
+// Measure and MeasureGroup are checked against.
 func measureWalkingEvery(p *ir.Program, c *ir.Codelet, opts Options) (*Measurement, error) {
-	pr, h, meas, err := setup(p, c, &opts)
+	if err := opts.ready(p); err != nil {
+		return nil, err
+	}
+	pr, h, out, err := setup(p, c, []*arch.Machine{opts.Machine}, opts)
 	if err != nil {
 		return nil, err
 	}
-	varyCell := pr.cells[c.VaryParam]
-	baseVary := int64(0)
-	if varyCell != nil {
-		baseVary = *varyCell
-	}
+	meas := out[0]
 	for k := 0; k < opts.Invocations; k++ {
-		if opts.Mode == ModeInApp {
-			if !c.WarmInApp {
-				h.Flush()
-			}
-			if varyCell != nil && c.DatasetVariation > 0 {
-				scale := 1 - float64(c.DatasetVariation*float64(k%3))
-				if scale < 0.05 {
-					scale = 0.05
-				}
-				*varyCell = int64(float64(baseVary) * scale)
-			}
-		}
+		pr.begin(k, h, opts.Mode)
 		h.ResetCounters()
-		e := &execState{h: h}
-		for _, n := range pr.root {
-			walkEveryIteration(n, e)
-		}
-		ctr := assemble(e, pr, opts, k)
+		e := &execState{h: h, t: make([]tally, 1)}
+		walkEveryIteration(pr, func(n *innerNode) { runEveryIteration(n, e) })
+		ctr := assemble(e, pr, 0, opts, k)
 		meas.Invocations = append(meas.Invocations, Invocation{
 			Index: k, Seconds: ctr.Seconds, Counters: ctr,
 		})
@@ -55,22 +42,28 @@ func measureWalkingEvery(p *ir.Program, c *ir.Codelet, opts Options) (*Measureme
 	return meas, nil
 }
 
-// walkEveryIteration runs n like n.run, except that every innermost
-// loop runs through runEveryIteration.
-func walkEveryIteration(n node, e *execState) {
-	switch n := n.(type) {
-	case *outerNode:
-		lo, hi := n.lo(), n.hi()
-		for i := lo; i < hi; i++ {
-			*n.cell = i
-			for _, b := range n.body {
-				walkEveryIteration(b, e)
+// walkEveryIteration runs pr's loop nest like its nodes' run methods,
+// except that every entry into an innermost loop goes to inner.
+func walkEveryIteration(pr *prepared, inner func(*innerNode)) {
+	var walk func(n node)
+	walk = func(n node) {
+		switch n := n.(type) {
+		case *outerNode:
+			lo, hi := n.lo(), n.hi()
+			for i := lo; i < hi; i++ {
+				*n.cell = i
+				for _, b := range n.body {
+					walk(b)
+				}
 			}
+		case *innerNode:
+			inner(n)
+		default:
+			panic(fmt.Sprintf("unknown node %T", n))
 		}
-	case *innerNode:
-		runEveryIteration(n, e)
-	default:
-		panic(fmt.Sprintf("unknown node %T", n))
+	}
+	for _, n := range pr.root {
+		walk(n)
 	}
 }
 
@@ -79,41 +72,29 @@ func walkEveryIteration(n node, e *execState) {
 // kept as the oracle for that batching.
 func runEveryIteration(n *innerNode, e *execState) {
 	lo, hi := n.lo(), n.hi()
-	trips := hi - lo
-	if trips <= 0 {
+	if !n.enter(e, lo, hi) {
 		return
-	}
-	ft := float64(trips)
-	e.computeCycles += float64(ft * n.perIterCycles)
-	e.instr += float64(ft * n.perIterInstr)
-	e.ops = e.ops.Plus(scaleOps(n.perIterOps, trips))
-	e.vecFPOps += float64(ft * n.perIterVecFP)
-	e.memLoads += float64(ft * n.perIterLoads)
-	e.memStores += float64(ft * n.perIterStores)
-
-	*n.cell = lo
-	for k := range n.refs {
-		if n.refs[k].affine {
-			n.addrBuf[k] = n.refs[k].startFn()
-		}
 	}
 	for i := lo; i < hi; i++ {
 		*n.cell = i
 		for k := range n.refs {
-			rp := &n.refs[k]
-			var a int64
-			if rp.affine {
-				a = n.addrBuf[k]
-				n.addrBuf[k] += rp.strideBytes
-			} else {
-				a = rp.addrFn()
-			}
-			lvl := e.h.Access(a, rp.write)
-			if lvl > 0 {
-				e.exposedLat += float64(n.lat[lvl] * rp.exposure)
+			if lvl := e.h.Access(nextAddr(n, k), n.refs[k].write); lvl > 0 {
+				n.expose(e, k, lvl)
 			}
 		}
 	}
+}
+
+// nextAddr returns ref k's address in n's current iteration, as n.run
+// computes it; an affine ref advances to its address in the next one.
+func nextAddr(n *innerNode, k int) int64 {
+	rp := &n.refs[k]
+	if !rp.affine {
+		return rp.addrFn()
+	}
+	a := n.addrBuf[k]
+	n.addrBuf[k] += rp.strideBytes
+	return a
 }
 
 // replayCase is one codelet of the differential corpus.
@@ -265,21 +246,47 @@ func replayMachines() []*arch.Machine {
 	return append(arch.All(), arch.WideVec(), arch.NehalemNoVec())
 }
 
+// groupCode encodes a machine group for FuzzMeasureMatchesWalk: each
+// index into replayMachines takes one nibble, lowest first.
+func groupCode(machines ...int) uint32 {
+	var code uint32
+	for i, m := range machines {
+		code |= uint32(m+1) << (4 * i)
+	}
+	return code
+}
+
+// fuzzGroups are the machine groups FuzzMeasureMatchesWalk's seed
+// corpus measures in one MeasureGroup call: Core 2 three times with
+// Sandy Bridge, a lone Atom, the five machines of arch.All and
+// arch.WideVec, and every machine with Nehalem listed twice.
+var fuzzGroups = []uint32{
+	groupCode(2, 2, 3, 2),
+	groupCode(1),
+	groupCode(0, 1, 2, 3, 4),
+	groupCode(5, 0, 1, 2, 3, 4, 0),
+}
+
 // FuzzMeasureMatchesWalk checks that Measure, which replays an
 // invocation whose start state repeats and batches line runs, returns
-// exactly what walking every iteration of every invocation returns. Its
-// seed corpus, which a plain go test runs, is every machine in both
-// modes at 1, 3 and 10 invocations, rotating through the differential
-// corpus, plus every codelet of that corpus in both modes at the
-// default invocation count: on one machine, or on every machine for
-// the lineRunCorpus kernels, whose outcome hinges on L1 ways.
+// exactly what walking every iteration of every invocation returns,
+// and that MeasureGroup, which walks once for every machine of an L1
+// geometry, returns that for each machine of a group. group lists the
+// group's machines, one nibble each (index+1 into replayMachines;
+// other values skip), and 0 skips the grouped check. The seed corpus,
+// which a plain go test runs, is every machine in both modes at 1, 3
+// and 10 invocations, rotating through the differential corpus; every
+// codelet of that corpus in both modes at the default invocation
+// count, on one machine, or on every machine for the lineRunCorpus
+// kernels, whose outcome hinges on L1 ways; and every codelet in one
+// of fuzzGroups, rotating through them and the modes.
 func FuzzMeasureMatchesWalk(f *testing.F) {
 	ms := replayMachines()
 	i := 0
 	for machine := range ms {
 		for _, mode := range []Mode{ModeInApp, ModeStandalone} {
 			for _, inv := range []uint8{1, 3, 10} {
-				f.Add(uint8(i), uint8(machine), uint8(mode), inv, uint64(1))
+				f.Add(uint8(i), uint8(machine), uint8(mode), inv, uint64(1), uint32(0))
 				i++
 			}
 		}
@@ -293,9 +300,10 @@ func FuzzMeasureMatchesWalk(f *testing.F) {
 				continue
 			}
 			for _, mode := range []Mode{ModeInApp, ModeStandalone} {
-				f.Add(uint8(codelet), uint8(machine), uint8(mode), uint8(0), uint64(2))
+				f.Add(uint8(codelet), uint8(machine), uint8(mode), uint8(0), uint64(2), uint32(0))
 			}
 		}
+		f.Add(uint8(codelet), uint8(0), uint8(codelet/len(fuzzGroups)), uint8(0), uint64(3), fuzzGroups[codelet%len(fuzzGroups)])
 		if rc.c.WarmInApp {
 			warm++
 		} else {
@@ -308,7 +316,7 @@ func FuzzMeasureMatchesWalk(f *testing.F) {
 	if warm == 0 || flushed == 0 || varying == 0 {
 		f.Fatalf("corpus has %d warm, %d flushed, %d varying codelets; want each > 0", warm, flushed, varying)
 	}
-	f.Fuzz(func(t *testing.T, codelet, machine, mode, invocations uint8, seed uint64) {
+	f.Fuzz(func(t *testing.T, codelet, machine, mode, invocations uint8, seed uint64, group uint32) {
 		cases := replayCorpus(t)
 		rc := cases[int(codelet)%len(cases)]
 		opts := Options{
@@ -319,18 +327,44 @@ func FuzzMeasureMatchesWalk(f *testing.F) {
 			ProbeCycles: -1,
 			NoiseAmp:    -1,
 		}
+		walked := func(m *arch.Machine) *Measurement {
+			o := opts
+			o.Machine = m
+			want, err := measureWalkingEvery(rc.p, rc.c, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return want
+		}
 		got, err := Measure(rc.p, rc.c, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := measureWalkingEvery(rc.p, rc.c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
+		if want := walked(opts.Machine); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s on %s, %s, %d invocations, seed %d:\n got %+v\nwant %+v",
 				rc.c.Name, opts.Machine.Name, opts.Mode, len(want.Invocations), seed,
 				got.Invocations, want.Invocations)
+		}
+
+		var members []*arch.Machine
+		for ; group != 0; group >>= 4 {
+			if i := int(group&15) - 1; i >= 0 && i < len(ms) {
+				members = append(members, ms[i])
+			}
+		}
+		if len(members) == 0 {
+			return
+		}
+		grouped, err := MeasureGroup(rc.p, rc.c, members, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, m := range members {
+			if want := walked(m); !reflect.DeepEqual(grouped[i], want) {
+				t.Fatalf("%s on %s (member %d of %d), %s, %d invocations, seed %d:\n got %+v\nwant %+v",
+					rc.c.Name, m.Name, i, len(members), opts.Mode, len(want.Invocations), seed,
+					grouped[i].Invocations, want.Invocations)
+			}
 		}
 	})
 }
