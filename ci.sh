@@ -131,6 +131,18 @@ go test -run '^$' -fuzz '^FuzzLevelMatchesReference$' -fuzztime 10s ./internal/c
 echo "== sim fuzz =="
 go test -run '^$' -fuzz '^FuzzMeasureMatchesWalk$' -fuzztime 10s ./internal/sim
 
+# The fault stack's differential fuzz: measure.Robust over
+# fault.Injector measuring a group of machines in one MeasureGroup call
+# against a fresh stack measuring each machine alone. Inputs are fuzzed
+# machine groups, rule targets, noise, outlier, transient and permanent
+# rates, machine-down episodes, retry budgets, seeds and both modes
+# (no hangs or delays: they pace on the wall clock); any difference in
+# a measurement, an error, an attempt count or a counter is a red
+# build. The seed corpus runs in the plain go test above; this step
+# searches past it.
+echo "== fault fuzz =="
+go test -run '^$' -fuzz '^FuzzGroupMatchesPerMachine$' -fuzztime 10s ./internal/measure
+
 # The binary profile decoder reads bytes from disk and from peers, so it
 # must reject anything that is not an exact encoding: arbitrary input
 # yields an error or a consistent profile, never a panic or an

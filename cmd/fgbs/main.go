@@ -230,10 +230,13 @@ func run(ctx context.Context, args []string) error {
 	}
 	if cfg.faultPath != "" {
 		fp, err := fault.Load(cfg.faultPath)
+		if err == nil {
+			err = fp.CheckMachines(arch.All())
+		}
 		if err != nil {
 			return fmt.Errorf("-faultprofile: %w", err)
 		}
-		cfg.measurer = measure.New(fault.NewInjector(fp, nil), measure.Config{})
+		cfg.measurer = measure.New(fault.NewInjector(fp), measure.Config{})
 		cfg.measurerKey = fp.Fingerprint()
 	}
 	peers, err := stage.ParsePeers(cfg.peers)
@@ -602,9 +605,17 @@ func summary(prof *pipeline.Profile, sub *pipeline.Subset, evals []*pipeline.Eva
 	fmt.Printf("codelets: %d (%d ill-behaved)\nclusters: %d (requested %d, %d destroyed)\n",
 		prof.N(), ill, sub.K(), sub.RequestedK, sub.Selection.Destroyed)
 	for _, ev := range evals {
-		fmt.Printf("%-13s median err %.1f%%  reduction x%.1f  geomean speedup real %.2f predicted %.2f\n",
+		if ev.Excluded == prof.N() {
+			fmt.Printf("%-13s no data (%d excluded)\n", ev.Target.Name, ev.Excluded)
+			continue
+		}
+		excluded := ""
+		if ev.Excluded > 0 {
+			excluded = fmt.Sprintf("  (%d excluded)", ev.Excluded)
+		}
+		fmt.Printf("%-13s median err %.1f%%  reduction x%.1f  geomean speedup real %.2f predicted %.2f%s\n",
 			ev.Target.Name, ev.Summary.Median*100, ev.Reduction.Total,
-			ev.GeoMeanRealSpeedup, ev.GeoMeanPredictedSpeedup)
+			ev.GeoMeanRealSpeedup, ev.GeoMeanPredictedSpeedup, excluded)
 	}
 	return nil
 }

@@ -160,6 +160,45 @@ func TestRunRejectsInvalidFaultProfile(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "permanentRate") {
 		t.Errorf("invalid fault profile error = %v, want the offending field named", err)
 	}
+
+	// A rule naming no profiled machine would inject nothing, silently.
+	if err := os.WriteFile(path, []byte(`{"rules": [{"machine": "atom", "permanentRate": 1}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(context.Background(), []string{"summary", "-suite", "syn-smoke", "-faultprofile", path})
+	if err == nil || !strings.Contains(err.Error(), `"atom"`) || !strings.Contains(err.Error(), "Nehalem, Atom, Core 2, Sandy Bridge") {
+		t.Errorf("unknown-machine fault profile error = %v, want the name and the valid machines", err)
+	}
+}
+
+// TestSummaryMarksExcludedCodelets: a target whose codelets are all
+// excluded prints "no data" instead of zero errors, one with some
+// excluded says how many, and a clean target's line is unchanged.
+func TestSummaryMarksExcludedCodelets(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "faults.json")
+	if err := os.WriteFile(path, []byte(`{"rules": [
+		{"machine": "Atom", "permanentRate": 1},
+		{"machine": "Core 2", "codelet": "histogram_00001", "permanentRate": 1}
+	]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lines := map[string]string{}
+	for _, line := range strings.Split(string(runStdout(t, "summary", "-suite", "syn-smoke", "-faultprofile", path)), "\n") {
+		for _, target := range []string{"Atom", "Core 2", "Sandy Bridge"} {
+			if strings.HasPrefix(line, target+" ") {
+				lines[target] = line
+			}
+		}
+	}
+	if got := lines["Atom"]; !strings.Contains(got, "no data (24 excluded)") || strings.Contains(got, "median err") {
+		t.Errorf("all-excluded Atom line = %q, want no data", got)
+	}
+	if got := lines["Core 2"]; !strings.Contains(got, "median err") || !strings.HasSuffix(got, " excluded)") {
+		t.Errorf("partly excluded Core 2 line = %q, want an excluded count", got)
+	}
+	if got := lines["Sandy Bridge"]; !strings.Contains(got, "median err") || strings.Contains(got, "excluded") {
+		t.Errorf("clean Sandy Bridge line = %q, want no annotation", got)
+	}
 }
 
 // TestRunBenchEndToEnd drives the full gate loop on one cheap spec:

@@ -65,6 +65,7 @@ import (
 	"syscall"
 	"time"
 
+	"fgbs/internal/arch"
 	"fgbs/internal/fault"
 	"fgbs/internal/measure"
 	"fgbs/internal/server"
@@ -155,7 +156,10 @@ func parseFlags(args []string) (daemonConfig, error) {
 		cfg.preload = nil
 	}
 	if faultPath != "" {
-		if cfg.faults, err = fault.Load(faultPath); err != nil {
+		if cfg.faults, err = fault.Load(faultPath); err == nil {
+			err = cfg.faults.CheckMachines(arch.All())
+		}
+		if err != nil {
 			return cfg, fmt.Errorf("-faultprofile: %w", err)
 		}
 	}
@@ -200,7 +204,7 @@ func run(ctx context.Context, cfg daemonConfig) error {
 		JobRetention:    cfg.jobRetention,
 	}
 	if cfg.faults != nil {
-		inj := fault.NewInjector(cfg.faults, nil)
+		inj := fault.NewInjector(cfg.faults)
 		rob := measure.New(inj, measure.Config{})
 		scfg.Measurer = rob
 		scfg.MeasurerKey = cfg.faults.Fingerprint()

@@ -126,6 +126,7 @@ func TestParseFlagsFaultProfile(t *testing.T) {
 		{"invalid JSON", []string{"-faultprofile", write("junk.json", "{not json")}, "invalid profile"},
 		{"unknown field", []string{"-faultprofile", write("field.json", `{"rules": [{"transientRtae": 0.2}]}`)}, "valid fields"},
 		{"rate out of range", []string{"-faultprofile", write("rate.json", `{"rules": [{"transientRate": 1.5}]}`)}, "transientRate"},
+		{"unknown machine", []string{"-faultprofile", write("machine.json", `{"rules": [{"machine": "atom", "permanentRate": 1}]}`)}, "Nehalem, Atom, Core 2, Sandy Bridge"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

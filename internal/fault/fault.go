@@ -3,8 +3,8 @@
 // measurements misbehave — representatives are re-measured with ≥10
 // invocations and a median, and ill-behaved ones are replaced — yet a
 // simulator is always instant, clean and available. This package
-// restores the misbehavior on demand: a seeded injector wraps any
-// Measurer and imposes multiplicative noise, wild outlier invocations,
+// restores the misbehavior on demand: a seeded injector over the
+// simulator imposes multiplicative noise, wild outlier invocations,
 // transient errors, hangs (visible only through context deadlines),
 // latency, and machine-down episodes, all declared in a JSON fault
 // profile so chaos runs are configuration, not code.
@@ -13,11 +13,13 @@
 // SplitMix64 stream seeded by the fault profile's seed and the
 // measurement's identity (machine, codelet, mode, attempt number), so
 // a chaos run replays exactly under a fixed seed regardless of how the
-// profiler schedules its goroutines — the same property internal/rng
-// gives the GA and the random-clustering baseline.
+// profiler schedules its goroutines or groups its machines — the same
+// property internal/rng gives the GA and the random-clustering
+// baseline.
 package fault
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -26,10 +28,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"fgbs/internal/arch"
 	"fgbs/internal/ir"
 	"fgbs/internal/rng"
 	"fgbs/internal/sim"
@@ -38,26 +42,69 @@ import (
 // Measurer is the measurement path: anything that can produce a
 // sim.Measurement for one codelet on one machine. The raw simulator,
 // the fault injector, and the robust retry protocol all implement it,
-// so the pipeline composes them freely.
+// so the pipeline composes them freely. Those three also measure a
+// codelet on several machines in one call; callers reach that through
+// MeasureGroup, which works for any Measurer.
 type Measurer interface {
 	Measure(ctx context.Context, p *ir.Program, c *ir.Codelet, opts sim.Options) (*sim.Measurement, error)
 }
 
-// Sim is the clean Measurer: the raw simulator with no faults, one
-// sim.Measure call per machine. It is the default bottom of every
-// measurement stack. A pipeline given no Measurer does not use it: it
-// measures all machines of a codelet with one sim.MeasureGroup call,
-// which gives the same measurements.
+// groupMeasurer is a Measurer with a group call: Sim, *Injector and
+// measure.Robust. Each one's Measure is the one-machine case of its
+// MeasureGroup.
+type groupMeasurer interface {
+	Measurer
+	MeasureGroup(ctx context.Context, p *ir.Program, c *ir.Codelet, machines []*arch.Machine, opts sim.Options) ([]*sim.Measurement, []error)
+}
+
+// MeasureGroup measures codelet c of program p with m on each of
+// machines under opts (whose Machine it ignores). It returns, per
+// machine and in order, a measurement or an error. A Measurer with its
+// own MeasureGroup method answers in one call; any other is asked once
+// per machine, in order.
+func MeasureGroup(ctx context.Context, m Measurer, p *ir.Program, c *ir.Codelet, machines []*arch.Machine, opts sim.Options) ([]*sim.Measurement, []error) {
+	if g, ok := m.(groupMeasurer); ok {
+		return g.MeasureGroup(ctx, p, c, machines, opts)
+	}
+	ms := make([]*sim.Measurement, len(machines))
+	errs := make([]error, len(machines))
+	for j, machine := range machines {
+		opts.Machine = machine
+		ms[j], errs[j] = m.Measure(ctx, p, c, opts)
+	}
+	return ms, errs
+}
+
+// Sim is the clean Measurer: the raw simulator with no faults. It is
+// the bottom of every measurement stack, and what a pipeline given no
+// Measurer measures with. Its MeasureGroup is one sim.MeasureGroup
+// call, which walks a codelet once per L1 geometry.
 type Sim struct{}
 
-// Measure runs the simulator, honoring ctx between nothing — the
-// simulation itself is atomic and fast; cancellation is checked on
-// entry so a canceled profiling run stops scheduling new work.
-func (Sim) Measure(ctx context.Context, p *ir.Program, c *ir.Codelet, opts sim.Options) (*sim.Measurement, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
+// Measure runs the simulator on opts.Machine: the one-machine case of
+// MeasureGroup.
+func (s Sim) Measure(ctx context.Context, p *ir.Program, c *ir.Codelet, opts sim.Options) (*sim.Measurement, error) {
+	ms, errs := s.MeasureGroup(ctx, p, c, []*arch.Machine{opts.Machine}, opts)
+	return ms[0], errs[0]
+}
+
+// MeasureGroup runs sim.MeasureGroup. The simulation itself is atomic
+// and fast; cancellation is checked on entry so a canceled profiling
+// run stops scheduling new work. An error fails every machine.
+func (Sim) MeasureGroup(ctx context.Context, p *ir.Program, c *ir.Codelet, machines []*arch.Machine, opts sim.Options) ([]*sim.Measurement, []error) {
+	errs := make([]error, len(machines))
+	err := ctx.Err()
+	var ms []*sim.Measurement
+	if err == nil {
+		ms, err = sim.MeasureGroup(p, c, machines, opts)
 	}
-	return sim.Measure(p, c, opts)
+	if err != nil {
+		ms = make([]*sim.Measurement, len(machines))
+		for j := range errs {
+			errs[j] = err
+		}
+	}
+	return ms, errs
 }
 
 // TransientError marks a failure worth retrying: the fault is expected
@@ -136,9 +183,10 @@ type Rule struct {
 	// is canceled or times out — the failure mode only visible through
 	// per-attempt deadlines.
 	HangRate float64 `json:"hangRate,omitempty"`
-	// DownFor fails the first DownFor attempts of every matching
-	// measurement with ErrMachineDown: a deterministic machine-down
-	// episode that retries with backoff ride out.
+	// DownFor fails the first DownFor attempts of each matching
+	// (machine, codelet, mode) measurement with ErrMachineDown: a
+	// deterministic machine-down episode that retries with backoff
+	// ride out.
 	DownFor int `json:"downFor,omitempty"`
 	// Delay imposes real latency per attempt (a Go duration string,
 	// e.g. "15ms"), bounded by the attempt's context.
@@ -243,6 +291,22 @@ func Load(path string) (*Profile, error) {
 	return p, nil
 }
 
+// CheckMachines rejects a rule naming a machine outside ms: it would
+// match no measurement and inject nothing, silently. The error lists
+// the valid names.
+func (p *Profile) CheckMachines(ms []*arch.Machine) error {
+	names := make([]string, len(ms))
+	for i, m := range ms {
+		names[i] = m.Name
+	}
+	for i, r := range p.Rules {
+		if r.Machine != "" && r.Machine != "*" && !slices.Contains(names, r.Machine) {
+			return fmt.Errorf("fault: rule %d: unknown machine %q (valid: %s)", i, r.Machine, strings.Join(names, ", "))
+		}
+	}
+	return nil
+}
+
 // match returns the first rule applying to (machine, codelet), or nil.
 func (p *Profile) match(machine, codelet string) *Rule {
 	for i := range p.Rules {
@@ -268,29 +332,24 @@ type Stats struct {
 	Delays     int64 `json:"delays"`
 }
 
-// Injector is a Measurer that perturbs another Measurer according to a
-// Profile. Safe for concurrent use.
+// Injector is a Measurer that perturbs the simulator's measurements
+// according to a Profile. Safe for concurrent use.
 type Injector struct {
 	profile *Profile
-	base    Measurer
 
 	mu       sync.Mutex
 	attempts map[string]int // per-measurement attempt counter, guarded by mu
 	stats    Stats          // guarded by mu
 }
 
-// NewInjector wraps base (nil = the raw simulator) with profile (nil =
-// inject nothing).
-func NewInjector(profile *Profile, base Measurer) *Injector {
+// NewInjector injects profile's faults (nil = inject nothing) into
+// the simulator's measurements.
+func NewInjector(profile *Profile) *Injector {
 	if profile == nil {
 		profile = &Profile{}
 	}
-	if base == nil {
-		base = Sim{}
-	}
 	return &Injector{
 		profile:  profile,
-		base:     base,
 		attempts: make(map[string]int),
 	}
 }
@@ -327,69 +386,170 @@ func (in *Injector) stream(machine, codelet string, mode sim.Mode, attempt int) 
 	return rng.New(h.Sum64())
 }
 
-// Measure applies the first matching rule to one measurement attempt:
-// machine-down episodes and injected failures surface as errors,
-// delays and hangs consume real time (bounded by ctx), and noise and
-// outliers perturb the invocation times of an otherwise-successful
-// measurement, re-deriving the median with sim's own rule.
-func (in *Injector) Measure(ctx context.Context, p *ir.Program, c *ir.Codelet, opts sim.Options) (*sim.Measurement, error) {
-	machine := ""
-	if opts.Machine != nil {
-		machine = opts.Machine.Name
-	}
-	rule := in.profile.match(machine, c.Name)
-	if rule == nil {
-		return in.base.Measure(ctx, p, c, opts)
-	}
-	key := fmt.Sprintf("%s|%s|%d", machine, c.Name, opts.Mode)
-	attempt := in.nextAttempt(key)
-	r := in.stream(machine, c.Name, opts.Mode, attempt)
+// errHang marks an attempt that hangs until its context ends.
+var errHang = errors.New("fault: hang")
 
-	if rule.delay > 0 {
-		in.count(func(s *Stats) { s.Delays++ })
-		// The allowed wall-clock timer: latency injection is this
-		// package's purpose, and the delay is bounded by ctx.
-		t := time.NewTimer(rule.delay)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return nil, ctx.Err()
-		case <-t.C:
+// Measure is the one-machine case of MeasureGroup.
+func (in *Injector) Measure(ctx context.Context, p *ir.Program, c *ir.Codelet, opts sim.Options) (*sim.Measurement, error) {
+	ms, errs := in.MeasureGroup(ctx, p, c, []*arch.Machine{opts.Machine}, opts)
+	return ms[0], errs[0]
+}
+
+// MeasureGroup applies each machine's first matching rule to one
+// measurement attempt on that machine, with the outcome that machine
+// would get alone under ctx. Each matched machine draws its decisions
+// from its own (seed, machine, codelet, mode, attempt) stream. The
+// machines are settled in order of their matched delay, all timed from
+// the call's start: a delay that ctx cuts short fails its machine, and
+// every longer one, with ctx's error. Once its delay is over, a machine
+// draws its failure decisions: machine-down episodes and injected
+// failures surface as errors without simulating. The machines that
+// pass are simulated by one sim.MeasureGroup call, unless ctx had
+// already ended on entry, and noise and outliers then perturb each
+// matched one's invocation times from its own stream, re-deriving the
+// median with sim's own rule. A hang blocks the call until ctx ends
+// and fails only the hung machines.
+func (in *Injector) MeasureGroup(ctx context.Context, p *ir.Program, c *ir.Codelet, machines []*arch.Machine, opts sim.Options) ([]*sim.Measurement, []error) {
+	entryErr := ctx.Err()
+	ms := make([]*sim.Measurement, len(machines))
+	errs := make([]error, len(machines))
+	draws := make([]draw, len(machines))
+	for j, m := range machines {
+		name := MachineName(m)
+		if rule := in.profile.match(name, c.Name); rule != nil {
+			n := in.nextAttempt(fmt.Sprintf("%s|%s|%d", name, c.Name, opts.Mode))
+			draws[j] = draw{rule, in.stream(name, c.Name, opts.Mode, n), n}
+			if rule.delay > 0 {
+				in.count(func(s *Stats) { s.Delays++ })
+			}
 		}
 	}
-	if attempt < rule.DownFor {
-		in.count(func(s *Stats) { s.Downs++ })
-		return nil, Transient(fmt.Errorf("%w: %s (attempt %d of a %d-attempt episode)",
-			ErrMachineDown, machine, attempt+1, rule.DownFor))
+	order := make([]int, len(machines))
+	for j := range order {
+		order[j] = j
 	}
-	if rule.HangRate > 0 && r.Bool(rule.HangRate) {
-		in.count(func(s *Stats) { s.Hangs++ })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(draws[a].delay(), draws[b].delay()) })
+
+	var pass []*arch.Machine
+	var passIdx []int
+	var waited time.Duration
+	cut, hung := false, false
+	for _, j := range order {
+		d := draws[j]
+		if !cut && d.delay() > waited {
+			cut = !sleep(ctx, d.delay()-waited)
+			waited = d.delay()
+		}
+		switch {
+		case cut:
+			errs[j] = ctx.Err()
+		case d.rule != nil:
+			errs[j] = in.fail(d, MachineName(machines[j]), c.Name)
+		}
+		if errs[j] == nil {
+			pass = append(pass, machines[j])
+			passIdx = append(passIdx, j)
+		}
+		hung = hung || errs[j] == errHang
+	}
+	if len(pass) > 0 {
+		var pms []*sim.Measurement
+		err := entryErr
+		if err == nil {
+			pms, err = sim.MeasureGroup(p, c, pass, opts)
+		}
+		for k, j := range passIdx {
+			if err != nil {
+				errs[j] = err
+				continue
+			}
+			ms[j] = pms[k]
+			if draws[j].rule != nil {
+				in.perturb(ms[j], draws[j])
+			}
+		}
+	}
+	if hung {
 		// A hang is only observable through the caller's deadline: the
 		// attempt blocks until its context gives up, then reports the
 		// context's own error so the retry layer classifies it.
 		<-ctx.Done()
-		return nil, ctx.Err()
+		for j := range errs {
+			if errs[j] == errHang {
+				errs[j] = ctx.Err()
+			}
+		}
 	}
-	if rule.PermanentRate > 0 && r.Bool(rule.PermanentRate) {
-		in.count(func(s *Stats) { s.Permanents++ })
-		return nil, fmt.Errorf("%w: %s on %s", ErrBroken, c.Name, machine)
-	}
-	if rule.TransientRate > 0 && r.Bool(rule.TransientRate) {
-		in.count(func(s *Stats) { s.Transients++ })
-		return nil, Transient(fmt.Errorf("%w: %s on %s (attempt %d)", ErrInjected, c.Name, machine, attempt+1))
-	}
+	return ms, errs
+}
 
-	meas, err := in.base.Measure(ctx, p, c, opts)
-	if err != nil {
-		return nil, err
+// sleep blocks for d or until ctx ends, whichever is first, and
+// reports whether d came first.
+func sleep(ctx context.Context, d time.Duration) bool {
+	// The allowed wall-clock timer: latency injection is this
+	// package's purpose, and the delay is bounded by ctx.
+	tm := time.NewTimer(d)
+	defer tm.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-tm.C:
+		return true
 	}
-	in.perturb(meas, rule, r)
-	return meas, nil
+}
+
+// draw is one machine's attempt under a matched rule: the rule, the
+// attempt's decision stream and its 0-based index. The zero draw is an
+// unmatched machine.
+type draw struct {
+	rule    *Rule
+	r       *rng.RNG
+	attempt int
+}
+
+// delay is the draw's injected latency, 0 for an unmatched machine.
+func (d draw) delay() time.Duration {
+	if d.rule == nil {
+		return 0
+	}
+	return d.rule.delay
+}
+
+// fail draws d's failure decisions, in order: machine-down episode,
+// hang (errHang), permanent, transient. nil means the attempt goes on
+// to measure.
+func (in *Injector) fail(d draw, machine, codelet string) error {
+	rule, r := d.rule, d.r
+	switch {
+	case d.attempt < rule.DownFor:
+		in.count(func(s *Stats) { s.Downs++ })
+		return Transient(fmt.Errorf("%w: %s (attempt %d of a %d-attempt episode)",
+			ErrMachineDown, machine, d.attempt+1, rule.DownFor))
+	case rule.HangRate > 0 && r.Bool(rule.HangRate):
+		in.count(func(s *Stats) { s.Hangs++ })
+		return errHang
+	case rule.PermanentRate > 0 && r.Bool(rule.PermanentRate):
+		in.count(func(s *Stats) { s.Permanents++ })
+		return fmt.Errorf("%w: %s on %s", ErrBroken, codelet, machine)
+	case rule.TransientRate > 0 && r.Bool(rule.TransientRate):
+		in.count(func(s *Stats) { s.Transients++ })
+		return Transient(fmt.Errorf("%w: %s on %s (attempt %d)", ErrInjected, codelet, machine, d.attempt+1))
+	}
+	return nil
+}
+
+// MachineName is m's name, or "" for a nil machine.
+func MachineName(m *arch.Machine) string {
+	if m == nil {
+		return ""
+	}
+	return m.Name
 }
 
 // perturb scales the measurement's invocation times by per-invocation
 // noise and outlier factors, then re-derives the median summary.
-func (in *Injector) perturb(meas *sim.Measurement, rule *Rule, r *rng.RNG) {
+func (in *Injector) perturb(meas *sim.Measurement, d draw) {
+	rule, r := d.rule, d.r
 	if rule.NoiseAmp <= 0 && rule.OutlierRate <= 0 {
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -41,7 +42,7 @@ func TestEmptyProfileIsTransparent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := NewInjector(&Profile{Seed: 7}, nil)
+	inj := NewInjector(&Profile{Seed: 7})
 	got, err := inj.Measure(context.Background(), p, c, simOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +67,7 @@ func TestNoiseIsBoundedAndDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	profile := &Profile{Seed: 42, Rules: []Rule{{NoiseAmp: 0.1}}}
-	first := NewInjector(profile, nil)
+	first := NewInjector(profile)
 	a, err := first.Measure(context.Background(), p, c, simOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func TestNoiseIsBoundedAndDeterministic(t *testing.T) {
 		}
 	}
 	// A fresh injector with the same seed replays the same perturbation.
-	second := NewInjector(&Profile{Seed: 42, Rules: []Rule{{NoiseAmp: 0.1}}}, nil)
+	second := NewInjector(&Profile{Seed: 42, Rules: []Rule{{NoiseAmp: 0.1}}})
 	b, err := second.Measure(context.Background(), p, c, simOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +88,7 @@ func TestNoiseIsBoundedAndDeterministic(t *testing.T) {
 		t.Errorf("same seed, different outcome: %g vs %g", a.Seconds, b.Seconds)
 	}
 	// A different seed perturbs differently.
-	third := NewInjector(&Profile{Seed: 43, Rules: []Rule{{NoiseAmp: 0.1}}}, nil)
+	third := NewInjector(&Profile{Seed: 43, Rules: []Rule{{NoiseAmp: 0.1}}})
 	cMeas, err := third.Measure(context.Background(), p, c, simOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +103,7 @@ func TestNoiseIsBoundedAndDeterministic(t *testing.T) {
 
 func TestMachineDownEpisodeEnds(t *testing.T) {
 	p, c := testProgram()
-	inj := NewInjector(&Profile{Seed: 1, Rules: []Rule{{Machine: "Nehalem", DownFor: 2}}}, nil)
+	inj := NewInjector(&Profile{Seed: 1, Rules: []Rule{{Machine: "Nehalem", DownFor: 2}}})
 	for attempt := 0; attempt < 2; attempt++ {
 		_, err := inj.Measure(context.Background(), p, c, simOpts())
 		if !errors.Is(err, ErrMachineDown) {
@@ -139,12 +140,12 @@ func TestRuleMatchingFirstWins(t *testing.T) {
 
 func TestPermanentVsTransientClassification(t *testing.T) {
 	p, c := testProgram()
-	perm := NewInjector(&Profile{Rules: []Rule{{PermanentRate: 1}}}, nil)
+	perm := NewInjector(&Profile{Rules: []Rule{{PermanentRate: 1}}})
 	_, err := perm.Measure(context.Background(), p, c, simOpts())
 	if !errors.Is(err, ErrBroken) || IsTransient(err) {
 		t.Errorf("permanent failure misclassified: %v", err)
 	}
-	tr := NewInjector(&Profile{Rules: []Rule{{TransientRate: 1}}}, nil)
+	tr := NewInjector(&Profile{Rules: []Rule{{TransientRate: 1}}})
 	_, err = tr.Measure(context.Background(), p, c, simOpts())
 	if !errors.Is(err, ErrInjected) || !IsTransient(err) {
 		t.Errorf("transient failure misclassified: %v", err)
@@ -162,7 +163,7 @@ func TestPermanentVsTransientClassification(t *testing.T) {
 
 func TestHangIsVisibleThroughDeadline(t *testing.T) {
 	p, c := testProgram()
-	inj := NewInjector(&Profile{Rules: []Rule{{HangRate: 1}}}, nil)
+	inj := NewInjector(&Profile{Rules: []Rule{{HangRate: 1}}})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -180,7 +181,7 @@ func TestHangIsVisibleThroughDeadline(t *testing.T) {
 
 func TestDelayRespectsContext(t *testing.T) {
 	p, c := testProgram()
-	inj := NewInjector(&Profile{Rules: []Rule{{Delay: "5ms"}}}, nil)
+	inj := NewInjector(&Profile{Rules: []Rule{{Delay: "5ms"}}})
 	if err := inj.profile.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,13 +199,67 @@ func TestDelayRespectsContext(t *testing.T) {
 	}
 }
 
+// TestGroupDelayCutShort: when ctx ends before a group's delays do,
+// the delayed machines fail with the context's error, each machine
+// with a shorter delay or none keeps its measurement, and only the
+// attempts whose delay ended draw failure decisions.
+func TestGroupDelayCutShort(t *testing.T) {
+	p, c := testProgram()
+	profile := &Profile{Rules: []Rule{
+		{Machine: "Atom", Delay: "1h", TransientRate: 1},
+		{Machine: "Core 2", Delay: "1ms", NoiseAmp: 0.1},
+	}}
+	if err := profile.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	inj := NewInjector(profile)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	machines := arch.All()
+	ms, errs := inj.MeasureGroup(ctx, p, c, machines, simOpts())
+	for j, m := range machines {
+		if m.Name == "Atom" {
+			if ms[j] != nil || !errors.Is(errs[j], context.DeadlineExceeded) {
+				t.Errorf("Atom: err = %v, want DeadlineExceeded", errs[j])
+			}
+			continue
+		}
+		alone := NewInjector(profile)
+		opts := simOpts()
+		opts.Machine = m
+		want, err := alone.Measure(context.Background(), p, c, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if errs[j] != nil || !reflect.DeepEqual(ms[j], want) {
+			t.Errorf("%s: err = %v, want the measurement it gets alone", m.Name, errs[j])
+		}
+	}
+	if st := inj.Stats(); st != (Stats{Calls: 2, Noisy: 1, Delays: 2}) {
+		t.Errorf("stats = %+v, want two delayed calls, one noisy and no transient", st)
+	}
+}
+
+func TestCheckMachines(t *testing.T) {
+	ok := &Profile{Rules: []Rule{{Machine: "Atom"}, {Machine: "*"}, {Codelet: "x"}}}
+	if err := ok.CheckMachines(arch.All()); err != nil {
+		t.Errorf("known machines rejected: %v", err)
+	}
+	bad := &Profile{Rules: []Rule{{Machine: "Atom"}, {Machine: "atom", PermanentRate: 1}}}
+	err := bad.CheckMachines(arch.All())
+	if err == nil || !strings.Contains(err.Error(), `rule 1: unknown machine "atom"`) ||
+		!strings.Contains(err.Error(), "Nehalem, Atom, Core 2, Sandy Bridge") {
+		t.Errorf("err = %v, want the rule, its machine and the valid names", err)
+	}
+}
+
 func TestOutliersArePerturbed(t *testing.T) {
 	p, c := testProgram()
 	clean, err := sim.Measure(p, c, simOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := NewInjector(&Profile{Seed: 3, Rules: []Rule{{OutlierRate: 1, OutlierScale: 25}}}, nil)
+	inj := NewInjector(&Profile{Seed: 3, Rules: []Rule{{OutlierRate: 1, OutlierScale: 25}}})
 	got, err := inj.Measure(context.Background(), p, c, simOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +321,7 @@ func TestConcurrentInjectionIsDeterministicPerAttempt(t *testing.T) {
 	// every attempt of it fails and no attempt of the other does,
 	// regardless of ordering.
 	p, c := testProgram()
-	inj := NewInjector(&Profile{Seed: 5, Rules: []Rule{{Codelet: "chaos_copy", TransientRate: 1}}}, nil)
+	inj := NewInjector(&Profile{Seed: 5, Rules: []Rule{{Codelet: "chaos_copy", TransientRate: 1}}})
 	done := make(chan error, 8)
 	for i := 0; i < 8; i++ {
 		go func() {

@@ -21,11 +21,13 @@ package measure
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync/atomic"
 	"time"
 
+	"fgbs/internal/arch"
 	"fgbs/internal/fault"
 	"fgbs/internal/ir"
 	"fgbs/internal/rng"
@@ -191,64 +193,102 @@ func backoff(codelet, machine string, mode sim.Mode, attempt int) time.Duration 
 	return time.Duration(float64(d) * jitter)
 }
 
-// Measure runs the robust protocol for one codelet on one machine.
+// Measure runs the robust protocol for one codelet on one machine: the
+// one-machine case of MeasureGroup.
 func (r *Robust) Measure(ctx context.Context, p *ir.Program, c *ir.Codelet, opts sim.Options) (*sim.Measurement, error) {
+	ms, errs := r.MeasureGroup(ctx, p, c, []*arch.Machine{opts.Machine}, opts)
+	return ms[0], errs[0]
+}
+
+// MeasureGroup runs the robust protocol for one codelet on each of
+// machines, returning a measurement or an error per machine. Each round
+// measures the still-pending machines with one base group call under
+// one attempt deadline, then backs off once, for the longest backoff
+// among the machines it retries. Every counter keeps its per-machine
+// meaning: an attempt, retry or timeout is one machine's.
+func (r *Robust) MeasureGroup(ctx context.Context, p *ir.Program, c *ir.Codelet, machines []*arch.Machine, opts sim.Options) ([]*sim.Measurement, []error) {
 	if r.cfg.Invocations > opts.Invocations {
 		opts.Invocations = r.cfg.Invocations
 	}
-	machine := ""
-	if opts.Machine != nil {
-		machine = opts.Machine.Name
+	ms := make([]*sim.Measurement, len(machines))
+	errs := make([]error, len(machines))
+	pending := make([]int, len(machines))
+	for j := range pending {
+		pending[j] = j
 	}
-
-	var lastErr error
-	for attempt := 1; attempt <= r.cfg.MaxAttempts; attempt++ {
+	fail := func(err error) {
+		for _, j := range pending {
+			errs[j] = err
+		}
+	}
+	for attempt := 1; len(pending) > 0; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r.attempts.Add(1)
-		meas, err := r.measureOnce(ctx, p, c, opts)
-		if err == nil {
-			return r.summarize(meas), nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			// The caller gave up; don't reclassify its cancellation.
-			return nil, ctx.Err()
-		}
-		if !fault.IsTransient(err) {
-			r.permanents.Add(1)
-			return nil, &Error{Codelet: c.Name, Machine: machine, Mode: opts.Mode, Attempts: attempt, Err: err}
-		}
-		r.transients.Add(1)
-		if attempt == r.cfg.MaxAttempts {
+			fail(err)
 			break
 		}
-		r.retries.Add(1)
-		if err := r.cfg.Sleep(ctx, backoff(c.Name, machine, opts.Mode, attempt)); err != nil {
-			return nil, err
+		r.attempts.Add(int64(len(pending)))
+		round := make([]*arch.Machine, len(pending))
+		for k, j := range pending {
+			round[k] = machines[j]
+		}
+		got, gotErrs := r.measureOnce(ctx, p, c, round, opts)
+		var wait time.Duration
+		retry := pending[:0]
+		for k, j := range pending {
+			err := gotErrs[k]
+			machine := fault.MachineName(machines[j])
+			switch {
+			case err == nil:
+				ms[j] = r.summarize(got[k])
+			case ctx.Err() != nil:
+				// The caller gave up; don't reclassify its cancellation.
+				errs[j] = ctx.Err()
+			case !fault.IsTransient(err):
+				r.permanents.Add(1)
+				errs[j] = &Error{Codelet: c.Name, Machine: machine, Mode: opts.Mode, Attempts: attempt, Err: err}
+			case attempt == r.cfg.MaxAttempts:
+				r.transients.Add(1)
+				r.exhausted.Add(1)
+				errs[j] = &Error{Codelet: c.Name, Machine: machine, Mode: opts.Mode, Attempts: attempt, Err: err}
+			default:
+				r.transients.Add(1)
+				r.retries.Add(1)
+				wait = max(wait, backoff(c.Name, machine, opts.Mode, attempt))
+				retry = append(retry, j)
+			}
+		}
+		pending = retry
+		if len(pending) > 0 {
+			if err := r.cfg.Sleep(ctx, wait); err != nil {
+				fail(err)
+				break
+			}
 		}
 	}
-	r.exhausted.Add(1)
-	return nil, &Error{Codelet: c.Name, Machine: machine, Mode: opts.Mode, Attempts: r.cfg.MaxAttempts, Err: lastErr}
+	return ms, errs
 }
 
-// measureOnce runs a single attempt under the per-attempt deadline.
-func (r *Robust) measureOnce(ctx context.Context, p *ir.Program, c *ir.Codelet, opts sim.Options) (*sim.Measurement, error) {
+// measureOnce runs a single attempt on machines under one per-attempt
+// deadline. A machine whose attempt the deadline cut short (a hang) is
+// counted as a timeout and gets the deadline error, so IsTransient
+// says retry; the other machines keep their own outcomes.
+func (r *Robust) measureOnce(ctx context.Context, p *ir.Program, c *ir.Codelet, machines []*arch.Machine, opts sim.Options) ([]*sim.Measurement, []error) {
 	attemptCtx := ctx
 	if r.cfg.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
 		attemptCtx, cancel = context.WithTimeout(ctx, r.cfg.AttemptTimeout)
 		defer cancel()
 	}
-	meas, err := r.base.Measure(attemptCtx, p, c, opts)
-	if err != nil && attemptCtx.Err() != nil && ctx.Err() == nil {
-		// The attempt deadline fired (a hang was cut short); count it
-		// and surface the deadline so IsTransient says retry.
-		r.timeouts.Add(1)
-		return nil, fmt.Errorf("attempt timed out after %v: %w", r.cfg.AttemptTimeout, context.DeadlineExceeded)
+	ms, errs := fault.MeasureGroup(attemptCtx, r.base, p, c, machines, opts)
+	if attemptCtx.Err() != nil && ctx.Err() == nil {
+		for k, err := range errs {
+			if errors.Is(err, context.DeadlineExceeded) {
+				r.timeouts.Add(1)
+				errs[k] = fmt.Errorf("attempt timed out after %v: %w", r.cfg.AttemptTimeout, context.DeadlineExceeded)
+			}
+		}
 	}
-	return meas, err
+	return ms, errs
 }
 
 // summarize applies MAD outlier rejection across the invocation times

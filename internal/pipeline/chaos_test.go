@@ -61,7 +61,7 @@ func chaosMeasurer(p *fault.Profile, cfg measure.Config) fault.Measurer {
 	if cfg.Sleep == nil {
 		cfg.Sleep = chaosSleep
 	}
-	return measure.New(fault.NewInjector(p, nil), cfg)
+	return measure.New(fault.NewInjector(p), cfg)
 }
 
 // TestNoFaultProfileIsByteIdentical is the regression guard of the

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"fgbs/internal/fault"
 	"fgbs/internal/ir"
 	"fgbs/internal/measure"
+	"fgbs/internal/sim"
 	"fgbs/internal/suites/nas"
 )
 
@@ -178,14 +180,27 @@ func TestProfileWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// Without a Measurer the profile measures each codelet on every machine
-// with one sim.MeasureGroup call per mode; with one, it asks the
-// Measurer once per machine. A Measurer that passes straight through
-// to the simulator must give the same profile bytes at any worker
-// count, on the syn-smoke corpus and, without -race (under which its
-// four builds take about six minutes), on NAS.
+// perMachine hides its Measurer's group call, so the pipeline asks it
+// once per machine: the oracle the grouped measurement path must match.
+type perMachine struct{ m fault.Measurer }
+
+func (pm perMachine) Measure(ctx context.Context, p *ir.Program, c *ir.Codelet, opts sim.Options) (*sim.Measurement, error) {
+	return pm.m.Measure(ctx, p, c, opts)
+}
+
+// The profile measures each codelet in each mode on every machine with
+// one group call. Asking the same stack once per machine must give the
+// same profile bytes at any worker count: for the clean simulator, and
+// for the robust-over-injector stack under the reference fault profile,
+// whose failures mark the profile degraded. Each chaos build gets a
+// fresh stack. Checked on the syn-smoke corpus and, without -race
+// (under which its builds take minutes), on NAS.
 func TestGroupedProfileMatchesPerMachine(t *testing.T) {
 	syn, err := corpus.BuildSuite("syn-smoke")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, err := fault.Load(filepath.Join("..", "fault", "testdata", "reference.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,22 +212,41 @@ func TestGroupedProfileMatchesPerMachine(t *testing.T) {
 	if !raceDetectorEnabled {
 		suites = append(suites, suite{"nas", nas.Suite()})
 	}
+	legs := []struct {
+		name  string
+		stack func() fault.Measurer
+	}{
+		{"clean", func() fault.Measurer { return nil }},
+		{"chaos", func() fault.Measurer { return chaosMeasurer(faults, measure.Config{}) }},
+	}
 	for _, suite := range suites {
-		var want []byte
-		for _, workers := range []int{1, 4} {
-			for _, measurer := range []fault.Measurer{nil, fault.Sim{}} {
-				prof, err := NewProfile(suite.progs, Options{Seed: 1, Workers: workers, Measurer: measurer})
-				if err != nil {
-					t.Fatalf("%s workers=%d measurer=%T: %v", suite.name, workers, measurer, err)
-				}
-				got, err := prof.AppendBinary(nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want == nil {
-					want = got
-				} else if !bytes.Equal(got, want) {
-					t.Errorf("%s workers=%d measurer=%T: profile bytes differ from the grouped one-worker build", suite.name, workers, measurer)
+		for _, leg := range legs {
+			var want []byte
+			for _, workers := range []int{1, 4} {
+				for _, grouped := range []bool{true, false} {
+					measurer := leg.stack()
+					if !grouped {
+						if measurer == nil {
+							measurer = fault.Sim{}
+						}
+						measurer = perMachine{measurer}
+					}
+					prof, err := NewProfile(suite.progs, Options{Seed: 1, Workers: workers, Measurer: measurer})
+					if err != nil {
+						t.Fatalf("%s %s workers=%d grouped=%v: %v", suite.name, leg.name, workers, grouped, err)
+					}
+					if prof.Degraded() != (leg.name == "chaos") {
+						t.Errorf("%s %s workers=%d grouped=%v: degraded = %v", suite.name, leg.name, workers, grouped, prof.Degraded())
+					}
+					got, err := prof.AppendBinary(nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want == nil {
+						want = got
+					} else if !bytes.Equal(got, want) {
+						t.Errorf("%s %s workers=%d grouped=%v: profile bytes differ from the grouped one-worker build", suite.name, leg.name, workers, grouped)
+					}
 				}
 			}
 		}

@@ -62,12 +62,13 @@ type Options struct {
 	// Workers bounds concurrent measurements (0 = GOMAXPROCS).
 	Workers int
 	// Measurer replaces the clean simulator on the measurement path —
-	// typically a measure.Robust stacked over a fault.Injector. A nil
-	// Measurer measures each codelet in each mode on the reference and
-	// every target with one sim.MeasureGroup call, which walks the
-	// codelet once per L1 geometry. A non-nil Measurer is called once
-	// per machine and mode, and its measurement failures no longer
-	// abort the profile: they escalate into the §3.4 screening
-	// machinery (see Profile.RefFailed / Profile.TargetFailed).
+	// typically a measure.Robust stacked over a fault.Injector; nil
+	// means fault.Sim{}. Either way each codelet is measured through
+	// fault.MeasureGroup: in-app on the reference and every target in
+	// one call, then standalone on the reference and every target
+	// whose in-app measurement succeeded. A non-nil Measurer's
+	// measurement failures no longer abort the profile: they escalate
+	// into the §3.4 screening machinery (see Profile.RefFailed /
+	// Profile.TargetFailed).
 	Measurer fault.Measurer
 }

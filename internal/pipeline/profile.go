@@ -9,6 +9,7 @@ import (
 	"fgbs/internal/arch"
 	"fgbs/internal/extract"
 	"fgbs/internal/fanout"
+	"fgbs/internal/fault"
 	"fgbs/internal/features"
 	"fgbs/internal/ir"
 	"fgbs/internal/maqao"
@@ -142,71 +143,70 @@ func newProfileDetected(ctx context.Context, ps []*ir.Program, cs []*ir.Codelet,
 	// retries degrades the codelet instead of aborting the whole
 	// profile. Cancellation still aborts: a dying server is not a
 	// flaky target.
-	escalate := opts.Measurer != nil
-	simOpts := func(i int, m *arch.Machine, mode sim.Mode) sim.Options {
-		return sim.Options{
-			Machine: m, Mode: mode, Seed: opts.Seed,
-			Dataset: datasets[ps[i]], ProbeCycles: -1, NoiseAmp: -1,
-		}
-	}
+	measurer := opts.Measurer
+	escalate := measurer != nil
 	if escalate {
 		pr.RefFailed = make([]bool, n)
 		for range opts.Targets {
 			pr.TargetFailed = append(pr.TargetFailed, make([]bool, n))
 		}
+	} else {
+		measurer = fault.Sim{}
 	}
 	machines := append([]*arch.Machine{pr.Ref}, pr.Targets...)
 
 	err := fanout.Run(ctx, n, opts.Workers, func(i int) error {
-		// measure returns codelet i's measurement on machines[j]. A
-		// caller's Measurer is asked per machine, in the order below;
-		// without one, each mode is measured on every machine by one
-		// sim.MeasureGroup call up front, which walks the codelet once
-		// per L1 geometry instead of once per machine.
-		measure := func(j int, mode sim.Mode) (*sim.Measurement, error) {
-			return opts.Measurer.Measure(ctx, ps[i], cs[i], simOpts(i, machines[j], mode))
+		// measure measures codelet i in one mode on each of ms with one
+		// group call, which walks the codelet once per L1 geometry.
+		measure := func(ms []*arch.Machine, mode sim.Mode) ([]*sim.Measurement, []error) {
+			return fault.MeasureGroup(ctx, measurer, ps[i], cs[i], ms, sim.Options{
+				Mode: mode, Seed: opts.Seed,
+				Dataset: datasets[ps[i]], ProbeCycles: -1, NoiseAmp: -1,
+			})
 		}
-		if !escalate {
-			var grouped [2][]*sim.Measurement
-			for _, mode := range []sim.Mode{sim.ModeInApp, sim.ModeStandalone} {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				ms, err := sim.MeasureGroup(ps[i], cs[i], machines, simOpts(i, nil, mode))
-				if err != nil {
-					return err
-				}
-				grouped[mode] = ms
-			}
-			measure = func(j int, mode sim.Mode) (*sim.Measurement, error) {
-				return grouped[mode][j], nil
-			}
-		}
+		// degrade reports whether a failed measurement degrades the
+		// codelet (true) or aborts the profile with its error (false).
+		degrade := func() bool { return escalate && ctx.Err() == nil }
 
-		refIn, err := measure(0, sim.ModeInApp)
-		if err != nil {
-			if escalate && ctx.Err() == nil {
-				// The reference in-app time anchors everything
-				// derived for this codelet (features, the model's
-				// matrix row, screening); without it the codelet is
-				// screened out entirely.
-				pr.RefFailed[i] = true
-				pr.IllBehaved[i] = true
-				pr.Discarded[i] = true
-				pr.Features[i] = make([]float64, features.NumFeatures)
-				return nil
+		in, inErrs := measure(machines, sim.ModeInApp)
+		if err := inErrs[0]; err != nil {
+			if !degrade() {
+				return err
 			}
-			return err
+			// The reference in-app time anchors everything derived for
+			// this codelet (features, the model's matrix row,
+			// screening); without it the codelet is screened out
+			// entirely, and its targets' in-app results go unused.
+			pr.RefFailed[i] = true
+			pr.IllBehaved[i] = true
+			pr.Discarded[i] = true
+			pr.Features[i] = make([]float64, features.NumFeatures)
+			return nil
 		}
+		refIn := in[0]
 		pr.RefInApp[i] = refIn.Seconds
 		pr.Discarded[i] = refIn.Counters.Cycles < MinMeasurableCycles
 
 		st := maqao.Analyze(ps[i], cs[i], pr.Ref)
 		pr.Features[i] = features.Assemble(ps[i], cs[i], refIn, st)
 
-		refSa, err := measure(0, sim.ModeStandalone)
-		if err != nil {
-			if !escalate || ctx.Err() != nil {
+		// Standalone runs on the reference and on every target whose
+		// in-app measurement succeeded; sa[k+1] is saTargets[k]'s.
+		saMachines, saTargets := machines[:1:1], []int(nil)
+		for t, err := range inErrs[1:] {
+			switch {
+			case err == nil:
+				saMachines = append(saMachines, machines[t+1])
+				saTargets = append(saTargets, t)
+			case !degrade():
+				return err
+			default:
+				pr.TargetFailed[t][i] = true
+			}
+		}
+		sa, saErrs := measure(saMachines, sim.ModeStandalone)
+		if err := saErrs[0]; err != nil {
+			if !degrade() {
 				return err
 			}
 			// Standalone extraction failed: mark ill-behaved so
@@ -215,24 +215,20 @@ func newProfileDetected(ctx context.Context, ps []*ir.Program, cs []*ir.Codelet,
 			pr.RefFailed[i] = true
 			pr.IllBehaved[i] = true
 		} else {
-			pr.RefStandalone[i] = refSa.Seconds
-			pr.IllBehaved[i] = extract.IllBehaved(refSa.Seconds, refIn.Seconds)
+			pr.RefStandalone[i] = sa[0].Seconds
+			pr.IllBehaved[i] = extract.IllBehaved(sa[0].Seconds, refIn.Seconds)
 		}
 
-		for t := range pr.Targets {
-			tin, err := measure(t+1, sim.ModeInApp)
-			if err == nil {
-				var tsa *sim.Measurement
-				if tsa, err = measure(t+1, sim.ModeStandalone); err == nil {
-					pr.TargetInApp[t][i] = tin.Seconds
-					pr.TargetStandalone[t][i] = tsa.Seconds
-					continue
+		for k, t := range saTargets {
+			if err := saErrs[k+1]; err != nil {
+				if !degrade() {
+					return err
 				}
+				pr.TargetFailed[t][i] = true
+				continue
 			}
-			if !escalate || ctx.Err() != nil {
-				return err
-			}
-			pr.TargetFailed[t][i] = true
+			pr.TargetInApp[t][i] = in[t+1].Seconds
+			pr.TargetStandalone[t][i] = sa[k+1].Seconds
 		}
 		return nil
 	})

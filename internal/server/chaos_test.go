@@ -75,7 +75,7 @@ func brokenBeta() fault.Measurer {
 	return measure.New(fault.NewInjector(&fault.Profile{
 		Seed:  chaosSeed,
 		Rules: []fault.Rule{{Codelet: "beta_div", PermanentRate: 1}},
-	}, nil), measure.Config{Invocations: -1, Sleep: chaosSleep})
+	}), measure.Config{Invocations: -1, Sleep: chaosSleep})
 }
 
 // rawBody issues a POST and returns status, headers and decoded body.
@@ -188,7 +188,7 @@ func TestChaosDegradedProfileServesStale(t *testing.T) {
 	inj := fault.NewInjector(&fault.Profile{
 		Seed:  chaosSeed,
 		Rules: []fault.Rule{{Machine: "Atom", Codelet: "beta_div", PermanentRate: 1}},
-	}, nil)
+	})
 	rob := measure.New(inj, measure.Config{Invocations: -1, Sleep: chaosSleep})
 	s := New(Config{
 		Seed:         1,

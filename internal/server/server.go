@@ -87,8 +87,10 @@ type Config struct {
 	JobRetention time.Duration
 	// Measurer, when set, replaces the raw simulator for profile
 	// builds — the hook fgbsd uses to mount the fault-injection +
-	// robust-measurement stack behind -faultprofile. nil keeps the
-	// fault-unaware pipeline byte-identical.
+	// robust-measurement stack behind -faultprofile. Builds measure
+	// through its group call when it has one (see
+	// pipeline.Options.Measurer). nil keeps the fault-unaware pipeline
+	// byte-identical.
 	Measurer fault.Measurer
 	// MeasureStats, when set, surfaces the robust measurement layer's
 	// retry/outlier counters in /metricz.
