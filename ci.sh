@@ -101,6 +101,14 @@ go test -race -count=50 -run . ./internal/fanout
 echo "== jobs =="
 go test -race -count=20 -run . ./internal/jobs
 
+# fgbsd renders each distinct answer once: identical concurrent queries
+# join the first one's render, and a renderer whose client leaves must
+# not fail the requests that joined it. Which requests join and which
+# replay a stored answer depends on the interleaving, so these tests
+# repeat under the race detector to see many schedules.
+echo "== answers =="
+go test -race -count=20 -run '^TestAnswer' ./internal/server
+
 # The cache simulator's differential fuzz: seeded address/write
 # streams, flushes, counter resets and preloads go through the packed
 # MRU-ordered Level and Hierarchy and through the clock-stamped

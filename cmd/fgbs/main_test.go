@@ -138,6 +138,10 @@ func TestValidateListsChoices(t *testing.T) {
 		{config{suite: "spec", what: "eval", trials: 1}, "nas, nr, poly, joint"},
 		{config{suite: "nas", what: "yaml", trials: 1}, "eval, sweep, features, evaljson, subsetjson, select"},
 		{config{suite: "nas", what: "eval", target: "VAX", trials: 1}, "Atom"},
+		// Known machines that no profile measures: the reference and
+		// the extension targets are not valid -target values.
+		{config{suite: "nas", what: "evaljson", target: "Nehalem", n: 1, trials: 1}, "(valid: Atom, Core 2, Sandy Bridge)"},
+		{config{suite: "nas", what: "evaljson", target: "WideVec", n: 1, trials: 1}, "(valid: Atom, Core 2, Sandy Bridge)"},
 		{config{suite: "nas", what: "eval", k: -1, trials: 1}, "elbow"},
 	}
 	for _, c := range cases {

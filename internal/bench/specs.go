@@ -130,7 +130,7 @@ func nasMeasureWork() ([]nasMeasured, error) {
 		if err != nil {
 			return nil, err
 		}
-		opts := sim.Options{Machine: arch.Reference(), Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1, Dataset: ds}
+		opts := sim.Options{Machine: arch.Reference(), Mode: sim.ModeInApp, Seed: 1, Dataset: ds}
 		for _, c := range p.Codelets {
 			if want[c.Name] {
 				work = append(work, nasMeasured{p, c, opts})

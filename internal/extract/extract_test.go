@@ -30,7 +30,7 @@ func triad(n int64) (*ir.Program, *ir.Codelet) {
 // (extracted, dump-reload) run or the original in-application one.
 func measure(t *testing.T, p *ir.Program, c *ir.Codelet, m *arch.Machine, mode sim.Mode) *sim.Measurement {
 	t.Helper()
-	meas, err := sim.Measure(p, c, sim.Options{Machine: m, Mode: mode, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+	meas, err := sim.Measure(p, c, sim.Options{Machine: m, Mode: mode, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func testProgram() (*ir.Program, *ir.Codelet) {
 }
 
 func simOpts() sim.Options {
-	return sim.Options{Machine: arch.Reference(), Mode: sim.ModeStandalone, Seed: 1, ProbeCycles: -1, NoiseAmp: -1}
+	return sim.Options{Machine: arch.Reference(), Mode: sim.ModeStandalone, Seed: 1}
 }
 
 func TestEmptyProfileIsTransparent(t *testing.T) {

@@ -34,7 +34,7 @@ func testCodelet(t *testing.T) (*ir.Program, *ir.Codelet) {
 func assemble(t *testing.T, p *ir.Program, c *ir.Codelet) []float64 {
 	t.Helper()
 	m := arch.Reference()
-	meas, err := sim.Measure(p, c, sim.Options{Machine: m, Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+	meas, err := sim.Measure(p, c, sim.Options{Machine: m, Mode: sim.ModeInApp, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

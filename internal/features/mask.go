@@ -1,9 +1,6 @@
 package features
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Compile-time check that the index list matches NumFeatures.
 var _ [NumFeatures]struct{} = [numFeaturesCheck]struct{}{}
@@ -110,15 +107,14 @@ func (m Mask) ApplyMatrix(rows [][]float64) [][]float64 {
 
 // String renders the mask as a 76-character bit string.
 func (m Mask) String() string {
-	var sb strings.Builder
-	for _, b := range m.bits {
+	var buf [NumFeatures]byte
+	for i, b := range m.bits {
+		buf[i] = '0'
 		if b {
-			sb.WriteByte('1')
-		} else {
-			sb.WriteByte('0')
+			buf[i] = '1'
 		}
 	}
-	return sb.String()
+	return string(buf[:])
 }
 
 // ParseMask parses the String form.

@@ -160,8 +160,7 @@ func newProfileDetected(ctx context.Context, ps []*ir.Program, cs []*ir.Codelet,
 		// group call, which walks the codelet once per L1 geometry.
 		measure := func(ms []*arch.Machine, mode sim.Mode) ([]*sim.Measurement, []error) {
 			return fault.MeasureGroup(ctx, measurer, ps[i], cs[i], ms, sim.Options{
-				Mode: mode, Seed: opts.Seed,
-				Dataset: datasets[ps[i]], ProbeCycles: -1, NoiseAmp: -1,
+				Mode: mode, Seed: opts.Seed, Dataset: datasets[ps[i]],
 			})
 		}
 		// degrade reports whether a failed measurement degrades the

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -52,9 +53,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 // writeRaw writes a pre-encoded JSON body, segment by segment, tagging
-// whether it came from the result cache (the header the cache-hit
-// tests and curious operators read) and whether it was computed from
-// degraded or last-good data.
+// whether this request rendered it (the header the cache-hit tests and
+// curious operators read) and whether it was computed from degraded or
+// last-good data.
 func writeRaw(w http.ResponseWriter, body [][]byte, cached, stale bool) {
 	w.Header().Set("Content-Type", "application/json")
 	if cached {
@@ -156,28 +157,33 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (queryReque
 	return req, mask, true
 }
 
-// answer serves the query from the result cache or computes, caches
-// and serves it. compute returns the encoded body as segments, which
-// the cache keeps as they are: segments shared with a stage artifact
-// (an Eval's encoding) are referenced, never copied.
+// answer serves the query from the results store, a memory-only
+// stage.Store of rendered bodies keyed by resultKey. compute returns
+// the encoded body as segments, which the store keeps as they are:
+// segments shared with a stage artifact (an Eval's encoding) are
+// referenced, never copied. Concurrent identical queries render once:
+// the first runs compute, the rest join it, and every request but the
+// one that rendered reports X-Cache: hit. compute runs detached from
+// the rendering request's cancellation, so a client that leaves
+// mid-render never fails the requests that joined it; a render is
+// milliseconds of CPU over stage artifacts.
 //
+// The profile is fetched first. A served clean profile is final, so
+// an answer stored under the query's key always belongs to it.
 // Graceful degradation: when the registry hands back a stale profile
 // (a degraded build, served while its circuit is open or its recovery
-// probe runs), the response is decorated with "stale": true plus an
-// X-Stale header and deliberately NOT cached — a recovered rebuild
-// must become visible on the next request, not hide behind a stale
-// LRU entry. When the
+// probe runs), the answer bypasses the results store — computed under
+// the request's context, decorated with "stale": true plus an X-Stale
+// header, and never stored — so a recovered rebuild becomes visible on
+// the next request instead of hiding behind a stale entry. When the
 // circuit is open and there is nothing to degrade onto, requests fail
 // fast with 503 and a Retry-After hint instead of hammering a build
 // that keeps failing.
-func (s *Server) answer(w http.ResponseWriter, r *http.Request, key string, compute func(*pipeline.Staged) ([][]byte, error), suite string) {
-	if body, ok := s.results.Get(key); ok {
-		writeRaw(w, body, true, false)
-		return
-	}
-	st, stale, err := s.registry.Staged(r.Context(), suite)
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, key string, compute func(context.Context, *pipeline.Staged) ([][]byte, error), suite string) {
+	ctx := r.Context()
+	st, stale, err := s.registry.Staged(ctx, suite)
 	if err != nil {
-		if r.Context().Err() != nil {
+		if ctx.Err() != nil {
 			// The client is gone; the status is for the access log.
 			writeError(w, http.StatusServiceUnavailable, "request canceled: %v", err)
 			return
@@ -191,15 +197,28 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, key string, comp
 		writeError(w, http.StatusInternalServerError, "profiling %s: %v", suite, err)
 		return
 	}
-	body, err := compute(st)
+	var (
+		body [][]byte
+		out  stage.Outcome
+	)
+	if stale {
+		body, err = compute(ctx, st)
+	} else {
+		var v any
+		v, out, err = s.results.Resolve(ctx, "answer", stage.Key(key), nil, func(ctx context.Context) (any, error) {
+			return compute(context.WithoutCancel(ctx), st)
+		})
+		body, _ = v.([][]byte)
+	}
 	if err != nil {
 		if errors.Is(err, errEncoding) {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		if r.Context().Err() != nil {
-			// A compute cut short by the client is no fault of the
-			// query: the same 503 as a canceled wait above.
+		if ctx.Err() != nil {
+			// A request canceled before or while waiting for its
+			// answer is no fault of the query: the same 503 as a
+			// canceled wait above.
 			writeError(w, http.StatusServiceUnavailable, "request canceled: %v", err)
 			return
 		}
@@ -207,11 +226,18 @@ func (s *Server) answer(w http.ResponseWriter, r *http.Request, key string, comp
 		return
 	}
 	if stale {
-		writeRaw(w, markStale(body), false, true)
-		return
+		body = markStale(body)
 	}
-	s.results.Put(key, body)
-	writeRaw(w, body, false, false)
+	writeRaw(w, body, out.Cached, stale)
+}
+
+// resultKey is the results-store key of one query. target is "*" for
+// queries spanning all targets (select, evaluate-all). The seed is
+// constant within a server, so it is no part of the key. The key stays
+// a plain string, not a digest: the results store has no byte tier,
+// and the value plane treats keys as opaque (see stage.Store.Resolve).
+func resultKey(kind, suite, mask string, k int, target string) string {
+	return kind + "|" + suite + "|" + mask + "|" + strconv.Itoa(k) + "|" + target
 }
 
 func (s *Server) handleSubset(w http.ResponseWriter, r *http.Request) {
@@ -219,9 +245,9 @@ func (s *Server) handleSubset(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	key := resultKey("subset", req.Suite, mask.String(), req.K, "*", s.cfg.Seed)
-	s.answer(w, r, key, func(st *pipeline.Staged) ([][]byte, error) {
-		sub, err := st.Subset(r.Context(), mask, req.K)
+	key := resultKey("subset", req.Suite, mask.String(), req.K, "*")
+	s.answer(w, r, key, func(ctx context.Context, st *pipeline.Staged) ([][]byte, error) {
+		sub, err := st.Subset(ctx, mask, req.K)
 		if err != nil {
 			return nil, err
 		}
@@ -244,8 +270,8 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if target == "" {
 		target = "*"
 	}
-	key := resultKey("evaluate", req.Suite, mask.String(), req.K, target, s.cfg.Seed)
-	s.answer(w, r, key, func(st *pipeline.Staged) ([][]byte, error) {
+	key := resultKey("evaluate", req.Suite, mask.String(), req.K, target)
+	s.answer(w, r, key, func(ctx context.Context, st *pipeline.Staged) ([][]byte, error) {
 		prof := st.Profile()
 		targets := prof.TargetIndices()
 		if req.Target != "" {
@@ -259,7 +285,8 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			}
 			targets = []int{t}
 		}
-		sub, evals, err := st.Evaluate(r.Context(), mask, req.K, targets)
+		encode := evalEncoder(prof)
+		sub, evals, err := st.Evaluate(ctx, mask, req.K, targets)
 		if err != nil {
 			return nil, err
 		}
@@ -274,7 +301,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		head = strconv.AppendInt(head, int64(sub.K()), 10)
 		body := make([][]byte, 1, 2*len(evals)+1)
 		body[0] = append(head, `,"evals":[`...)
-		encode := evalEncoder(prof)
 		for i, ev := range evals {
 			b, err := ev.Encoded(encode)
 			if err != nil {
@@ -302,10 +328,10 @@ func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	key := resultKey("select", req.Suite, mask.String(), req.K, "*", s.cfg.Seed)
-	s.answer(w, r, key, func(st *pipeline.Staged) ([][]byte, error) {
+	key := resultKey("select", req.Suite, mask.String(), req.K, "*")
+	s.answer(w, r, key, func(ctx context.Context, st *pipeline.Staged) ([][]byte, error) {
 		prof := st.Profile()
-		sub, evals, err := st.Evaluate(r.Context(), mask, req.K, prof.TargetIndices())
+		sub, evals, err := st.Evaluate(ctx, mask, req.K, prof.TargetIndices())
 		if err != nil {
 			return nil, err
 		}
@@ -397,7 +423,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 	endpoints, inFlight := s.metrics.snapshot()
-	hits, misses, size := s.results.Stats()
+	answers := s.results.Stats()
 	infos, trips := s.breakers.snapshot()
 	open := 0
 	for _, bi := range infos {
@@ -409,11 +435,13 @@ func (s *Server) handleMetricz(w http.ResponseWriter, r *http.Request) {
 		"uptimeSeconds": time.Since(s.started).Seconds(),
 		"inFlight":      inFlight,
 		"endpoints":     endpoints,
+		// A lookup is a hit when the answer was stored or rendering
+		// (joined), so hits + misses still counts lookups.
 		"resultCache": map[string]any{
-			"hits":     hits,
-			"misses":   misses,
-			"size":     size,
-			"capacity": s.cfg.ResultCacheSize,
+			"hits":     answers.Total.Hits + answers.Total.Joined,
+			"misses":   answers.Total.Misses,
+			"size":     answers.Entries,
+			"capacity": answers.Capacity,
 		},
 		"registry": map[string]any{
 			"builds":         s.registry.builds.Load(),

@@ -3,8 +3,9 @@
 // daemon. Profiling a suite on the reference machine is expensive and
 // happens at most once per suite (a lazily-built registry with
 // singleflight coalescing); answering "which system is best for this
-// workload?" is cheap and happens per request, with an LRU cache
-// replaying repeated queries byte-for-byte.
+// workload?" is cheap and happens per request, with a memory-only
+// stage.Store rendering each distinct answer once and replaying
+// repeated queries byte-for-byte.
 //
 // Endpoints (all JSON):
 //
@@ -36,6 +37,7 @@ import (
 	"fgbs/internal/ir"
 	"fgbs/internal/jobs"
 	"fgbs/internal/measure"
+	"fgbs/internal/stage"
 	"fgbs/internal/suites"
 )
 
@@ -43,8 +45,7 @@ import (
 // with the pipeline's defaults and a small result cache.
 type Config struct {
 	// Seed drives profiling, as the CLI's -seed flag does. Every
-	// profile the server builds uses this seed, and it is part of
-	// every result-cache key.
+	// profile the server builds uses this seed.
 	Seed uint64
 	// Workers bounds concurrent measurements per profiling run
 	// (0 = GOMAXPROCS).
@@ -70,7 +71,8 @@ type Config struct {
 	// (fgbsd passes fault.Profile.Fingerprint()). See
 	// pipeline.StageOptions.MeasurerKey.
 	MeasurerKey string
-	// ResultCacheSize caps the LRU result cache (entries; default 256).
+	// ResultCacheSize caps the result cache, the memory-only store of
+	// rendered query answers (entries; default 256).
 	ResultCacheSize int
 	// SuiteNames lists the suites the server accepts; defaults to
 	// suites.Names().
@@ -107,7 +109,7 @@ type Server struct {
 	suiteSet []string
 	breakers *breakerSet
 	registry *registry
-	results  *resultCache
+	results  *stage.Store // rendered answers; no byte tier
 	metrics  *httpMetrics
 	jobs     *jobs.Manager
 	mux      *http.ServeMux
@@ -132,7 +134,7 @@ func New(cfg Config) *Server {
 		suiteSet: cfg.SuiteNames,
 		breakers: breakers,
 		registry: newRegistry(cfg, breakers),
-		results:  newResultCache(cfg.ResultCacheSize),
+		results:  stage.NewStore(cfg.ResultCacheSize, ""),
 		metrics:  newHTTPMetrics(),
 		mux:      http.NewServeMux(),
 		started:  time.Now(), //fgbs:allow determinism /healthz uptime reports real wall time; no experiment result depends on it

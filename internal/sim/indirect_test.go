@@ -51,7 +51,7 @@ func TestIndirectIndexOperators(t *testing.T) {
 	for name, ix := range cases {
 		t.Run(name, func(t *testing.T) {
 			p, c := indirectKernel(t, ix)
-			res, err := Measure(p, c, Options{Machine: arch.Nehalem(), Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+			res, err := Measure(p, c, Options{Machine: arch.Nehalem(), Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +81,7 @@ func TestIndirectDivModByZeroSafe(t *testing.T) {
 		if err := p.AddCodelet(c); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Measure(p, c, Options{Machine: arch.Atom(), Seed: 1, ProbeCycles: -1, NoiseAmp: -1}); err != nil {
+		if _, err := Measure(p, c, Options{Machine: arch.Atom(), Seed: 1}); err != nil {
 			t.Fatalf("%v: %v", op, err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestIndirectOutOfRangeReadsZero(t *testing.T) {
 	if err := p.AddCodelet(c); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Measure(p, c, Options{Machine: arch.Core2(), Seed: 1, ProbeCycles: -1, NoiseAmp: -1}); err != nil {
+	if _, err := Measure(p, c, Options{Machine: arch.Core2(), Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -128,7 +128,7 @@ func TestUnsupportedIndexRejected(t *testing.T) {
 	if err := p.AddCodelet(c); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Measure(p, c, Options{Machine: arch.Nehalem(), Seed: 1, ProbeCycles: -1, NoiseAmp: -1}); err == nil {
+	if _, err := Measure(p, c, Options{Machine: arch.Nehalem(), Seed: 1}); err == nil {
 		t.Error("float-typed index computation accepted by the simulator")
 	}
 }

@@ -29,7 +29,7 @@ func (m Mode) String() string {
 	return "in-app"
 }
 
-// Default measurement knobs.
+// Measurement model constants.
 const (
 	// DefaultProbeCycles is the fixed instrumentation overhead charged
 	// per invocation (the Likwid probe calls around the codelet). It
@@ -37,7 +37,9 @@ const (
 	// observes.
 	DefaultProbeCycles = 12000
 	// DefaultNoiseAmp is the amplitude of the deterministic
-	// pseudo-noise applied to measured times (run-to-run variability).
+	// pseudo-noise applied to measured times (run-to-run variability):
+	// an invocation's cycles are scaled by a factor in
+	// [1-DefaultNoiseAmp, 1+DefaultNoiseAmp].
 	DefaultNoiseAmp = 0.02
 	// DefaultInvocations is how many invocations are simulated per
 	// measurement. Three cover both the dataset-variation period and
@@ -53,11 +55,6 @@ type Options struct {
 	Invocations int
 	// Seed drives dataset initialization and measurement pseudo-noise.
 	Seed uint64
-	// ProbeCycles overrides DefaultProbeCycles when >= 0 (use a
-	// negative value to request the default; 0 disables the probe).
-	ProbeCycles float64
-	// NoiseAmp overrides DefaultNoiseAmp when >= 0.
-	NoiseAmp float64
 	// Dataset reuses a prebuilt dataset (else one is built from Seed).
 	Dataset *Dataset
 }
@@ -67,12 +64,6 @@ type Options struct {
 func (o *Options) ready(p *ir.Program) error {
 	if o.Invocations <= 0 {
 		o.Invocations = DefaultInvocations
-	}
-	if o.ProbeCycles < 0 {
-		o.ProbeCycles = DefaultProbeCycles
-	}
-	if o.NoiseAmp < 0 {
-		o.NoiseAmp = DefaultNoiseAmp
 	}
 	if o.Dataset == nil {
 		ds, err := BuildDataset(p, o.Seed)
@@ -363,7 +354,7 @@ func assemble(e *execState, pr *prepared, i int, opts Options, invocation int) C
 	ctr.ComputeCycles = t.computeCycles
 	ctr.BandwidthCycles = float64(ctr.MemAccesses+ctr.MemWritebacks) * line / m.MemBWBytesPerCycle
 	ctr.ExposedLatCycles = t.exposedLat
-	ctr.ProbeCycles = opts.ProbeCycles
+	ctr.ProbeCycles = DefaultProbeCycles
 
 	core := ctr.ComputeCycles
 	if ctr.BandwidthCycles > core {
@@ -372,7 +363,7 @@ func assemble(e *execState, pr *prepared, i int, opts Options, invocation int) C
 	cycles := core + ctr.ExposedLatCycles + ctr.ProbeCycles
 
 	// Deterministic measurement pseudo-noise.
-	noise := 1 + float64(opts.NoiseAmp*hashUnit(pr.codelet.Name, m.Name, invocation, opts.Seed))
+	noise := 1 + float64(DefaultNoiseAmp*hashUnit(pr.codelet.Name, m.Name, invocation, opts.Seed))
 	cycles *= noise
 
 	ctr.Cycles = cycles

@@ -46,11 +46,11 @@ func TestMeasurementInvariants(t *testing.T) {
 	if err := quick.Check(func(seed uint64) bool {
 		p, c := randomKernel(seed)
 		m := arch.All()[int(seed%4)]
-		r1, err := Measure(p, c, Options{Machine: m, Seed: seed, ProbeCycles: -1, NoiseAmp: -1})
+		r1, err := Measure(p, c, Options{Machine: m, Seed: seed})
 		if err != nil {
 			return false
 		}
-		r2, err := Measure(p, c, Options{Machine: m, Seed: seed, ProbeCycles: -1, NoiseAmp: -1})
+		r2, err := Measure(p, c, Options{Machine: m, Seed: seed})
 		if err != nil {
 			return false
 		}
@@ -84,7 +84,7 @@ func TestMeasurementInvariants(t *testing.T) {
 func TestSecondsConsistentWithCycles(t *testing.T) {
 	p, c := randomKernel(42)
 	for _, m := range arch.All() {
-		res, err := Measure(p, c, Options{Machine: m, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+		res, err := Measure(p, c, Options{Machine: m, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func TestZeroTripLoop(t *testing.T) {
 		}},
 	}
 	p.MustAddCodelet(c)
-	res, err := Measure(p, c, Options{Machine: arch.Nehalem(), Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+	res, err := Measure(p, c, Options{Machine: arch.Nehalem(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestMeasureValidatesOptions(t *testing.T) {
 
 func TestSingleInvocation(t *testing.T) {
 	p, c := randomKernel(2)
-	res, err := Measure(p, c, Options{Machine: arch.Core2(), Invocations: 1, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+	res, err := Measure(p, c, Options{Machine: arch.Core2(), Invocations: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,36 +139,27 @@ func TestSingleInvocation(t *testing.T) {
 	}
 }
 
-func TestProbeDisableable(t *testing.T) {
-	p, c := randomKernel(3)
-	with, err := Measure(p, c, Options{Machine: arch.Nehalem(), Seed: 1, ProbeCycles: -1, NoiseAmp: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, err := Measure(p, c, Options{Machine: arch.Nehalem(), Seed: 1, ProbeCycles: 0, NoiseAmp: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if without.Counters.Cycles >= with.Counters.Cycles {
-		t.Error("disabling the probe did not reduce measured cycles")
-	}
-}
-
-// Property: the noise amplitude bounds the deviation between noisy
-// and noiseless measurements.
+// Property: the noise amplitude bounds each invocation's deviation
+// from its noise-free cycle count (the cost model's sum), and the
+// noise is on.
 func TestNoiseBounded(t *testing.T) {
 	p, c := randomKernel(4)
-	clean, err := Measure(p, c, Options{Machine: arch.Atom(), Seed: 1, ProbeCycles: -1, NoiseAmp: 0})
+	res, err := Measure(p, c, Options{Machine: arch.Atom(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := Measure(p, c, Options{Machine: arch.Atom(), Seed: 1, ProbeCycles: -1, NoiseAmp: 0.05})
-	if err != nil {
-		t.Fatal(err)
+	noisy := false
+	for _, inv := range res.Invocations {
+		ctr := inv.Counters
+		clean := max(ctr.ComputeCycles, ctr.BandwidthCycles) + ctr.ExposedLatCycles + ctr.ProbeCycles
+		rel := ctr.Cycles/clean - 1
+		if rel > DefaultNoiseAmp+1e-12 || rel < -DefaultNoiseAmp-1e-12 {
+			t.Errorf("invocation %d: noise %.4f exceeds the amplitude %g", inv.Index, rel, DefaultNoiseAmp)
+		}
+		noisy = noisy || rel != 0
 	}
-	rel := noisy.Seconds/clean.Seconds - 1
-	if rel > 0.051 || rel < -0.051 {
-		t.Errorf("noise amplitude exceeded: %.4f", rel)
+	if !noisy {
+		t.Error("no invocation carries measurement noise")
 	}
 }
 
@@ -176,7 +167,7 @@ func TestWorkingSetIndependentOfMachine(t *testing.T) {
 	p, c := randomKernel(5)
 	var ws int64 = -1
 	for _, m := range arch.All() {
-		res, err := Measure(p, c, Options{Machine: m, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+		res, err := Measure(p, c, Options{Machine: m, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -324,8 +324,6 @@ func FuzzMeasureMatchesWalk(f *testing.F) {
 			Mode:        Mode(mode % 2),
 			Invocations: int(invocations % 13), // 0 = DefaultInvocations
 			Seed:        seed,
-			ProbeCycles: -1,
-			NoiseAmp:    -1,
 		}
 		walked := func(m *arch.Machine) *Measurement {
 			o := opts
@@ -375,7 +373,7 @@ func TestInvocationsOwnLevelSlices(t *testing.T) {
 	p, c := streamTriad(4000)
 	c.WarmInApp = false
 	for _, mode := range []Mode{ModeInApp, ModeStandalone} {
-		m, err := Measure(p, c, Options{Machine: arch.Reference(), Mode: mode, Invocations: 4, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+		m, err := Measure(p, c, Options{Machine: arch.Reference(), Mode: mode, Invocations: 4, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

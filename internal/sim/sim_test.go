@@ -81,7 +81,7 @@ func gatherKernel(n, span int64) (*ir.Program, *ir.Codelet) {
 
 func measure(t *testing.T, p *ir.Program, c *ir.Codelet, m *arch.Machine, mode Mode) *Measurement {
 	t.Helper()
-	res, err := Measure(p, c, Options{Machine: m, Mode: mode, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+	res, err := Measure(p, c, Options{Machine: m, Mode: mode, Seed: 1})
 	if err != nil {
 		t.Fatalf("Measure(%s on %s): %v", c.Name, m.Name, err)
 	}

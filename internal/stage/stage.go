@@ -27,7 +27,10 @@ import (
 
 // Key is the content address of one stage artifact: the hex SHA-256
 // digest of the stage's identity and encoded inputs. Keys are plain
-// comparable strings so they index maps and serialize trivially.
+// comparable strings so they index maps and serialize trivially. A
+// Store's value plane treats a Key as opaque, so a memory-only store
+// may use any string (see Store.Resolve); only keys that reach a byte
+// tier must be Valid.
 type Key string
 
 // String returns the key's canonical hex form. It is the wire

@@ -169,7 +169,12 @@ func (s *Store) counterLocked(stage string) *Counters {
 }
 
 // Resolve returns the artifact stored under key, computing and storing
-// it on a miss. Exactly one caller runs compute per key at a time;
+// it on a miss. The value plane treats key as opaque: any string that
+// names one value will do, and a memory-only store (fgbsd's rendered
+// answers) is keyed by plain query strings. Only the byte tiers need
+// a Valid digest, because a key names a file there and travels to
+// peers; a Codec-bearing stage resolves under one, and FetchFramed
+// rejects any other. Exactly one caller runs compute per key at a time;
 // concurrent resolves of the same key wait for that caller's outcome.
 // A failed compute is stored nowhere, neither in the value LRU nor in
 // a byte tier: its coalesced waiters get the same error, and a later

@@ -112,7 +112,7 @@ func TestCGDominatedByMatvec(t *testing.T) {
 			continue
 		}
 		for _, c := range p.Codelets {
-			m, err := sim.Measure(p, c, sim.Options{Machine: ref, Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+			m, err := sim.Measure(p, c, sim.Options{Machine: ref, Mode: sim.ModeInApp, Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestCGCacheStateAnomaly(t *testing.T) {
 	p, c := progs[idx], codelets[idx]
 
 	measure := func(m *arch.Machine, mode sim.Mode) *sim.Measurement {
-		r, err := sim.Measure(p, c, sim.Options{Machine: m, Mode: mode, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+		r, err := sim.Measure(p, c, sim.Options{Machine: m, Mode: mode, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,12 +199,12 @@ func TestReferenceScreening(t *testing.T) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			p, c := progs[i], codelets[i]
-			inApp, err := sim.Measure(p, c, sim.Options{Machine: ref, Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+			inApp, err := sim.Measure(p, c, sim.Options{Machine: ref, Mode: sim.ModeInApp, Seed: 1})
 			if err != nil {
 				results[i].err = err
 				return
 			}
-			sa, err := sim.Measure(p, c, sim.Options{Machine: ref, Mode: sim.ModeStandalone, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+			sa, err := sim.Measure(p, c, sim.Options{Machine: ref, Mode: sim.ModeStandalone, Seed: 1})
 			if err != nil {
 				results[i].err = err
 				return

@@ -112,12 +112,12 @@ func TestAllWellBehavedOnReference(t *testing.T) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			p, c := progs[i], codelets[i]
-			inApp, err := sim.Measure(p, c, sim.Options{Machine: ref, Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+			inApp, err := sim.Measure(p, c, sim.Options{Machine: ref, Mode: sim.ModeInApp, Seed: 1})
 			if err != nil {
 				errs[i] = err.Error()
 				return
 			}
-			sa, err := sim.Measure(p, c, sim.Options{Machine: ref, Mode: sim.ModeStandalone, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+			sa, err := sim.Measure(p, c, sim.Options{Machine: ref, Mode: sim.ModeStandalone, Seed: 1})
 			if err != nil {
 				errs[i] = err.Error()
 				return
@@ -152,11 +152,11 @@ func TestDividerClusterSlowestOnAtom(t *testing.T) {
 	}
 	speedup := func(name string) float64 {
 		i := byName[name]
-		ref, err := sim.Measure(progs[i], codelets[i], sim.Options{Machine: arch.Reference(), Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+		ref, err := sim.Measure(progs[i], codelets[i], sim.Options{Machine: arch.Reference(), Mode: sim.ModeInApp, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		atom, err := sim.Measure(progs[i], codelets[i], sim.Options{Machine: arch.Atom(), Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+		atom, err := sim.Measure(progs[i], codelets[i], sim.Options{Machine: arch.Atom(), Mode: sim.ModeInApp, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,11 +269,11 @@ func TestAtomSpeedupOrdering(t *testing.T) {
 	}
 	speedup := func(name string) float64 {
 		i := byName[name]
-		ref, err := sim.Measure(progs[i], codelets[i], sim.Options{Machine: arch.Reference(), Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+		ref, err := sim.Measure(progs[i], codelets[i], sim.Options{Machine: arch.Reference(), Mode: sim.ModeInApp, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		atom, err := sim.Measure(progs[i], codelets[i], sim.Options{Machine: arch.Atom(), Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+		atom, err := sim.Measure(progs[i], codelets[i], sim.Options{Machine: arch.Atom(), Mode: sim.ModeInApp, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

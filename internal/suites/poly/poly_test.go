@@ -89,13 +89,13 @@ func TestAllMeasurableAndWellBehaved(t *testing.T) {
 			defer wg.Done()
 			defer func() { <-sem }()
 			inApp, err := sim.Measure(progs[i], codelets[i],
-				sim.Options{Machine: ref, Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+				sim.Options{Machine: ref, Mode: sim.ModeInApp, Seed: 1})
 			if err != nil {
 				errs[i] = err.Error()
 				return
 			}
 			sa, err := sim.Measure(progs[i], codelets[i],
-				sim.Options{Machine: ref, Mode: sim.ModeStandalone, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+				sim.Options{Machine: ref, Mode: sim.ModeStandalone, Seed: 1})
 			if err != nil {
 				errs[i] = err.Error()
 				return
@@ -132,12 +132,12 @@ func TestWideVectorLovesGemm(t *testing.T) {
 	speedup := func(name string) float64 {
 		i := byName[name]
 		ref, err := sim.Measure(progs[i], codelets[i],
-			sim.Options{Machine: arch.Reference(), Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+			sim.Options{Machine: arch.Reference(), Mode: sim.ModeInApp, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		wv, err := sim.Measure(progs[i], codelets[i],
-			sim.Options{Machine: arch.WideVec(), Mode: sim.ModeInApp, Seed: 1, ProbeCycles: -1, NoiseAmp: -1})
+			sim.Options{Machine: arch.WideVec(), Mode: sim.ModeInApp, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
